@@ -1,16 +1,20 @@
 """Closed-loop benchmark of the lscompile public API.
 
     python3 perfbench/run.py --workload NAME [--seed N|heldout]
-                             [--seconds S] [--trace 0|1] [--spans FILE]
+                             [--seconds S] [--trace 0|1]
 
-One process, one job in flight, no threads: the next job starts only
-after the previous one has finished.  A run repeats the workload's job
-list in whole passes for about `--seconds` seconds and checks every
-output.  The last line of stdout is one JSON object with `correct`,
-`attempted`, `failed` and `metrics`; the line before it holds the
-per-job fingerprints and details.  `--trace 0` reports the end-to-end
-metrics; `--trace 1` alternates untraced and traced passes and reports
-the per-layer metrics and the tracing overhead.  See README.md.
+One job in flight and no threads: the next job starts only after the
+previous one has finished.  A run starts `WORKERS` fresh worker
+processes one after the other.  Each sets up (import, inputs, warm-up)
+and repeats the workload's job list in whole passes for its share of
+`--seconds`.  After every job it times `reference()`, a fixed piece of
+pure-Python work, and every time it reports is scaled by how fast the
+machine ran that reference.  Every output is checked.  The last line of
+stdout is one JSON object with `correct`, `attempted`, `failed` and
+`metrics`; the line before it holds the per-job fingerprints and
+details.  `--trace 0` reports the end-to-end metrics; `--trace 1`
+alternates untraced and traced passes in each worker and reports the
+per-layer metrics and the tracing overhead.  See README.md.
 """
 
 from __future__ import annotations
@@ -18,31 +22,39 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import statistics
 import subprocess
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 5          # set-up is timed in fresh processes, median taken
-SETUP_CPU_LIMIT = 60       # seconds of CPU a set-up process may use
+# A run is several fresh worker processes in turn, so that set-up is
+# timed several times and the outputs are compared across hash seeds.
+WORKERS = 4
+# The speed of a shared 2-core machine drifts by up to a factor of two,
+# in phases of seconds to minutes that cover whole runs.  Each worker
+# therefore times `reference()` after every job, and every time it
+# reports is multiplied by REFERENCE_S over the median reference time of
+# that worker: times are given for a machine on which the reference
+# takes REFERENCE_S seconds (a 2-core 2.0 GHz Xeon VM takes 7 to 12 ms,
+# depending on the phase).  A job's time is the median of its scaled
+# samples.
+REFERENCE_S = 0.010
+RUN_LIMIT_S = 170          # all workers of a run end within this time
+# numpy's BLAS would otherwise start a thread per core for the dense
+# oracle's matrix products; on a shared 2-core machine those threads
+# wait on each other and on other tenants, and a 6-qubit oracle job
+# then takes two to three times as long, at random.  The workers run
+# one job at a time on one thread.
+SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 WORKLOAD_NAMES = ("gates_loose", "pbc_spc_sweep", "small_auto_verify")
-
-
-@dataclass
-class JobRun:
-    name: str
-    seconds: float
-    ops: int
-    fingerprint: dict
-    counts: Counter
-    errors: list
 
 
 def parse_args(argv):
@@ -52,9 +64,7 @@ def parse_args(argv):
                     help="workload seed, or 'heldout' for the held-out seed")
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--spans", help="write the traced run's spans here")
-    ap.add_argument("--setup-only", action="store_true",
-                    help=argparse.SUPPRESS)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.seed != "heldout":
         try:
@@ -62,6 +72,19 @@ def parse_args(argv):
         except ValueError:
             ap.error(f"--seed must be an integer or 'heldout', not {args.seed!r}")
     return args
+
+
+def reference() -> float:
+    """Seconds taken by a fixed loop of pure-Python dict and integer work.
+    It shares no code with the program, so only the machine moves it.  Of
+    the loops tried (this one, one of tuples, sets and a sort, and one of
+    attribute lookups on small objects), its time followed the job times
+    most closely through the machine's speed phases."""
+    t0 = perf_counter()
+    counts = {}
+    for i in range(40000):
+        counts[i % 1000] = counts.get(i % 1000, 0) + i
+    return perf_counter() - t0
 
 
 def setup(workload: str, seed: int) -> list:
@@ -75,25 +98,8 @@ def setup(workload: str, seed: int) -> list:
     return jobs
 
 
-def _limit_cpu():
-    resource.setrlimit(resource.RLIMIT_CPU, (SETUP_CPU_LIMIT, SETUP_CPU_LIMIT))
-
-
-def time_setup(workload: str, seed: int) -> float:
-    """Wall time of a fresh process doing exactly the set-up.
-
-    The wait blocks without a timeout, because `wait(timeout=...)` polls
-    in steps of up to 50 ms; a CPU-time limit bounds the child instead.
-    """
-    cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--setup-only"]
-    t0 = perf_counter()
-    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL,
-                   preexec_fn=_limit_cpu)
-    return perf_counter() - t0
-
-
-def run_pass(jobs: list, tracer=None) -> list:
+def run_pass(jobs: list, refs: list, tracer=None) -> list:
+    """Run every job once, timing `reference()` into `refs` after each."""
     import workloads
     out = []
     for job in jobs:
@@ -104,11 +110,55 @@ def run_pass(jobs: list, tracer=None) -> list:
         with span("job") if span else nullcontext():
             done = workloads.execute(job, span)
         dt = perf_counter() - t0
-        ops = len(done.result.corrected.ops) if done.error is None else 0
-        out.append(JobRun(job.name, dt, ops, workloads.fingerprint(job, done),
-                          workloads.counts(job, done),
-                          workloads.check(job, done)))
+        refs.append(reference())
+        out.append({
+            "name": job.name, "seconds": dt,
+            "ops": len(done.result.corrected.ops) if done.error is None else 0,
+            "fingerprint": workloads.fingerprint(job, done),
+            "counts": workloads.counts(job, done),
+            "errors": workloads.check(job, done)})
     return out
+
+
+def worker(workload: str, seed: int, budget: float, trace: int) -> int:
+    """Set up, run whole passes for about `budget` seconds and print
+    everything measured as JSON.  A pass is started only if at least half
+    of it, going by the last pass, fits into the budget, so that a worker
+    takes about `budget` seconds on average.  The pass count may differ
+    between runs; a median over the samples does not drift with it.  A
+    traced run alternates untraced and traced passes, at least one of
+    each."""
+    t0 = perf_counter()
+    jobs = setup(workload, seed)
+    setup_s = perf_counter() - t0
+    import spans
+    out, refs = [], []
+    start = perf_counter()
+    while True:
+        p0 = perf_counter()
+        tracer = spans.Tracer() if trace and len(out) % 2 == 1 else None
+        with spans.installed(tracer) if tracer else nullcontext():
+            runs = run_pass(jobs, refs, tracer)
+        out.append({"tracer": tracer.summary() if tracer else None,
+                    "jobs": runs})
+        now = perf_counter()
+        if len(out) >= 1 + trace and now - start + (now - p0) / 2 > budget:
+            break
+    print(json.dumps({"setup_s": setup_s,
+                      "reference_s": statistics.median(refs), "passes": out}))
+    return 0
+
+
+def run_worker(args, seed: int, budget: float, deadline: float) -> dict:
+    cmd = [sys.executable, str(HERE / "run.py"), "--worker",
+           "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(budget), "--trace", str(args.trace)]
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, **SINGLE_THREADED),
+                         timeout=max(1.0, deadline - perf_counter()))
+    w = json.loads(out.stdout)
+    w["scale"] = REFERENCE_S / w["reference_s"]
+    return w
 
 
 def tail(times: list) -> tuple:
@@ -122,50 +172,59 @@ def tail(times: list) -> tuple:
     return p, xs[math.ceil(p * n / 100) - 1]
 
 
-def best_times(passes: list) -> list:
-    """Per job, the best time over the given passes: interference from the
-    rest of the machine only ever adds time."""
-    return [min(runs[i].seconds for runs in passes)
-            for i in range(len(passes[0]))]
+def median_times(samples: list) -> list:
+    """Per job, the median of its scaled times; `samples` holds
+    (one pass's job records, that worker's scale) pairs."""
+    return [statistics.median(runs[i]["seconds"] * k for runs, k in samples)
+            for i in range(len(samples[0][0]))]
+
+
+def untraced(workers: list) -> list:
+    return [(p["jobs"], w["scale"]) for w in workers for p in w["passes"]
+            if p["tracer"] is None]
 
 
 def _ratio(a, b) -> float:
     return a / b if b else 0.0
 
 
-def end_to_end(passes, setup_times, failed, attempted) -> tuple:
-    first = passes[0][1]
-    best = best_times([runs for _, runs in passes])
-    p9 = [r.fingerprint["p_total"]["9"] for r in first
-          if "p_total" in r.fingerprint]
-    pct, tail_s = tail(best)
+def end_to_end(workers, failed, attempted) -> tuple:
+    first = workers[0]["passes"][0]["jobs"]
+    times = median_times(untraced(workers))
+    p9 = [r["fingerprint"]["p_total"]["9"] for r in first
+          if "p_total" in r["fingerprint"]]
+    pct, tail_s = tail(times)
     metrics = {
-        "ops_per_s": (sum(r.ops for r in first) / sum(best), "1/s"),
-        "job_s_p50": (statistics.median(best), "s"),
+        "ops_per_s": (sum(r["ops"] for r in first) / sum(times), "1/s"),
+        "job_s_p50": (statistics.median(times), "s"),
         "job_s_tail": (tail_s, "s"),
-        "setup_s": (statistics.median(setup_times), "s"),
-        "peak_rss_mb": (
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-        "logical_clocks": (
-            sum(r.fingerprint.get("total_clocks", 0) for r in first), "clocks"),
+        "setup_s": (statistics.median(w["setup_s"] * w["scale"]
+                                      for w in workers), "s"),
+        "peak_rss_mb": (resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024, "MB"),
+        "logical_clocks": (sum(r["fingerprint"].get("total_clocks", 0)
+                               for r in first), "clocks"),
         "ler_p_geomean": (
             math.exp(statistics.fmean(math.log(p) for p in p9)) if p9 else 0.0,
             "prob"),
-        "board_tiles": (sum(r.counts["board.tiles"] for r in first), "tiles"),
+        "board_tiles": (sum(r["counts"].get("board.tiles", 0)
+                            for r in first), "tiles"),
         "ok_frac": (1 - failed / attempted, "ratio"),
     }
-    return metrics, {"job_s_tail": {"percentile": pct, "samples": len(best)},
-                     "job_best_s": {r.name: t for r, t in zip(first, best)}}
+    return metrics, {"job_s_tail": {"percentile": pct, "samples": len(times)},
+                     "job_s": {r["name"]: t for r, t in zip(first, times)}}
 
 
-def per_layer(tracer, runs) -> dict:
+def per_layer(tracer: dict, runs: list, scale: float) -> dict:
     c = Counter()
     for r in runs:
-        c.update(r.counts)
-    t, calls, own = tracer.total, tracer.calls, tracer.self_time
-    ops = sum(r.ops for r in runs)
+        c.update(r["counts"])
+    t, own = (Counter({k: v * scale for k, v in tracer[key].items()})
+              for key in ("total", "self_time"))
+    calls, fails = Counter(tracer["calls"]), Counter(tracer["fails"])
+    ops = sum(r["ops"] for r in runs)
     bus_calls = calls["board.bus_patches"]
-    bus_fail = tracer.fails["board.bus_patches"]
+    bus_fail = fails["board.bus_patches"]
     s, n = "s", "count"
     return {
         "transpiler.s": (t["transpiler"], s),
@@ -217,17 +276,22 @@ def per_layer(tracer, runs) -> dict:
     }
 
 
-def traced_metrics(passes) -> dict:
-    """Per-layer metrics per traced pass, median over traced passes, plus
-    the tracing overhead from the alternating untraced passes."""
-    per_pass = [per_layer(tr, runs) for tr, runs in passes if tr is not None]
+def traced_metrics(workers) -> dict:
+    """Per-layer metrics per traced pass, median over all traced passes;
+    the tracing overhead is taken within each worker, against its
+    untraced passes, and its median over the workers reported."""
+    per_pass = [per_layer(p["tracer"], p["jobs"], w["scale"])
+                for w in workers for p in w["passes"]
+                if p["tracer"] is not None]
     metrics = {k: (statistics.median(m[k][0] for m in per_pass), u)
                for k, (_, u) in per_pass[0].items()}
 
-    def rate(traced):
-        sel = [runs for tr, runs in passes if (tr is not None) == traced]
-        return sum(r.ops for r in sel[0]) / sum(best_times(sel))
-    metrics["trace.overhead_frac"] = (1 - rate(True) / rate(False), "ratio")
+    def rate(w, traced):
+        sel = [(p["jobs"], 1.0) for p in w["passes"]
+               if (p["tracer"] is not None) == traced]
+        return sum(r["ops"] for r in sel[0][0]) / sum(median_times(sel))
+    metrics["trace.overhead_frac"] = (statistics.median(
+        1 - rate(w, True) / rate(w, False) for w in workers), "ratio")
     return metrics
 
 
@@ -238,58 +302,37 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(HERE))
+    if args.worker:
+        return worker(args.workload, int(args.seed), args.seconds, args.trace)
     import workloads  # puts src/ on sys.path first
-    import spans
     seed = (workloads.HELDOUT_SEED if args.seed == "heldout"
             else int(args.seed))
-    if args.setup_only:
-        setup(args.workload, seed)
-        return 0
+    deadline = perf_counter() + RUN_LIMIT_S
+    workers = [run_worker(args, seed, args.seconds / WORKERS, deadline)
+               for _ in range(WORKERS)]
 
-    setup_times = ([] if args.trace else
-                   [time_setup(args.workload, seed)
-                    for _ in range(SETUP_REPEATS)])
-    jobs = setup(args.workload, seed)
-
-    passes = []                 # (tracer or None, [JobRun])
-    t0 = perf_counter()
-    while True:
-        tracer = (spans.Tracer() if args.trace and len(passes) % 2 == 1
-                  else None)
-        with spans.installed(tracer) if tracer else nullcontext():
-            passes.append((tracer, run_pass(jobs, tracer)))
-        elapsed = perf_counter() - t0
-        if args.trace and len(passes) < 2:
-            continue
-        # stop at the pass boundary nearest to the requested run length
-        if elapsed >= args.seconds - elapsed / len(passes) / 2:
-            break
-
-    reference = [r.fingerprint for r in passes[0][1]]
+    first = [r["fingerprint"] for r in workers[0]["passes"][0]["jobs"]]
     attempted = failed = 0
-    for _, runs in passes:
-        for r, ref in zip(runs, reference):
-            attempted += 1
-            errors = list(r.errors)
-            if r.fingerprint != ref:
-                errors.append("fingerprint differs from the first pass")
-            if errors:
-                failed += 1
-                print(f"perfbench: {r.name}: {'; '.join(errors)}",
-                      file=sys.stderr)
+    for w in workers:
+        for p in w["passes"]:
+            for r, fp in zip(p["jobs"], first):
+                attempted += 1
+                errors = list(r["errors"])
+                if r["fingerprint"] != fp:
+                    errors.append("fingerprint differs from the first worker's")
+                if errors:
+                    failed += 1
+                    print(f"perfbench: {r['name']}: {'; '.join(errors)}",
+                          file=sys.stderr)
 
     detail = {"workload": args.workload, "seed": seed,
-              "passes": len(passes), "jobs_per_pass": len(jobs),
-              "fingerprints": reference}
+              "passes": [len(w["passes"]) for w in workers],
+              "reference_s": [w["reference_s"] for w in workers],
+              "jobs_per_pass": len(first), "fingerprints": first}
     if args.trace:
-        metrics = traced_metrics(passes)
-        if args.spans:
-            traced = [tr for tr, _ in passes if tr is not None]
-            Path(args.spans).write_text(json.dumps(
-                {"records": [rec for tr in traced for rec in tr.records],
-                 "self_s": [dict(tr.self_time) for tr in traced]}))
+        metrics = traced_metrics(workers)
     else:
-        metrics, extra = end_to_end(passes, setup_times, failed, attempted)
+        metrics, extra = end_to_end(workers, failed, attempted)
         detail.update(extra)
     print(json.dumps({"detail": detail}))
     print(json.dumps({

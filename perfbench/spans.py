@@ -54,6 +54,11 @@ class Tracer:
                 "job": self.job, "name": name, "start": start, "end": end,
                 "self_s": dur - child})
 
+    def summary(self) -> dict:
+        """The per-name aggregates, as plain dicts."""
+        return {"total": dict(self.total), "calls": dict(self.calls),
+                "self_time": dict(self.self_time), "fails": dict(self.fails)}
+
     @contextmanager
     def span(self, name, record=True):
         self._enter(name)

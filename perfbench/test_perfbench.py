@@ -117,6 +117,18 @@ def test_checks_reject_broken_outputs():
     assert any("oracle" in e for e in workloads.check(job, wrong))
 
 
+def test_job_times_are_medians_of_scaled_untraced_samples():
+    def jobs(*times):
+        return [{"name": f"job{i}", "seconds": t} for i, t in enumerate(times)]
+    workers = [
+        {"scale": 0.5, "passes": [{"tracer": None, "jobs": jobs(2.0, 4.0)},
+                                  {"tracer": {}, "jobs": jobs(9.0, 9.0)}]},
+        {"scale": 1.0, "passes": [{"tracer": None, "jobs": jobs(1.2, 2.2)},
+                                  {"tracer": None, "jobs": jobs(1.1, 2.1)}]},
+    ]
+    assert run.median_times(run.untraced(workers)) == pytest.approx([1.1, 2.1])
+
+
 def test_tail_needs_ten_jobs_beyond_the_percentile():
     assert run.tail([float(i) for i in range(1, 101)]) == (90, 90.0)
     assert run.tail([float(i) for i in range(1, 1001)]) == (99, 990.0)
@@ -125,17 +137,21 @@ def test_tail_needs_ten_jobs_beyond_the_percentile():
 
 @pytest.mark.xfail(raises=DeadlockError, strict=True,
                    reason="the loose scheduler deadlocks on these inputs")
-@pytest.mark.parametrize("n, gates, seed, board", [
-    (9, 108, 854223144, "auto"),
-    (12, 600, 5032, "standard"),
-    (12, 1000, 779, "standard"),
-])
-def test_known_deadlock_stays_visible(n, gates, seed, board):
+@pytest.mark.parametrize("make, board", [
+    (lambda: bench.random_circuit(9, 108, 854223144), "auto"),
+    (lambda: bench.random_circuit(12, 600, 5032), "standard"),
+    (lambda: bench.random_circuit(12, 1000, 779), "standard"),
+    (lambda: workloads.relabel(bench.adder_circuit(16), 2), "standard"),
+    (lambda: workloads.relabel(bench.adder_circuit(20), 1582316135),
+     "standard"),
+], ids=["random_9", "random_12_600", "random_12_1000", "adder_16_relabeled",
+        "adder_20_relabeled"])
+def test_known_deadlock_stays_visible(make, board):
     # Why the workloads keep random gate-level circuits away from the loose
-    # scheduler beyond 6 qubits (README.md, "Known defect").  A pass here
-    # means the defect is fixed and the workloads can be widened again.
-    compile_program(bench.random_circuit(n, gates, seed),
-                    CompileOptions(board=board))
+    # scheduler beyond 6 qubits and run the adders without renumbering
+    # their qubits (README.md, "Known defect").  A pass here means the
+    # defect is fixed and the workloads can be widened again.
+    compile_program(make(), CompileOptions(board=board))
 
 
 def _last_json(stdout: str) -> dict:

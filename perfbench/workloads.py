@@ -41,25 +41,35 @@ HELDOUT_SEED = 7919
 
 # Input sizes are fixed per workload and only the random contents follow
 # the seed, so that every seed asks for about the same amount of work.
-# Gate-level circuits for the loose scheduler are structured families
-# under a seeded qubit relabeling: seeded random circuits deadlock the
-# loose scheduler on about one 12-qubit circuit in a hundred (README.md).
-GATES_CIRCUITS = (
-    ("adder_20", lambda: bench.adder_circuit(20)),
-    ("adder_24", lambda: bench.adder_circuit(24)),
-    ("adder_28", lambda: bench.adder_circuit(28)),
-    ("ising_14x8", lambda: bench.ising_circuit(14, 8)),
-    ("star_ising_12x6", lambda: bench.star_ising_circuit(12, 6)),
-    ("qft_16", lambda: bench.qft_fragment(16)),
-    ("swap_test_13", lambda: bench.swap_test_circuit(6)),
+# Each workload's jobs take 3 to 4 seconds together on a 2-core x86
+# machine, so that a run repeats every job several times.
+# Gate-level circuits for the loose scheduler are structured families.
+# The loose scheduler deadlocks on about one seeded random 12-qubit
+# circuit in a hundred, and on a few adders in a few hundred once their
+# qubits are renumbered (README.md), so the adders run as built and the
+# seed renumbers the qubits of the other families only.  Job times cluster
+# by family; six 10-qubit Ising jobs put the median job inside one
+# cluster, with two shorter and three longer jobs around it.
+GATES_FIXED = (
+    ("adder_12", lambda: bench.adder_circuit(12)),
+    ("adder_16", lambda: bench.adder_circuit(16)),
 )
-PBC_PROGRAMS = ((32, 320), (40, 400))
+GATES_RELABELED = (
+    ("qft_16", 1, lambda: bench.qft_fragment(16)),
+    ("swap_test_13", 1, lambda: bench.swap_test_circuit(6)),
+    ("ising_10x6", 3, lambda: bench.ising_circuit(10, 6)),
+    ("star_ising_10x6", 3, lambda: bench.star_ising_circuit(10, 6)),
+    ("ising_12x8", 1, lambda: bench.ising_circuit(12, 8)),
+)
+# Eight programs rather than four larger ones halve the spread of the
+# summed clocks between seeds and put the median job between two jobs.
+PBC_PROGRAMS = ((12, 120),) * 8
 # Random circuits stay within the dense oracle's reach, so every one of
 # them is verified; the suite supplies the 7- and 10-qubit jobs.  Wider
 # random circuits can deadlock the loose scheduler (see README.md).  Job
 # times cluster by width, so (width, count) puts the median job well
 # inside the 5-qubit cluster rather than on the edge between two.
-AUTO_RANDOM = ((3, 16), (4, 16), (5, 40), (6, 24))
+AUTO_RANDOM = ((3, 4), (4, 5), (5, 11), (6, 3))
 
 
 @dataclass
@@ -98,9 +108,12 @@ def relabel(circ: GateCircuit, seed: int) -> GateCircuit:
 def gates_loose(seed: int) -> list:
     """Structured gate-level circuits on the standard board."""
     opts = CompileOptions(board="standard")
-    return [Job(name, relabel(make(), s), opts, (9,))
-            for (name, make), s in zip(GATES_CIRCUITS,
-                                       _seeds(seed, len(GATES_CIRCUITS)))]
+    jobs = [Job(name, make(), opts, (9,)) for name, make in GATES_FIXED]
+    names = [(name, make) for name, count, make in GATES_RELABELED
+             for _ in range(count)]
+    for (name, make), s in zip(names, _seeds(seed, len(names))):
+        jobs.append(Job(f"{name}_{s}", relabel(make(), s), opts, (9,)))
+    return jobs
 
 
 def pbc_spc_sweep(seed: int) -> list:
