@@ -1,7 +1,7 @@
 """Surface-code tile board: typed patch edges, patch operations, bus routing.
 
-Tiles form an N x M grid.  Each data patch occupies one tile in steady
-state and carries an orientation: "h" puts Z-edges on E/W and X-edges on
+Tiles form an N x M grid.  Each data patch occupies one tile and
+carries an orientation: "h" puts Z-edges on E/W and X-edges on
 N/S, "v" the opposite.  The ancilla patch sits at a fixed tile with the
 same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
@@ -12,7 +12,7 @@ both typed edges of the ancilla.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ORIENT_H = "h"   # Z on E/W, X on N/S
 ORIENT_V = "v"   # Z on N/S, X on E/W
@@ -20,8 +20,7 @@ ORIENT_V = "v"   # Z on N/S, X on E/W
 # fixed scan order for neighbors and rotation helpers
 _DIRS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
 
-OP_COSTS = {"init": 0, "expand": 1, "shrink": 0, "move": 1, "rotate": 3,
-            "measure": 1}
+OP_COSTS = {"move": 1, "rotate": 3, "measure": 1}
 
 
 class IllegalOpError(ValueError):
@@ -42,15 +41,10 @@ def edge_type(orient: str, direction: str) -> str:
     return "Z" if direction in ("N", "S") else "X"
 
 
-@dataclass
-class Patch:
-    qubit: int                  # -1 for the ancilla patch
-    tiles: tuple                # singleton except mid-deformation
+class Patch(NamedTuple):
+    """A single-tile patch; operations replace it rather than mutate it."""
+    tile: tuple
     orient: str
-
-    @property
-    def tile(self):
-        return self.tiles[0]
 
 
 class Board:
@@ -62,16 +56,13 @@ class Board:
         self.patches: dict[int, Patch] = {}
         self.ancilla: Patch | None = None
         self.port: tuple | None = None
-        self._occ: dict[tuple, int] = {}   # tile -> qubit id (-1 = ancilla)
+        self._occ: set = set()   # tiles held by a patch or the ancilla
 
     # --- basic geometry ---------------------------------------------------
 
     def in_bounds(self, tile) -> bool:
         r, c = tile
         return 0 <= r < self.rows and 0 <= c < self.cols
-
-    def occupant(self, tile):
-        return self._occ.get(tile)
 
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
@@ -89,31 +80,26 @@ class Board:
 
     def copy(self) -> "Board":
         b = Board(self.rows, self.cols)
-        b.patches = {q: Patch(p.qubit, p.tiles, p.orient)
-                     for q, p in self.patches.items()}
-        if self.ancilla is not None:
-            b.ancilla = Patch(-1, self.ancilla.tiles, self.ancilla.orient)
+        b.patches = dict(self.patches)
+        b.ancilla = self.ancilla
         b.port = self.port
-        b._occ = dict(self._occ)
+        b._occ = set(self._occ)
         return b
 
     def key(self):
         """Canonical hashable snapshot of the mutable state."""
-        return (tuple(sorted((q, p.tiles, p.orient)
-                             for q, p in self.patches.items())),
-                (self.ancilla.tiles, self.ancilla.orient)
-                if self.ancilla else None)
+        return (tuple(sorted(self.patches.items())), self.ancilla)
 
     # --- placement --------------------------------------------------------
 
-    def _claim(self, tile, qid):
+    def _claim(self, tile):
         if not self.in_bounds(tile):
             raise IllegalOpError(f"tile {tile} out of bounds")
         if tile in self._occ:
             raise IllegalOpError(f"tile {tile} already occupied")
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
-        self._occ[tile] = qid
+        self._occ.add(tile)
 
     def init_patch(self, qid: int, tile, orient: str, state: str = "|0>") -> None:
         """Create a fresh patch; zero clock cost."""
@@ -123,14 +109,14 @@ class Board:
             raise IllegalOpError(f"bad orientation {orient!r}")
         if state not in ("|0>", "|+>"):
             raise IllegalOpError(f"bad init state {state!r}")
-        self._claim(tile, qid)
-        self.patches[qid] = Patch(qid, (tile,), orient)
+        self._claim(tile)
+        self.patches[qid] = Patch(tile, orient)
 
     def place_ancilla(self, tile, orient: str) -> None:
         if self.ancilla is not None:
             raise IllegalOpError("ancilla already placed")
-        self._claim(tile, -1)
-        self.ancilla = Patch(-1, (tile,), orient)
+        self._claim(tile)
+        self.ancilla = Patch(tile, orient)
 
     def set_port(self, tile) -> None:
         if not self.is_routing(tile):
@@ -138,47 +124,9 @@ class Board:
         self.port = tile
 
     def remove_patch(self, qid: int) -> None:
-        p = self.patches.pop(qid)
-        for t in p.tiles:
-            del self._occ[t]
+        self._occ.remove(self.patches.pop(qid).tile)
 
     # --- patch operations -------------------------------------------------
-
-    def expand_patch(self, qid: int, new_tiles) -> frozenset:
-        """Grow a patch into adjacent empty routing tiles; cost 1."""
-        p = self.patches[qid]
-        new_tiles = tuple(new_tiles)
-        if not new_tiles:
-            raise IllegalOpError("expand needs at least one tile")
-        grown = set(p.tiles)
-        pending = list(new_tiles)
-        # each new tile must attach to the (growing) patch
-        while pending:
-            for i, t in enumerate(pending):
-                if not self.is_routing(t):
-                    raise IllegalOpError(f"expand target {t} not free routing")
-                if any(nb in grown for nb in self.neighbors(t)):
-                    grown.add(t)
-                    pending.pop(i)
-                    break
-            else:
-                raise IllegalOpError("expand tiles not contiguous with patch")
-        for t in new_tiles:
-            self._claim(t, qid)
-        self.patches[qid] = Patch(qid, p.tiles + new_tiles, p.orient)
-        return frozenset(grown)
-
-    def shrink_patch(self, qid: int, keep) -> frozenset:
-        """Retract a patch to one of its tiles; cost 0."""
-        p = self.patches[qid]
-        if keep not in p.tiles:
-            raise IllegalOpError(f"keep tile {keep} not part of patch {qid}")
-        footprint = frozenset(p.tiles)
-        for t in p.tiles:
-            if t != keep:
-                del self._occ[t]
-        self.patches[qid] = Patch(qid, (keep,), p.orient)
-        return footprint
 
     def move_patch(self, qid: int, dest) -> frozenset:
         """Expand-and-shrink composite along a free corridor; cost 1.
@@ -186,8 +134,6 @@ class Board:
         Returns the swept tile set (source, corridor, destination).
         """
         p = self.patches[qid]
-        if len(p.tiles) != 1:
-            raise IllegalOpError("move requires a single-tile patch")
         src = p.tile
         if dest == self.port:
             raise IllegalOpError("magic port tile must stay routing")
@@ -196,9 +142,9 @@ class Board:
         path = self._corridor(src, dest)
         if path is None:
             raise IllegalOpError(f"no free corridor from {src} to {dest}")
-        del self._occ[src]
-        self._occ[dest] = qid
-        self.patches[qid] = Patch(qid, (dest,), p.orient)
+        self._occ.remove(src)
+        self._occ.add(dest)
+        self.patches[qid] = Patch(dest, p.orient)
         return frozenset([src] + path)
 
     def _corridor(self, src, dest):
@@ -223,10 +169,7 @@ class Board:
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
-        p = self.patches[qid]
-        if len(p.tiles) != 1:
-            return None
-        r, c = p.tile
+        r, c = self.patches[qid].tile
         for _, (dr, dc) in _DIRS:
             t = (r + dr, c + dc)
             if self.is_routing(t):
@@ -240,8 +183,6 @@ class Board:
         whole operation.  Returns the footprint {patch tile, helper tile}.
         """
         p = self.patches[qid]
-        if len(p.tiles) != 1:
-            raise IllegalOpError("rotate requires a single-tile patch")
         if helper is None:
             helper = self.rotation_helper(qid)
             if helper is None:
@@ -250,47 +191,42 @@ class Board:
             if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
                 raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
         flipped = ORIENT_V if p.orient == ORIENT_H else ORIENT_H
-        self.patches[qid] = Patch(qid, p.tiles, flipped)
+        self.patches[qid] = Patch(p.tile, flipped)
         return frozenset([p.tile, helper])
 
     # --- edges and exposure -----------------------------------------------
 
     def _boundary(self, patch: Patch):
-        """Yield (tile, direction, edge type, outside tile) for real boundaries."""
-        tiles = set(patch.tiles)
-        for (r, c) in patch.tiles:
-            for d, (dr, dc) in _DIRS:
-                out = (r + dr, c + dc)
-                if out in tiles:
-                    continue
-                yield (r, c), d, edge_type(patch.orient, d), out
+        """Yield (edge type, outside tile) for the patch's four edges."""
+        r, c = patch.tile
+        for d, (dr, dc) in _DIRS:
+            yield edge_type(patch.orient, d), (r + dr, c + dc)
+
+    def _touch(self, patch: Patch, typ: str | None = None) -> list:
+        """Routing tiles across the patch's edges of type typ (any if None)."""
+        return sorted({out for t, out in self._boundary(patch)
+                       if (typ is None or t == typ) and self.is_routing(out)})
 
     def touch_tiles(self, qid: int, typ: str) -> list:
         """Routing tiles adjacent across boundaries of the given type."""
-        p = self.patches[qid]
-        out = sorted({out for _, _, t, out in self._boundary(p)
-                      if t == typ and self.is_routing(out)})
-        return out
+        return self._touch(self.patches[qid], typ)
 
     def all_touch_tiles(self, qid: int) -> list:
-        p = self.patches[qid]
-        return sorted({out for _, _, _, out in self._boundary(p)
-                       if self.is_routing(out)})
+        return self._touch(self.patches[qid])
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
-        return {t for _, _, t, out in self._boundary(p) if self.is_routing(out)}
+        return {t for t, out in self._boundary(p) if self.is_routing(out)}
 
     def exposure_edge_count(self, qid: int) -> int:
         """Boundary-edge incidences adjacent to routing (density term)."""
         p = self.patches[qid]
-        return sum(1 for _, _, _, out in self._boundary(p) if self.is_routing(out))
+        return sum(1 for _, out in self._boundary(p) if self.is_routing(out))
 
     def ancilla_touch(self, typ: str) -> list:
         if self.ancilla is None:
             return []
-        return sorted({out for _, _, t, out in self._boundary(self.ancilla)
-                       if t == typ and self.is_routing(out)})
+        return self._touch(self.ancilla, typ)
 
     # --- connectivity -----------------------------------------------------
 
@@ -334,9 +270,6 @@ class Board:
                    for q in self.patches):
                 return comp
         return None
-
-    def check_connectivity(self) -> bool:
-        return self.a_component() is not None
 
 
 # --- bus routing ----------------------------------------------------------
@@ -515,11 +448,11 @@ def format_layout(board: Board) -> str:
         r, c = board.port
         cells[r][c] = "M"
     if board.ancilla is not None:
-        for (r, c) in board.ancilla.tiles:
-            cells[r][c] = f"A{board.ancilla.orient}"
+        r, c = board.ancilla.tile
+        cells[r][c] = f"A{board.ancilla.orient}"
     for q, p in sorted(board.patches.items()):
-        for (r, c) in p.tiles:
-            cells[r][c] = f"Q{q}{p.orient}"
+        r, c = p.tile
+        cells[r][c] = f"Q{q}{p.orient}"
     return "\n".join(" ".join(row) for row in cells) + "\n"
 
 

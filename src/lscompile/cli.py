@@ -14,7 +14,7 @@ import os
 import sys
 
 from .board import format_layout, parse_layout
-from .layout_search import auto_design, design_layout, layout_score
+from .layout_search import layout_score
 from .ler import Calibration, default_calibration, estimate_ler
 from .oracle import (
     MAX_ORACLE_QUBITS,
@@ -87,21 +87,22 @@ def _compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _options_from(args, board=None) -> CompileOptions:
+def _options_from(args) -> CompileOptions:
     return CompileOptions(
         scheduler=args.scheduler,
         mapping=args.mapping,
         y_strategy=args.y_synthesis,
         correction=args.correction,
         seed=args.seed,
-        board=board if board is not None else _resolve_board_arg(args.board),
+        board=_resolve_board_arg(args.board),
         alpha_e=args.alpha_e,
         max_tiles=args.max_tiles,
     )
 
 
 def _resolve_board_arg(spec: str):
-    if isinstance(spec, str) and spec.startswith("@"):
+    """Board spec for make_board, with '@file' read as layout text."""
+    if spec.startswith("@"):
         return parse_layout(_read(spec[1:]))
     return spec
 
@@ -114,15 +115,8 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    if args.board == "auto":
-        board = auto_design(args.qubits, args.max_tiles, args.alpha_e)
-    elif "x" in args.board and args.board not in ("compact",):
-        w, h = args.board.lower().split("x", 1)
-        board = design_layout(args.qubits, rows=int(h), cols=int(w),
-                              alpha_e=args.alpha_e)
-    else:
-        board = make_board(args.board, args.qubits, args.alpha_e,
-                           args.max_tiles)
+    board = make_board(_resolve_board_arg(args.board), args.qubits,
+                       args.alpha_e, args.max_tiles)
     _write(args.output, format_layout(board))
     if args.svg:
         _write(args.svg, svg_board(board))
@@ -175,11 +169,9 @@ def cmd_compare(args) -> int:
         mapping = parts[3] if len(parts) > 3 else "ea"
         ysynth = parts[4] if len(parts) > 4 else (
             "naive" if sched == "spc" else "o3ls")
-        opts = CompileOptions(scheduler=sched, mapping=mapping,
-                              y_strategy=ysynth,
-                              board=_resolve_board_arg(layout),
-                              correction=args.correction, seed=args.seed,
-                              alpha_e=args.alpha_e, max_tiles=args.max_tiles)
+        opts = _options_from(argparse.Namespace(
+            **vars(args), scheduler=sched, mapping=mapping,
+            y_synthesis=ysynth, board=layout))
         result = compile_program(source, opts)
         calib = default_calibration(args.distance)
         report = estimate_ler(result.schedule, calib)

@@ -14,7 +14,12 @@ import numpy as np
 from .board import Board, NoPathError, OP_COSTS, bus_patches
 from .pauli import MEASUREMENT, PauliOp, PauliWord, ROTATION
 from .pdag import build_pdag
-from .scheduler import normalize_angles, required_edges, schedule_loose
+from .scheduler import (
+    _measure_footprint,
+    normalize_angles,
+    required_edges,
+    schedule_loose,
+)
 from .transpiler import GateCircuit, PbcProgram
 
 MAX_ORACLE_QUBITS = 6
@@ -257,11 +262,7 @@ def brute_force_optimum(program: PbcProgram, board: Board,
                                   include_port=op.is_eighth())
             except NoPathError:
                 continue
-            tiles = set(bus)
-            for q in op.word.support():
-                tiles.update(b.patches[qmap[q]].tiles)
-            if b.ancilla is not None:
-                tiles.update(b.ancilla.tiles)
+            tiles, _ = _measure_footprint(b, qmap, op, bus)
             if not free(tiles):
                 continue
             nb_busy = dict(busy)
@@ -273,11 +274,10 @@ def brute_force_optimum(program: PbcProgram, board: Board,
 
         # start a patch move or rotation
         for pid in sorted(b.patches):
-            patch = b.patches[pid]
-            (r, c) = patch.tile
-            if not free(patch.tiles):
+            home = b.patches[pid].tile
+            if not free([home]):
                 continue
-            for dest in b.neighbors(patch.tile):
+            for dest in b.neighbors(home):
                 if not b.is_routing(dest) or dest == b.port:
                     continue
                 if not free([dest]):
@@ -289,7 +289,7 @@ def brute_force_optimum(program: PbcProgram, board: Board,
                     nb_busy[tile] = t + OP_COSTS["move"] - 1
                 dfs(t, nb_busy, dict(op_end), nb,
                     max(makespan, t + OP_COSTS["move"] - 1))
-            for helper in b.neighbors(patch.tile):
+            for helper in b.neighbors(home):
                 if not b.is_routing(helper) or not free([helper]):
                     continue
                 nb = b.copy()

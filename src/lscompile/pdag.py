@@ -7,22 +7,16 @@ qubit.  In-degree-0 nodes form the executable frontier.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .pauli import PauliOp, format_op
 from .transpiler import PbcProgram
 
 
-class EmptyDagError(LookupError):
-    """pop_executable on an empty dag."""
-
-
 @dataclass
 class PDagNode:
-    id: int
+    id: int                    # original sequence position
     op: PauliOp
-    index: int                 # original sequence position
     preds: set = field(default_factory=set)
     succs: set = field(default_factory=set)
 
@@ -35,7 +29,7 @@ class PDag:
         self.n = n
         self.nodes: dict[int, PDagNode] = {}
         self._indeg: dict[int, int] = {}
-        self._frontier_heap: list = []   # (index, id), may hold stale entries
+        self._ready: set = set()         # ids with no remaining predecessor
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -47,38 +41,27 @@ class PDag:
         self.nodes[node.id] = node
         self._indeg[node.id] = len(node.preds)
         if not node.preds:
-            heapq.heappush(self._frontier_heap, (node.index, node.id))
+            self._ready.add(node.id)
 
     def frontier(self) -> list:
         """Executable node ids, lowest original index first."""
-        ids = [nid for nid, d in self._indeg.items() if d == 0 and nid in self.nodes]
-        ids.sort(key=lambda nid: self.nodes[nid].index)
-        return ids
-
-    def pop_executable(self) -> PDagNode:
-        """Remove and return the frontier node with the lowest original index."""
-        while self._frontier_heap:
-            _, nid = heapq.heappop(self._frontier_heap)
-            if nid in self.nodes and self._indeg[nid] == 0:
-                return self._remove(nid)
-        raise EmptyDagError("dag is empty")
+        return sorted(self._ready)
 
     def pop_node(self, nid: int) -> PDagNode:
         """Remove a specific frontier node."""
-        if nid not in self.nodes:
-            raise EmptyDagError(f"node {nid} not present")
-        if self._indeg[nid] != 0:
+        if nid not in self._ready:
             raise ValueError(f"node {nid} is not executable")
         return self._remove(nid)
 
     def _remove(self, nid: int) -> PDagNode:
+        self._ready.remove(nid)
         node = self.nodes.pop(nid)
         del self._indeg[nid]
         for s in node.succs:
             if s in self.nodes:
                 self._indeg[s] -= 1
                 if self._indeg[s] == 0:
-                    heapq.heappush(self._frontier_heap, (self.nodes[s].index, s))
+                    self._ready.add(s)
         return node
 
     def edges(self) -> list:
@@ -92,7 +75,7 @@ def build_pdag(program: PbcProgram) -> PDag:
     last_writer: dict[int, int] = {}
     nodes = []
     for idx, op in enumerate(program.ops):
-        node = PDagNode(id=idx, op=op, index=idx)
+        node = PDagNode(id=idx, op=op)
         for q in op.word.support():
             if q in last_writer:
                 p = last_writer[q]
@@ -114,7 +97,7 @@ def rotation_demand(dag: PDag) -> dict:
     entering and leaving it each cost one.
     """
     per_qubit: dict[int, list] = {}
-    for node in sorted(dag.nodes.values(), key=lambda nd: nd.index):
+    for node in sorted(dag.nodes.values(), key=lambda nd: nd.id):
         w = node.op.word
         for q in w.support():
             per_qubit.setdefault(q, []).append(w.letter(q))
@@ -130,7 +113,7 @@ def to_dot(dag: PDag) -> str:
     for nid in sorted(dag.nodes):
         node = dag.nodes[nid]
         shape = "box" if node.is_measurement() else "ellipse"
-        label = f"{node.index}: {format_op(node.op)}"
+        label = f"{nid}: {format_op(node.op)}"
         lines.append(f'  n{nid} [label="{label}", shape={shape}];')
     for i, j in dag.edges():
         lines.append(f"  n{i} -> n{j};")

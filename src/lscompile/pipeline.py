@@ -74,8 +74,8 @@ def make_board(spec, n: int, alpha_e: float = 0.2,
         return builtin_layout(spec, n)
     if spec == "auto":
         return auto_design(n, max_tiles, alpha_e)
-    if isinstance(spec, str) and "x" in spec:
-        w, h = spec.lower().split("x", 1)
+    w, x, h = str(spec).lower().partition("x")
+    if x and w.isdecimal() and h.isdecimal():
         return design_layout(n, rows=int(h), cols=int(w), alpha_e=alpha_e)
     raise ValueError(f"unknown board spec {spec!r}")
 

@@ -41,19 +41,19 @@ def svg_board(board: Board, highlight=frozenset()) -> str:
                 parts.append(_text(x + _TILE / 2, y + _TILE / 2 + 4, "M"))
 
     def draw_patch(patch, label, fill):
-        for (r, c) in patch.tiles:
-            x, y = _PAD + c * _TILE, _PAD + r * _TILE
-            parts.append(_rect(x, y, _TILE, _TILE, fill))
-            for d, (x1, y1, x2, y2) in (
-                    ("N", (x, y, x + _TILE, y)),
-                    ("E", (x + _TILE, y, x + _TILE, y + _TILE)),
-                    ("S", (x, y + _TILE, x + _TILE, y + _TILE)),
-                    ("W", (x, y, x, y + _TILE))):
-                color = "#cc3311" if edge_type(patch.orient, d) == "X" \
-                    else "#0077bb"
-                parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
-                             f'y2="{y2}" stroke="{color}" stroke-width="3"/>')
-            parts.append(_text(x + _TILE / 2, y + _TILE / 2 + 4, label))
+        r, c = patch.tile
+        x, y = _PAD + c * _TILE, _PAD + r * _TILE
+        parts.append(_rect(x, y, _TILE, _TILE, fill))
+        for d, (x1, y1, x2, y2) in (
+                ("N", (x, y, x + _TILE, y)),
+                ("E", (x + _TILE, y, x + _TILE, y + _TILE)),
+                ("S", (x, y + _TILE, x + _TILE, y + _TILE)),
+                ("W", (x, y, x, y + _TILE))):
+            color = "#cc3311" if edge_type(patch.orient, d) == "X" \
+                else "#0077bb"
+            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+                         f'y2="{y2}" stroke="{color}" stroke-width="3"/>')
+        parts.append(_text(x + _TILE / 2, y + _TILE / 2 + 4, label))
 
     if board.ancilla is not None:
         draw_patch(board.ancilla, "A", "#bbddbb")

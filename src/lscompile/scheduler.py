@@ -226,10 +226,10 @@ def _measure_footprint(board: Board, qmap: dict, op: PauliOp, bus):
     for q in op.word.support():
         pid = qmap[q]
         patches.add(pid)
-        tiles.update(board.patches[pid].tiles)
+        tiles.add(board.patches[pid].tile)
     if board.ancilla is not None:
         patches.add(-1)
-        tiles.update(board.ancilla.tiles)
+        tiles.add(board.ancilla.tile)
     return frozenset(tiles), frozenset(patches)
 
 

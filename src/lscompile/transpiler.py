@@ -63,9 +63,6 @@ class GateCircuit:
         self.gates.append(Gate(name, tuple(qubits)))
         return self
 
-    def t_count(self) -> int:
-        return sum(1 for g in self.gates if g.name in ("t", "tdg"))
-
 
 @dataclass
 class PbcProgram:

@@ -81,7 +81,7 @@ class TestBuiltinLayouts:
             2: ((2, 3), "h"), 3: ((2, 4), "h"),
             4: ((0, 3), "h"), 5: ((0, 4), "h"),
         }
-        assert b.ancilla.tiles == ((2, 2),)
+        assert b.ancilla.tile == (2, 2)
         assert b.port == (2, 0)
 
     def test_standard_six(self):
@@ -251,7 +251,7 @@ class TestLayoutText:
         again = parse_layout(format_layout(b))
         assert format_layout(again) == format_layout(b)
         assert again.port == b.port
-        assert again.ancilla.tiles == b.ancilla.tiles
+        assert again.ancilla.tile == b.ancilla.tile
 
     def test_irregular_round_trip(self):
         b = irregular_demo()

@@ -4,8 +4,14 @@ import json
 
 import pytest
 
-from lscompile.board import parse_layout
+from lscompile.board import (
+    builtin_layout,
+    format_layout,
+    irregular_demo,
+    parse_layout,
+)
 from lscompile.cli import main
+from lscompile.pipeline import make_board
 from lscompile.transpiler import parse_pbc
 
 QASM = (
@@ -59,6 +65,24 @@ def test_layout_designed_with_svg(tmp_path):
     assert "<svg" in svg.read_text()
 
 
+@pytest.mark.parametrize("name", ["box.layout", "c.layout"])
+def test_layout_reads_layout_file(tmp_path, name):
+    text = format_layout(irregular_demo())
+    src = tmp_path / name
+    src.write_text(text)
+    out = tmp_path / "out.layout"
+    assert main(["layout", "--qubits", "6", "--board", "@" + str(src),
+                 "-o", str(out)]) == 0
+    assert out.read_text() == text
+
+
+def test_layout_dimension_spec_matches_make_board(tmp_path):
+    out = tmp_path / "board.layout"
+    assert main(["layout", "--qubits", "4", "--board", "5x4",
+                 "-o", str(out)]) == 0
+    assert out.read_text() == format_layout(make_board("5x4", 4))
+
+
 def test_compile_emits_schedule_json(qasm_file, tmp_path):
     out = tmp_path / "schedule.json"
     assert main(["compile", qasm_file, "--board", "compact",
@@ -110,6 +134,13 @@ def test_compare_prints_table(qasm_file, capsys):
     text = capsys.readouterr().out
     assert "fast" in text and "base" in text
     assert "clocks" in text and "p_total" in text
+
+
+def test_compare_accepts_layout_file(qasm_file, tmp_path, capsys):
+    src = tmp_path / "box.layout"
+    src.write_text(format_layout(builtin_layout("standard", 2)))
+    assert main(["compare", qasm_file, "--run", f"a:loose:@{src}"]) == 0
+    assert "a " in capsys.readouterr().out
 
 
 def test_compare_rejects_bad_run_spec(qasm_file):

@@ -1,8 +1,9 @@
 """Operator dependency DAG construction and consumption order."""
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from lscompile.pdag import EmptyDagError, build_pdag, rotation_demand, to_dot
+from lscompile import bench
+from lscompile.pdag import build_pdag, rotation_demand, to_dot
 from lscompile.transpiler import parse_pbc
 
 
@@ -36,17 +37,18 @@ def test_pop_node_unblocks_successors():
     assert not dag
 
 
-def test_pop_executable_drains_in_dependency_order():
-    prog = parse_pbc("pi/8 ZI\npi/8 IZ\nM ZZ")
-    dag = build_pdag(prog)
-    seen = []
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=30),
+       st.integers(min_value=0, max_value=10**6),
+       st.data())
+def test_frontier_tracks_unblocked_nodes_while_draining(n, n_ops, seed, data):
+    dag = build_pdag(bench.random_program(n, n_ops, seed))
     while dag:
-        node = dag.pop_executable()
-        seen.append(node.index)
-    assert seen[-1] == 2
-    assert sorted(seen) == [0, 1, 2]
-    with pytest.raises(EmptyDagError):
-        dag.pop_executable()
+        blocked = {j for _, j in dag.edges()}
+        assert dag.frontier() == sorted(set(dag.nodes) - blocked)
+        dag.pop_node(data.draw(st.sampled_from(dag.frontier())))
+    assert dag.frontier() == []
 
 
 def test_rotation_demand_counts_letter_changes():

@@ -1,5 +1,7 @@
 """End-to-end compilation pipeline and correction insertion."""
 
+import re
+
 import pytest
 
 from lscompile.board import Board, builtin_layout
@@ -69,6 +71,12 @@ class TestMakeBoard:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             make_board("hexagonal", 4)
+
+    @pytest.mark.parametrize("spec", ["5x", "axb", "x"])
+    def test_malformed_dimension_spec_names_the_spec(self, spec):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown board spec '{spec}'")):
+            make_board(spec, 4)
 
 
 class TestCompileProgram:

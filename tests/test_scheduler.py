@@ -29,8 +29,7 @@ def triples(program):
 
 
 def test_op_costs_table():
-    assert OP_COSTS == {"init": 0, "expand": 1, "shrink": 0,
-                       "move": 1, "rotate": 3, "measure": 1}
+    assert OP_COSTS == {"move": 1, "rotate": 3, "measure": 1}
 
 
 def test_required_edges_y_needs_both_types():
