@@ -6,7 +6,8 @@ N/S, "v" the opposite.  The ancilla patch sits at a fixed tile with the
 same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
 single routing component touches an exposed edge of every data patch and
-both typed edges of the ancilla.
+both typed edges of the ancilla.  That strict component is worked out on
+first use and kept until the next patch mutation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ ORIENT_V = "v"   # Z on N/S, X on E/W
 _DIRS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
 
 OP_COSTS = {"move": 1, "rotate": 3, "measure": 1}
+
+_STALE = object()   # the strict component must be worked out again
 
 
 class IllegalOpError(ValueError):
@@ -57,6 +60,7 @@ class Board:
         self.ancilla: Patch | None = None
         self.port: tuple | None = None
         self._occ: set = set()   # tiles held by a patch or the ancilla
+        self._comp = _STALE       # a_component() of the current state
 
     # --- basic geometry ---------------------------------------------------
 
@@ -84,6 +88,7 @@ class Board:
         b.ancilla = self.ancilla
         b.port = self.port
         b._occ = set(self._occ)
+        b._comp = self._comp
         return b
 
     def key(self):
@@ -100,6 +105,7 @@ class Board:
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
         self._occ.add(tile)
+        self._comp = _STALE
 
     def init_patch(self, qid: int, tile, orient: str, state: str = "|0>") -> None:
         """Create a fresh patch; zero clock cost."""
@@ -125,6 +131,7 @@ class Board:
 
     def remove_patch(self, qid: int) -> None:
         self._occ.remove(self.patches.pop(qid).tile)
+        self._comp = _STALE
 
     # --- patch operations -------------------------------------------------
 
@@ -145,27 +152,18 @@ class Board:
         self._occ.remove(src)
         self._occ.add(dest)
         self.patches[qid] = Patch(dest, p.orient)
-        return frozenset([src] + path)
+        self._comp = _STALE
+        return frozenset(path)
 
     def _corridor(self, src, dest):
-        """Shortest routing path from src to dest (src excluded), or None."""
-        if dest in self.neighbors(src):
-            return [dest]
-        prev = {src: None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nb in self.neighbors(cur):
-                if nb in prev or not self.is_routing(nb):
-                    continue
-                prev[nb] = cur
-                if nb == dest:
-                    path = [nb]
-                    while prev[path[-1]] != src:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                queue.append(nb)
-        return None
+        """Shortest routing path from dest back to src (both kept), or None."""
+        _, prev = _bfs_from(self, [src])
+        if dest not in prev:
+            return None
+        path = [dest]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
@@ -191,6 +189,8 @@ class Board:
             if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
                 raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
         flipped = ORIENT_V if p.orient == ORIENT_H else ORIENT_H
+        # the strict component stands: no tile changed hands, and it asks
+        # for an edge of any type on every data patch
         self.patches[qid] = Patch(p.tile, flipped)
         return frozenset([p.tile, helper])
 
@@ -207,21 +207,13 @@ class Board:
         return sorted({out for t, out in self._boundary(patch)
                        if (typ is None or t == typ) and self.is_routing(out)})
 
-    def touch_tiles(self, qid: int, typ: str) -> list:
-        """Routing tiles adjacent across boundaries of the given type."""
+    def touch_tiles(self, qid: int, typ: str | None = None) -> list:
+        """Routing tiles across the patch's edges of type typ (any if None)."""
         return self._touch(self.patches[qid], typ)
-
-    def all_touch_tiles(self, qid: int) -> list:
-        return self._touch(self.patches[qid])
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
         return {t for t, out in self._boundary(p) if self.is_routing(out)}
-
-    def exposure_edge_count(self, qid: int) -> int:
-        """Boundary-edge incidences adjacent to routing (density term)."""
-        p = self.patches[qid]
-        return sum(1 for _, out in self._boundary(p) if self.is_routing(out))
 
     def ancilla_touch(self, typ: str) -> list:
         if self.ancilla is None:
@@ -230,46 +222,36 @@ class Board:
 
     # --- connectivity -----------------------------------------------------
 
-    def routing_components(self) -> list:
-        seen = set()
-        comps = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                t = (r, c)
-                if t in seen or not self.is_routing(t):
-                    continue
-                comp = set()
-                queue = deque([t])
-                seen.add(t)
-                while queue:
-                    cur = queue.popleft()
-                    comp.add(cur)
-                    for nb in self.neighbors(cur):
-                        if nb not in seen and self.is_routing(nb):
-                            seen.add(nb)
-                            queue.append(nb)
-                comps.append(comp)
-        return comps
+    def _on(self, comp, patch: Patch, typ: str | None = None) -> bool:
+        """Whether an edge of the patch of type typ (any if None) faces comp."""
+        return any(out in comp for t, out in self._boundary(patch)
+                   if typ is None or t == typ)
 
     def a_component(self):
         """The single routing component realizing strict connectivity, or None.
 
         The component must touch the ancilla's X-edge and Z-edge and at
-        least one exposed edge of every data patch.
+        least one exposed edge of every data patch.  Should two qualify,
+        the one holding the row-major-first tile wins.  The answer is a
+        frozenset kept until the next patch mutation.
         """
-        if self.ancilla is None:
-            return None
-        ax = set(self.ancilla_touch("X"))
-        az = set(self.ancilla_touch("Z"))
-        if not ax or not az:
-            return None
-        for comp in self.routing_components():
-            if not (comp & ax) or not (comp & az):
-                continue
-            if all(any(t in comp for t in self.all_touch_tiles(q))
-                   for q in self.patches):
-                return comp
-        return None
+        if self._comp is _STALE:
+            # flood from the ancilla's X-edge tiles (at most two)
+            comps = []
+            for x in self.ancilla_touch("X"):
+                if not any(x in comp for comp in comps):
+                    comps.append(frozenset(_bfs_from(self, [x])[0]))
+            strict = [comp for comp in comps
+                      if self._on(comp, self.ancilla, "Z")
+                      and all(self._on(comp, p) for p in self.patches.values())]
+            self._comp = min(strict, key=min, default=None)
+        return self._comp
+
+    def reaches(self, qid: int, typ: str) -> bool:
+        """Whether patch qid has a typ edge on the strict component."""
+        # read the kept answer directly; a_component() works out a stale one
+        comp = self.a_component() if self._comp is _STALE else self._comp
+        return comp is not None and self._on(comp, self.patches[qid], typ)
 
 
 # --- bus routing ----------------------------------------------------------

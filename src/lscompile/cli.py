@@ -163,7 +163,7 @@ def cmd_compare(args) -> int:
     for spec in args.run:
         parts = spec.split(":")
         if len(parts) < 3:
-            raise SystemExit(f"bad --run spec {spec!r} "
+            raise ValueError(f"bad --run spec {spec!r} "
                              "(NAME:SCHEDULER:LAYOUT[:MAPPING[:YSYNTH]])")
         name, sched, layout = parts[0], parts[1], parts[2]
         mapping = parts[3] if len(parts) > 3 else "ea"
@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
     failures = []
     if isinstance(source, GateCircuit):
         if source.n > MAX_ORACLE_QUBITS:
-            raise SystemExit(
+            raise ValueError(
                 f"verify needs <= {MAX_ORACLE_QUBITS} qubits")
         gates_only = GateCircuit(
             source.n, tuple(g for g in source.gates if g.name != "measure"))
@@ -282,8 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  Exit codes: 0 ok, 1 verify mismatch, 2 usage
+    or input error; like argparse's own usage errors, an input error is
+    one `lscompile: error:` line on stderr and a SystemExit(2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RuntimeError) as e:
+        parser.exit(2, f"lscompile: error: {e}\n")
 
 
 if __name__ == "__main__":

@@ -19,24 +19,16 @@ class LayoutDesignError(RuntimeError):
 
 def layout_score(board: Board, alpha_e: float = 0.2) -> float:
     """Access score gated by connectivity; disconnected boards score 0."""
-    comp = board.a_component()
-    if comp is None:
+    if board.a_component() is None:
         return 0.0
-    nx = sum(1 for q in board.patches
-             if any(t in comp for t in board.touch_tiles(q, "X")))
-    nz = sum(1 for q in board.patches
-             if any(t in comp for t in board.touch_tiles(q, "Z")))
-    ne = sum(board.exposure_edge_count(q) for q in board.patches)
-    return nx + nz - alpha_e * ne
-
-
-def _port_served(board: Board) -> bool:
-    comp = board.a_component()
-    return comp is not None and board.port in comp
+    nx = sum(board.reaches(q, "X") for q in board.patches)
+    nz = sum(board.reaches(q, "Z") for q in board.patches)
+    return nx + nz - alpha_e * _density(board)
 
 
 def _density(board: Board) -> int:
-    return sum(board.exposure_edge_count(q) for q in board.patches)
+    """Exposed boundary edges: every patch's routing touch tiles."""
+    return sum(len(board.touch_tiles(q)) for q in board.patches)
 
 
 def relocate_pass(board: Board, alpha_e: float = 0.2) -> Board:
@@ -62,7 +54,8 @@ def relocate_pass(board: Board, alpha_e: float = 0.2) -> Board:
                 trial.init_patch(qid, tile, orient)
             except Exception:
                 continue
-            if not _port_served(trial):
+            comp = trial.a_component()
+            if comp is None or trial.port not in comp:
                 continue
             score = layout_score(trial, alpha_e)
             if score <= current:
@@ -92,14 +85,11 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
     board = Board(rows, cols)
     board.place_ancilla((0, 0), ORIENT_H)
     board.set_port((rows - 1, cols - 1))
-    if not _port_served(board):
-        raise LayoutDesignError("empty board fails connectivity")
 
     for qid in range(n):
-        comp = board.a_component()
         best = None
         best_key = None
-        for tile in sorted(comp):
+        for tile in sorted(board.a_component()):
             if tile == board.port:
                 continue
             for orient in (ORIENT_H, ORIENT_V):
@@ -108,7 +98,8 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
                     trial.init_patch(qid, tile, orient)
                 except Exception:
                     continue
-                if not _port_served(trial):
+                comp = trial.a_component()
+                if comp is None or trial.port not in comp:
                     continue
                 score = layout_score(trial, alpha_e)
                 if score <= 0:

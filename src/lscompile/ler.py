@@ -80,11 +80,15 @@ def estimate_ler(schedule: Schedule, calib: Calibration) -> dict:
     sub_rates = (calib.rotate_deform_rate, calib.rotate_corner_rate,
                  calib.rotate_move_rate)
 
+    by_slice: dict[int, list] = {}
+    for ins in schedule.instructions:
+        for t in range(ins.start, ins.end + 1):
+            by_slice.setdefault(t, []).append(ins)
+
     layers = []
     total = 0.0
     for t in range(1, schedule.total_clocks + 1):
-        active = [i for i in schedule.instructions
-                  if i.start <= t <= i.end]
+        active = by_slice.get(t, ())
         ok_ppm = 1.0
         ok_pr = 1.0
         involved = set()

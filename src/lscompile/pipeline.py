@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .board import Board, builtin_layout
 from .layout_search import auto_design, design_layout
-from .mapping import access_map, build_mapping
+from .mapping import MappingError, access_map, build_mapping
 from .pauli import ROTATION, rotation
 from .pdag import build_pdag
 from .scheduler import SCHEDULERS, Schedule, validate_schedule
@@ -69,6 +69,9 @@ class CompileResult:
 def make_board(spec, n: int, alpha_e: float = 0.2,
                max_tiles: int | None = None) -> Board:
     if isinstance(spec, Board):
+        if len(spec.patches) < n:
+            raise MappingError(
+                f"board has {len(spec.patches)} patches for {n} qubits")
         return spec
     if spec in ("compact", "standard", "sparse"):
         return builtin_layout(spec, n)

@@ -195,21 +195,13 @@ def validate_schedule(schedule: Schedule) -> None:
 # --- shared helpers -------------------------------------------------------
 
 def enabled_count(board: Board, qmap: dict, op: PauliOp) -> int:
-    """Qubits of op whose every required edge type touches the connected
-    routing component."""
-    comp = board.a_component()
-    if comp is None:
+    """Qubits of op whose every required edge type reaches the strict
+    routing component; -1 when the board has none."""
+    if board.a_component() is None:
         return -1
-    cnt = 0
-    for q in op.word.support():
-        ok = True
-        for t in _REQUIRED[op.word.letter(q)]:
-            if not any(tt in comp for tt in board.touch_tiles(qmap[q], t)):
-                ok = False
-                break
-        if ok:
-            cnt += 1
-    return cnt
+    return sum(all(board.reaches(qmap[q], t)
+                   for t in _REQUIRED[op.word.letter(q)])
+               for q in op.word.support())
 
 
 def _try_bus(board: Board, qmap: dict, op: PauliOp):

@@ -1,6 +1,7 @@
 """Tile board model: patches, surgery moves, routing, layout text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lscompile.board import (
     Board,
@@ -139,9 +140,21 @@ class TestExposure:
 class TestRoutingComponents:
     def test_compact_is_one_component(self):
         b = builtin_layout("compact", 6)
-        comps = b.routing_components()
-        assert len(comps) == 1
+        routing = {(r, c) for r in range(b.rows) for c in range(b.cols)
+                   if b.is_routing((r, c))}
+        assert b.a_component() == routing
         assert b.port in b.a_component()
+
+    def test_tie_goes_to_the_row_major_first_component(self):
+        b = Board(3, 3)
+        b.place_ancilla((1, 1), "h")
+        b.init_patch(0, (0, 0), "h")
+        b.init_patch(1, (2, 2), "h")
+        # {(0,1),(0,2),(1,2)} and {(1,0),(2,0),(2,1)} both touch the
+        # ancilla's X and Z edges and an edge of both patches
+        assert b.a_component() == {(0, 1), (0, 2), (1, 2)}
+        assert b.reaches(0, "Z") and not b.reaches(0, "X")
+        assert b.reaches(1, "X") and not b.reaches(1, "Z")
 
     def test_split_board_has_no_working_region(self):
         b = Board(3, 3)
@@ -151,6 +164,63 @@ class TestRoutingComponents:
         b.init_patch(2, (1, 2), "h")
         # the free tiles beside the ancilla are cut off from the bottom row
         assert b.a_component() is None
+
+
+def _fresh_component(board):
+    return parse_layout(format_layout(board)).a_component()
+
+
+def _mutate(data, b):
+    """One drawn init/remove/move/rotate on b; illegal draws raise."""
+    kind = data.draw(st.sampled_from(["init", "remove", "move", "rotate"]))
+    free = sorted((r, c) for r in range(b.rows) for c in range(b.cols)
+                  if b.is_routing((r, c)) and (r, c) != b.port)
+    if kind == "init":
+        if free:
+            b.init_patch(max(b.patches, default=-1) + 1,
+                         data.draw(st.sampled_from(free)),
+                         data.draw(st.sampled_from(["h", "v"])))
+        return
+    if not b.patches:
+        return
+    qid = data.draw(st.sampled_from(sorted(b.patches)))
+    if kind == "remove":
+        b.remove_patch(qid)
+    elif kind == "move":
+        if free:
+            b.move_patch(qid, data.draw(st.sampled_from(free)))
+    else:
+        b.rotate_patch(qid)
+
+
+class TestKeptComponent:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_component_is_never_stale(self, data):
+        """The kept component matches a fresh board after every mutation,
+        and mutating one copy leaves every other board's answer alone."""
+        style = data.draw(st.sampled_from(["compact", "standard", "sparse",
+                                           "irregular"]))
+        if style == "irregular":
+            boards = [irregular_demo()]
+        else:
+            boards = [builtin_layout(style, data.draw(st.integers(1, 9)))]
+        for _ in range(data.draw(st.integers(1, 10))):
+            i = data.draw(st.integers(0, len(boards) - 1))
+            if data.draw(st.booleans()):
+                boards.append(boards[i].copy())
+                i = len(boards) - 1
+            if data.draw(st.booleans()):
+                boards[i].a_component()
+            before = [_fresh_component(o) for o in boards]
+            try:
+                _mutate(data, boards[i])
+            except IllegalOpError:
+                pass
+            for j, o in enumerate(boards):
+                if j != i:
+                    assert o.a_component() == before[j]
+                assert o.a_component() == _fresh_component(o)
 
 
 class TestMoveAndRotate:

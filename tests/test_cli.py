@@ -158,3 +158,28 @@ def test_verify_program_input(tmp_path, capsys):
     src.write_text("pi/8 YY\nM ZZ\n")
     assert main(["verify", str(src)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["layout", "--qubits", "4", "--board", "5x"],
+    ["compile", "ok.pbc", "--board", "@one.layout"],
+    ["compile", "missing.pbc"],
+    ["estimate", "ok.pbc", "--distance", "4"],
+    ["compile", "ok.pbc", "--board", "2x2"],
+    ["compare", "ok.pbc", "--run", "only-name"],
+    ["verify", "wide.qasm"],
+], ids=["bad-spec", "few-patches", "missing-file", "bad-distance",
+        "no-design", "bad-run-spec", "verify-too-wide"])
+def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
+                                                capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.pbc").write_text("pi/8 ZZ\nM ZZ\n")
+    (tmp_path / "one.layout").write_text(
+        format_layout(builtin_layout("compact", 1)))
+    (tmp_path / "wide.qasm").write_text(QASM.replace("[2]", "[7]"))
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lscompile: error: ")
+    assert err.count("\n") == 1

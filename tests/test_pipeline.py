@@ -68,6 +68,12 @@ class TestMakeBoard:
         board = builtin_layout("compact", 3)
         assert make_board(board, 3) is board
 
+    def test_board_with_too_few_patches_names_both_counts(self):
+        board = builtin_layout("compact", 1)
+        with pytest.raises(ValueError,
+                           match="board has 1 patches for 4 qubits"):
+            make_board(board, 4)
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             make_board("hexagonal", 4)
