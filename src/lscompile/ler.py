@@ -14,7 +14,8 @@ rounds.  These numbers are a model default, not measured data.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .scheduler import Schedule
 
@@ -43,8 +44,20 @@ class Calibration:
 
     @staticmethod
     def from_json(text: str) -> "Calibration":
+        """Inverse of to_json; ValueError names what is malformed."""
         payload = json.loads(text)
+        if (not isinstance(payload, dict)
+                or not {"distance", "rates"} <= set(payload)):
+            raise ValueError("calibration needs 'distance' and 'rates'")
         rates = payload["rates"]
+        names = {f.name for f in fields(Calibration)} - {"distance", "provenance"}
+        if not isinstance(rates, dict) or set(rates) != names:
+            raise ValueError(f"calibration rates must be exactly {sorted(names)}")
+        for k, v in rates.items():
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v) or v < 0):
+                raise ValueError(f"calibration rate {k} must be a finite "
+                                 f"number >= 0, got {v!r}")
         return Calibration(distance=payload["distance"],
                            provenance=payload.get(
                                "provenance", "model default, not measured data"),

@@ -35,7 +35,16 @@ from .ysynth import naive_y_decompose
 
 
 class DeadlockError(RuntimeError):
-    """No candidate board action improves access for a blocked operator."""
+    """No candidate board action improves access for a blocked operator:
+    `op` (its text), its `patches` (ids) on `board` (the layout text)."""
+
+    def __init__(self, op: str, patches: tuple, board: str):
+        super().__init__(f"no patch action improves access for {op} "
+                         f"(patches {', '.join(map(str, patches))})")
+        self.op, self.patches, self.board = op, patches, board
+
+    def __reduce__(self):
+        return type(self), (self.op, self.patches, self.board)
 
 
 class ScheduleError(RuntimeError):
@@ -298,14 +307,18 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
 
     instrs: list[Instruction] = []
     actions = 0
+    failed: set = set()  # a route that failed waits for a move or rotation
     while dag:
         ran = True
         while ran and dag:
             ran = False
             for nid in dag.frontier():
+                if nid in failed:
+                    continue
                 op = dag.nodes[nid].op
                 bus = _try_bus(board, qmap, op)
                 if bus is None:
+                    failed.add(nid)
                     continue
                 tiles, patches = _measure_footprint(board, qmap, op, bus)
                 start = pack(tiles, OP_COSTS["measure"])
@@ -321,7 +334,10 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
         action = _pick_action(board, qmap, pending)
         if action is None:
             raise DeadlockError(
-                f"no patch action improves access for {format_op(pending)}")
+                format_op(pending),
+                tuple(sorted({qmap[q] for q in pending.word.support()})),
+                format_layout(board))
+        failed.clear()
         kind, pid, arg = action
         if kind == "move":
             src = board.patches[pid].tile

@@ -1,9 +1,9 @@
 """Lowering of Clifford+T gate circuits to Pauli-product-rotation programs.
 
-Every gate becomes a short list of Pauli rotations; +/- pi/4 and pi/2
-rotations are then commuted rightward through the rest of the program and
-deleted at the measurement boundary, leaving only +/- pi/8 rotations and
-(possibly transformed) measurements.
+Every gate becomes a short list of Pauli rotations; one left-to-right scan
+carrying the Clifford frame then absorbs the +/- pi/4 and pi/2 rotations
+into the later operators, leaving only +/- pi/8 rotations and (possibly
+transformed) measurements.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .pauli import (
     PauliParseError,
     PauliWord,
     conjugate_past,
-    flip_past_pauli,
     measurement,
     rotation,
 )
@@ -120,24 +119,58 @@ def decompose_gate(gate: Gate, n: int) -> list:
     raise UnsupportedGateError(f"unsupported gate {name!r}")
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _through_frame(xs: list, zs: list, op: PauliOp) -> PauliOp:
+    """op with its word W = i^pc(x&z) X^x Z^z replaced by the product
+    i^e X^x Z^z of the frame images of its letters, X letters first, and
+    the product's sign folded into the angle or measurement sign."""
+    w = op.word
+    e = (w.x & w.z).bit_count()
+    x = z = 0
+    for images, mask in ((xs, w.x), (zs, w.z)):
+        for q in _bits(mask):
+            g = images[q]
+            gx, gz = g.word.x, g.word.z
+            e += (gx & gz).bit_count() + 1 - g.sign + 2 * (z & gx).bit_count()
+            x ^= gx
+            z ^= gz
+    out = PauliOp(PauliWord(w.n, x, z), op.kind, op.angle_num, op.sign)
+    return out if (e - (x & z).bit_count()) % 4 == 0 else out.negated()
+
+
 def absorb_cliffords(program: PbcProgram) -> PbcProgram:
     """Push +/- pi/4 and pi/2 rotations rightward and drop them at the boundary.
 
-    Right-to-left scan: each Clifford conjugates everything after it and is
-    deleted; pi/2 rotations only flip signs of later anticommuting operators.
-    Idempotent, and total on valid programs.
+    One left-to-right scan keeps the frame F, the composite of the Cliffords
+    so far, as signed images of X_q and Z_q, and maps each kept operator
+    through it once.  A pi/4 rotation C on word P sets each image whose
+    generator anticommutes with P to conjugate_past(F(C), image), since
+    F . conj_C = conj_F(C) . F; a pi/2 rotation negates it.  Idempotent.
     """
-    tail: list = []
-    for op in reversed(program.ops):
+    n = program.n
+    xs = [measurement(_letter(n, q, "X")) for q in range(n)]
+    zs = [measurement(_letter(n, q, "Z")) for q in range(n)]
+    out: list = []
+    for op in program.ops:
         if op.kind == ROTATION and op.is_trivial():
             continue
-        if op.is_clifford_quarter():
-            tail = [conjugate_past(op, t) for t in tail]
-        elif op.is_pauli_half():
-            tail = [flip_past_pauli(op.word, t) for t in tail]
-        else:
-            tail.insert(0, op)
-    return PbcProgram(program.n, tail)
+        quarter = op.is_clifford_quarter()
+        if not quarter and not op.is_pauli_half():
+            out.append(_through_frame(xs, zs, op))
+            continue
+        clifford = quarter and _through_frame(xs, zs, op)
+        # X_q anticommutes with P where P has Z on q, Z_q where it has X
+        for images, mask in ((xs, op.word.z), (zs, op.word.x)):
+            for q in _bits(mask):
+                images[q] = (conjugate_past(clifford, images[q]) if quarter
+                             else images[q].negated())
+    return PbcProgram(n, out)
 
 
 def transpile(circuit: GateCircuit) -> PbcProgram:

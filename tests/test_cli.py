@@ -183,3 +183,38 @@ def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("lscompile: error: ")
     assert err.count("\n") == 1
+
+
+def _calibration_rates(**changes):
+    from lscompile.ler import default_calibration
+    rates = json.loads(default_calibration(9).to_json())["rates"]
+    rates.update(changes)
+    return {k: v for k, v in rates.items() if v is not None}
+
+
+@pytest.mark.parametrize("payload", [
+    {"distance": 9},
+    {"rates": _calibration_rates()},
+    {"distance": 9, "rates": {"bogus": 1}},
+    {"distance": 9, "rates": _calibration_rates(bogus=1.0)},
+    {"distance": 9, "rates": _calibration_rates(idle_rate=None)},
+    {"distance": 9, "rates": _calibration_rates(idle_rate=-1e-6)},
+    {"distance": 9, "rates": _calibration_rates(move_rate=float("inf"))},
+    {"distance": 9, "rates": _calibration_rates(move_rate=float("nan"))},
+    {"distance": 9, "rates": _calibration_rates(move_rate="1e-6")},
+    {"distance": 9, "rates": [1, 2]},
+    [9],
+], ids=["no-rates", "no-distance", "only-unknown-rate", "extra-rate",
+        "missing-rate", "negative-rate", "infinite-rate", "nan-rate",
+        "string-rate", "rates-not-object", "not-an-object"])
+def test_malformed_calibration_is_one_line_and_exit_2(tmp_path, monkeypatch,
+                                                       capsys, payload):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.pbc").write_text("pi/8 ZZ\nM ZZ\n")
+    (tmp_path / "c.json").write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exit_:
+        main(["estimate", "ok.pbc", "--calibration", "c.json"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lscompile: error: calibration")
+    assert err.count("\n") == 1

@@ -149,3 +149,28 @@ class TestCompileProgram:
             correction="seeded-random", seed=5))
         assert tuple(r1.corrected.ops) == tuple(r2.corrected.ops)
         assert r1.schedule.total_clocks == r2.schedule.total_clocks
+
+
+def test_traced_run_lookup_sites_exist():
+    # perfbench/spans.py wraps these names where their callers look them
+    # up; a rename here silently breaks `perfbench/run.py --trace 1`.
+    from lscompile import layout_search, pipeline, scheduler, transpiler
+
+    sites = [(pipeline, name, pipeline.compile_program) for name in (
+        "transpile", "build_pdag", "make_board", "build_mapping",
+        "access_map", "apply_y_strategy", "insert_corrections",
+        "SCHEDULERS", "validate_schedule")]
+    sites += [
+        (pipeline, "builtin_layout", pipeline.make_board),
+        (layout_search, "design_layout", layout_search.auto_design),
+        (layout_search, "layout_score", layout_search.design_layout),
+        (scheduler, "bus_patches", scheduler._try_bus),
+        (transpiler, "conjugate_past", transpiler.absorb_cliffords),
+    ]
+    for owner, name, caller in sites:
+        assert hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert name in caller.__code__.co_names, (
+            f"{caller.__name__} no longer looks up {name}")
+    for name in ("a_component", "copy", "move_patch", "rotate_patch"):
+        assert callable(getattr(Board, name)), f"Board.{name}"
+    assert set(pipeline.SCHEDULERS) == {"loose", "spc"}

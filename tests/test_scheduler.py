@@ -1,6 +1,7 @@
 """Slice scheduling: angle normalization, timelines, golden examples."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -219,3 +220,33 @@ class TestSerialization:
         assert [i.kind for i in by_slice[4]] == ["measure"]
         for t, group in by_slice.items():
             assert all(i.start == t for i in group)
+
+
+def test_deadlock_names_the_operator_patches_and_board():
+    from lscompile import pipeline
+    from lscompile.pauli import format_op, parse_op
+    from lscompile.scheduler import DeadlockError, _pick_action, _try_bus
+
+    program = pipeline.transpile(bench.random_circuit(9, 108, 854223144))
+    board = pipeline.make_board("auto", program.n)
+    qmap = pipeline.build_mapping("ea", board, pipeline.build_pdag(program))
+    ops = pipeline.insert_corrections(pipeline.apply_y_strategy(
+        program, "o3ls", pipeline.access_map(board, qmap)))
+    with pytest.raises(DeadlockError) as exc_info:
+        schedule_loose(ops, board, qmap)
+    exc = exc_info.value
+    assert exc.op in {format_op(op) for op in normalize_angles(ops).ops}
+    op = parse_op(exc.op)
+    assert exc.patches == tuple(sorted(qmap[q] for q in op.word.support()))
+    stuck = parse_layout(exc.board)
+    assert (stuck.rows, stuck.cols, stuck.port, stuck.ancilla) == (
+        board.rows, board.cols, board.port, board.ancilla)
+    assert set(stuck.patches) == set(board.patches)
+    assert _try_bus(stuck, qmap, op) is None
+    assert _pick_action(stuck, qmap, op) is None
+    msg = str(exc)
+    assert "\n" not in msg and exc.op in msg
+    assert all(str(pid) in msg for pid in exc.patches)
+    again = pickle.loads(pickle.dumps(exc))
+    assert (str(again), again.patches, again.board) == (msg, exc.patches,
+                                                        exc.board)

@@ -1,7 +1,9 @@
 """Gate-level lowering into Pauli rotation programs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lscompile import transpiler
 from lscompile.oracle import (
     circuit_distribution,
     circuit_unitary,
@@ -10,7 +12,14 @@ from lscompile.oracle import (
     outcome_distribution,
     program_unitary,
 )
-from lscompile.pauli import PauliWord, rotation
+from lscompile.pauli import (
+    ROTATION,
+    PauliWord,
+    conjugate_past,
+    flip_past_pauli,
+    measurement,
+    rotation,
+)
 from lscompile.transpiler import (
     CircuitParseError,
     Gate,
@@ -97,6 +106,60 @@ class TestAbsorbCliffords:
         prog = parse_pbc("pi/4 Z\nM Z")
         out = absorb_cliffords(prog)
         assert op_triples(out) == [("m", "Z", 0)]
+
+
+def absorb_right_to_left(program):
+    """Reference absorption: every Clifford conjugates the whole tail."""
+    tail = []
+    for op in reversed(program.ops):
+        if op.kind == ROTATION and op.is_trivial():
+            continue
+        if op.is_clifford_quarter():
+            tail = [conjugate_past(op, t) for t in tail]
+        elif op.is_pauli_half():
+            tail = [flip_past_pauli(op.word, t) for t in tail]
+        else:
+            tail.insert(0, op)
+    return PbcProgram(program.n, tail)
+
+
+@st.composite
+def pbc_programs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    words = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(
+        lambda letters: W("".join(letters)))
+    ops = st.one_of(
+        st.builds(rotation, words, st.integers(min_value=0, max_value=15)),
+        st.builds(measurement, words, st.sampled_from([1, -1])))
+    return PbcProgram(n, draw(st.lists(ops, max_size=30)))
+
+
+class TestLinearAbsorption:
+    @given(pbc_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_right_to_left_reference(self, prog):
+        assert absorb_cliffords(prog) == absorb_right_to_left(prog)
+
+    @staticmethod
+    def _conjugations(monkeypatch, width):
+        calls = []
+
+        def counting(clifford, target):
+            calls.append(1)
+            return conjugate_past(clifford, target)
+
+        # perfbench/spans.py counts calls at this same lookup site
+        monkeypatch.setattr(transpiler, "conjugate_past", counting)
+        transpile(bench.adder_circuit(width))
+        return len(calls)
+
+    def test_conjugations_grow_linearly(self, monkeypatch):
+        circ = bench.adder_circuit(40)
+        quarters = sum(op.is_clifford_quarter() for g in circ.gates
+                       for op in decompose_gate(g, circ.n))
+        wide = self._conjugations(monkeypatch, 40)
+        assert 0 < wide <= 4 * quarters
+        assert wide < 2.5 * self._conjugations(monkeypatch, 20)
 
 
 class TestTranspile:
