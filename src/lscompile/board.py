@@ -7,12 +7,15 @@ same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
 single routing component touches an exposed edge of every data patch and
 both typed edges of the ancilla.  That strict component is worked out on
-first use and kept until the next patch mutation.
+first use and kept until the next patch mutation.  Routing walks a
+neighbour table built once per board shape and reads each patch's edges
+from a table keyed by the immutable patch.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import NamedTuple
 
 ORIENT_H = "h"   # Z on E/W, X on N/S
@@ -50,6 +53,25 @@ class Patch(NamedTuple):
     orient: str
 
 
+@cache
+def _edges(patch: Patch) -> tuple:
+    """(edge type, outside tile) for the patch's four edges, N, E, S, W."""
+    r, c = patch.tile
+    return tuple((edge_type(patch.orient, d), (r + dr, c + dc))
+                 for d, (dr, dc) in _DIRS)
+
+
+@cache
+def _neighbour_table(rows: int, cols: int) -> dict:
+    """Every tile's in-bounds neighbours in N, E, S, W order.
+
+    Boards of one shape share the table, so it is never mutated.
+    """
+    return {(r, c): tuple((r + dr, c + dc) for _, (dr, dc) in _DIRS
+                          if 0 <= r + dr < rows and 0 <= c + dc < cols)
+            for r in range(rows) for c in range(cols)}
+
+
 class Board:
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -59,6 +81,7 @@ class Board:
         self.patches: dict[int, Patch] = {}
         self.ancilla: Patch | None = None
         self.port: tuple | None = None
+        self._nbrs = _neighbour_table(rows, cols)
         self._occ: set = set()   # tiles held by a patch or the ancilla
         self._comp = _STALE       # a_component() of the current state
 
@@ -70,14 +93,11 @@ class Board:
 
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
-        return self.in_bounds(tile) and tile not in self._occ
+        return tile in self._nbrs and tile not in self._occ
 
-    def neighbors(self, tile):
-        r, c = tile
-        for _, (dr, dc) in _DIRS:
-            t = (r + dr, c + dc)
-            if self.in_bounds(t):
-                yield t
+    def neighbors(self, tile) -> tuple:
+        """In-bounds neighbours of an in-bounds tile, N, E, S, W."""
+        return self._nbrs[tile]
 
     def tile_count(self) -> int:
         return self.rows * self.cols
@@ -157,7 +177,7 @@ class Board:
 
     def _corridor(self, src, dest):
         """Shortest routing path from dest back to src (both kept), or None."""
-        _, prev = _bfs_from(self, [src])
+        _, prev = _bfs_from(self, [src], (dest,))
         if dest not in prev:
             return None
         path = [dest]
@@ -167,12 +187,8 @@ class Board:
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
-        r, c = self.patches[qid].tile
-        for _, (dr, dc) in _DIRS:
-            t = (r + dr, c + dc)
-            if self.is_routing(t):
-                return t
-        return None
+        return next((t for t in self._nbrs[self.patches[qid].tile]
+                     if t not in self._occ), None)
 
     def rotate_patch(self, qid: int, helper=None) -> frozenset:
         """Swap the patch's X/Z boundary labels; cost 3 (three sub-slices).
@@ -196,16 +212,11 @@ class Board:
 
     # --- edges and exposure -----------------------------------------------
 
-    def _boundary(self, patch: Patch):
-        """Yield (edge type, outside tile) for the patch's four edges."""
-        r, c = patch.tile
-        for d, (dr, dc) in _DIRS:
-            yield edge_type(patch.orient, d), (r + dr, c + dc)
-
     def _touch(self, patch: Patch, typ: str | None = None) -> list:
         """Routing tiles across the patch's edges of type typ (any if None)."""
-        return sorted({out for t, out in self._boundary(patch)
-                       if (typ is None or t == typ) and self.is_routing(out)})
+        # a single tile's four outside tiles are distinct
+        return sorted(out for t, out in _edges(patch)
+                      if (typ is None or t == typ) and self.is_routing(out))
 
     def touch_tiles(self, qid: int, typ: str | None = None) -> list:
         """Routing tiles across the patch's edges of type typ (any if None)."""
@@ -213,7 +224,7 @@ class Board:
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
-        return {t for t, out in self._boundary(p) if self.is_routing(out)}
+        return {t for t, out in _edges(p) if self.is_routing(out)}
 
     def ancilla_touch(self, typ: str) -> list:
         if self.ancilla is None:
@@ -224,7 +235,7 @@ class Board:
 
     def _on(self, comp, patch: Patch, typ: str | None = None) -> bool:
         """Whether an edge of the patch of type typ (any if None) faces comp."""
-        return any(out in comp for t, out in self._boundary(patch)
+        return any(out in comp for t, out in _edges(patch)
                    if typ is None or t == typ)
 
     def a_component(self):
@@ -291,7 +302,7 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
             inside = [t for t in opts if comp is not None and t in comp]
             tree.add(min(inside) if inside else min(opts))
             continue
-        dist, prev = _bfs_from(board, tree)
+        dist, prev = _bfs_from(board, tree, opts)
         best = None
         for t in sorted(opts):
             if t in dist and (best is None or dist[t] < dist[best]):
@@ -305,8 +316,14 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
     return frozenset(tree)
 
 
-def _bfs_from(board: Board, sources):
-    """BFS over routing tiles from a source set; deterministic parents."""
+def _bfs_from(board: Board, sources, targets=()):
+    """BFS over routing tiles from a source set; deterministic parents.
+
+    Given targets, it stops when the first of them is dequeued: by then
+    every tile as near as that target has its final dist and prev, so
+    the nearest targets and their paths are those of a full flood.
+    """
+    nbrs, occ = board._nbrs, board._occ
     dist = {}
     prev = {}
     queue = deque()
@@ -316,12 +333,14 @@ def _bfs_from(board: Board, sources):
         queue.append(s)
     while queue:
         cur = queue.popleft()
-        for nb in board.neighbors(cur):
-            if nb in dist or not board.is_routing(nb):
-                continue
-            dist[nb] = dist[cur] + 1
-            prev[nb] = cur
-            queue.append(nb)
+        if cur in targets:
+            break
+        d = dist[cur] + 1
+        for nb in nbrs[cur]:
+            if nb not in dist and nb not in occ:
+                dist[nb] = d
+                prev[nb] = cur
+                queue.append(nb)
     return dist, prev
 
 

@@ -49,7 +49,11 @@ class Calibration:
         if (not isinstance(payload, dict)
                 or not {"distance", "rates"} <= set(payload)):
             raise ValueError("calibration needs 'distance' and 'rates'")
-        rates = payload["rates"]
+        distance, rates = payload["distance"], payload["rates"]
+        if (isinstance(distance, bool) or not isinstance(distance, int)
+                or distance not in SUPPORTED_DISTANCES):
+            raise ValueError(f"calibration distance must be one of "
+                             f"{SUPPORTED_DISTANCES}, got {distance!r}")
         names = {f.name for f in fields(Calibration)} - {"distance", "provenance"}
         if not isinstance(rates, dict) or set(rates) != names:
             raise ValueError(f"calibration rates must be exactly {sorted(names)}")
@@ -58,7 +62,7 @@ class Calibration:
                     or not math.isfinite(v) or v < 0):
                 raise ValueError(f"calibration rate {k} must be a finite "
                                  f"number >= 0, got {v!r}")
-        return Calibration(distance=payload["distance"],
+        return Calibration(distance=distance,
                            provenance=payload.get(
                                "provenance", "model default, not measured data"),
                            **rates)

@@ -20,7 +20,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .board import (
-    _DIRS,
     Board,
     IllegalOpError,
     NoPathError,
@@ -28,7 +27,7 @@ from .board import (
     bus_patches,
     format_layout,
 )
-from .pauli import MEASUREMENT, PauliOp, ROTATION, flip_past_pauli, format_op, rotation
+from .pauli import MEASUREMENT, PauliOp, format_op, rotation
 from .pdag import build_pdag
 from .transpiler import PbcProgram
 from .ysynth import naive_y_decompose
@@ -77,12 +76,15 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
     most one eighth plus one quarter rotation.  Output rotations carry
     only angle numerators 1, 2, 14, 15.
     """
-    ops = list(program.ops)
+    # (x, z) masks of the product of the half-pi words so far; as the
+    # symplectic product is bilinear, an operator's sign flips iff it
+    # anticommutes with that product
+    fx = fz = 0
     out = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        i += 1
+    for op in program.ops:
+        w = op.word
+        if ((fx & w.z).bit_count() + (fz & w.x).bit_count()) & 1:
+            op = op.negated()
         if op.kind == MEASUREMENT:
             out.append(op)
             continue
@@ -90,9 +92,9 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
             continue
         r = op.angle_num % 8
         if r == 4:
-            ops[i:] = [flip_past_pauli(op.word, t) for t in ops[i:]]
+            fx, fz = fx ^ w.x, fz ^ w.z
             continue
-        out.extend(rotation(op.word, k) for k in _EMIT[r])
+        out.extend(rotation(w, k) for k in _EMIT[r])
     return PbcProgram(program.n, tuple(out))
 
 
@@ -240,9 +242,7 @@ def _candidate_actions(board: Board, qmap: dict, op: PauliOp):
     """Moves to free neighbor tiles then a rotation, per involved patch."""
     for q in sorted(set(op.word.support())):
         pid = qmap[q]
-        (r, c) = board.patches[pid].tile
-        for _, (dr, dc) in _DIRS:
-            dest = (r + dr, c + dc)
+        for dest in board.neighbors(board.patches[pid].tile):
             if board.is_routing(dest) and dest != board.port:
                 yield ("move", pid, dest)
         helper = board.rotation_helper(pid)

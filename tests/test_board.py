@@ -1,5 +1,7 @@
 """Tile board model: patches, surgery moves, routing, layout text format."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from lscompile.board import (
     Board,
     IllegalOpError,
     LayoutParseError,
+    NoPathError,
     builtin_layout,
     bus_patches,
     edge_type,
@@ -170,9 +173,9 @@ def _fresh_component(board):
     return parse_layout(format_layout(board)).a_component()
 
 
-def _mutate(data, b):
+def _mutate(data, b, kinds=("init", "remove", "move", "rotate")):
     """One drawn init/remove/move/rotate on b; illegal draws raise."""
-    kind = data.draw(st.sampled_from(["init", "remove", "move", "rotate"]))
+    kind = data.draw(st.sampled_from(kinds))
     free = sorted((r, c) for r in range(b.rows) for c in range(b.cols)
                   if b.is_routing((r, c)) and (r, c) != b.port)
     if kind == "init":
@@ -311,6 +314,145 @@ class TestBus:
         b = builtin_layout("compact", 6)
         with pytest.raises(NoPathError):
             bus_patches(b, [(0, "Z")])
+
+
+# --- reference routing: a full flood over a freshly computed grid ---------
+
+_STEPS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
+
+
+def _ref_routing(board, tile):
+    held = {p.tile for p in board.patches.values()}
+    if board.ancilla is not None:
+        held.add(board.ancilla.tile)
+    r, c = tile
+    return 0 <= r < board.rows and 0 <= c < board.cols and tile not in held
+
+
+def _ref_touch(board, patch, typ):
+    r, c = patch.tile
+    return sorted({(r + dr, c + dc) for d, (dr, dc) in _STEPS
+                   if edge_type(patch.orient, d) == typ
+                   and _ref_routing(board, (r + dr, c + dc))})
+
+
+def _ref_bfs(board, sources):
+    dist, prev, queue = {}, {}, deque()
+    for s in sorted(sources):
+        dist[s], prev[s] = 0, None
+        queue.append(s)
+    while queue:
+        cur = queue.popleft()
+        for _, (dr, dc) in _STEPS:
+            nb = (cur[0] + dr, cur[1] + dc)
+            if nb in dist or not _ref_routing(board, nb):
+                continue
+            dist[nb], prev[nb] = dist[cur] + 1, cur
+            queue.append(nb)
+    return dist, prev
+
+
+def _ref_bus(board, required, include_port=False):
+    """Sequential shortest paths, every search flooding the whole board."""
+    terminals = []
+    for qid, typ in required:
+        opts = _ref_touch(board, board.patches[qid], typ)
+        if not opts:
+            raise NoPathError(f"patch {qid} has no exposed {typ}-edge")
+        terminals.append(opts)
+    for typ in ("X", "Z"):
+        opts = _ref_touch(board, board.ancilla, typ)
+        if not opts:
+            raise NoPathError(f"ancilla has no exposed {typ}-edge")
+        terminals.append(opts)
+    if include_port:
+        if board.port is None or not _ref_routing(board, board.port):
+            raise NoPathError("magic port unusable")
+        terminals.append([board.port])
+    tree = set()
+    comp = board.a_component()
+    for opts in terminals:
+        if tree & set(opts):
+            continue
+        if not tree:
+            inside = [t for t in opts if comp is not None and t in comp]
+            tree.add(min(inside) if inside else min(opts))
+            continue
+        dist, prev = _ref_bfs(board, tree)
+        best = None
+        for t in sorted(opts):
+            if t in dist and (best is None or dist[t] < dist[best]):
+                best = t
+        if best is None:
+            raise NoPathError(f"no routing path to terminal options {opts}")
+        cur = best
+        while cur is not None and cur not in tree:
+            tree.add(cur)
+            cur = prev[cur]
+    return frozenset(tree)
+
+
+def _ref_corridor(board, src, dest):
+    _, prev = _ref_bfs(board, [src])
+    if dest not in prev:
+        return None
+    path = [dest]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path
+
+
+def _drawn_board(data):
+    """A builtin or demo board after a few drawn moves and rotations."""
+    style = data.draw(st.sampled_from(["compact", "standard", "sparse",
+                                       "irregular"]))
+    if style == "irregular":
+        b = irregular_demo()
+    else:
+        b = builtin_layout(style, data.draw(st.integers(1, 9)))
+    for _ in range(data.draw(st.integers(0, 8))):
+        try:
+            _mutate(data, b, kinds=("move", "rotate"))
+        except IllegalOpError:
+            pass
+    return b
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except NoPathError:
+        return NoPathError
+
+
+class TestRoutingMatchesFullFlood:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bus_equals_reference(self, data):
+        b = _drawn_board(data)
+        pair = st.tuples(st.sampled_from(sorted(b.patches)),
+                         st.sampled_from(["X", "Z"]))
+        required = data.draw(st.lists(pair, max_size=6))
+        include_port = data.draw(st.booleans())
+        assert (_outcome(bus_patches, b, required, include_port)
+                == _outcome(_ref_bus, b, required, include_port))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_corridor_equals_reference(self, data):
+        b = _drawn_board(data)
+        for _ in range(data.draw(st.integers(1, 4))):
+            free = sorted((r, c) for r in range(b.rows) for c in range(b.cols)
+                          if _ref_routing(b, (r, c)) and (r, c) != b.port)
+            if not free:
+                return
+            qid = data.draw(st.sampled_from(sorted(b.patches)))
+            dest = data.draw(st.sampled_from(free))
+            src = b.patches[qid].tile
+            path = _ref_corridor(b, src, dest)
+            assert b._corridor(src, dest) == path
+            if path is not None:
+                assert b.move_patch(qid, dest) == frozenset(path)
 
 
 class TestLayoutText:

@@ -204,9 +204,17 @@ def _calibration_rates(**changes):
     {"distance": 9, "rates": _calibration_rates(move_rate="1e-6")},
     {"distance": 9, "rates": [1, 2]},
     [9],
+    {"distance": "nine", "rates": _calibration_rates()},
+    {"distance": 4, "rates": _calibration_rates()},
+    {"distance": 11, "rates": _calibration_rates()},
+    {"distance": 9.0, "rates": _calibration_rates()},
+    {"distance": True, "rates": _calibration_rates()},
+    {"distance": None, "rates": _calibration_rates()},
 ], ids=["no-rates", "no-distance", "only-unknown-rate", "extra-rate",
         "missing-rate", "negative-rate", "infinite-rate", "nan-rate",
-        "string-rate", "rates-not-object", "not-an-object"])
+        "string-rate", "rates-not-object", "not-an-object", "string-distance",
+        "even-distance", "unsupported-distance", "float-distance",
+        "bool-distance", "null-distance"])
 def test_malformed_calibration_is_one_line_and_exit_2(tmp_path, monkeypatch,
                                                        capsys, payload):
     monkeypatch.chdir(tmp_path)

@@ -4,11 +4,14 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
 
 from lscompile.board import Board, builtin_layout, irregular_demo, parse_layout
 from lscompile.oracle import distributions_match, outcome_distribution
-from lscompile.pauli import PauliWord, measurement, rotation
+from lscompile.pauli import (
+    MEASUREMENT, PauliWord, flip_past_pauli, measurement, rotation)
 from lscompile.scheduler import (
+    _EMIT,
     OP_COSTS,
     Schedule,
     ScheduleError,
@@ -20,6 +23,7 @@ from lscompile.scheduler import (
 )
 from lscompile.transpiler import PbcProgram, parse_pbc
 from lscompile import bench
+from test_transpiler import pbc_programs
 
 W = PauliWord.from_string
 
@@ -85,6 +89,33 @@ class TestNormalizeAngles:
         for op in out.ops:
             if op.is_rotation():
                 assert op.angle_num in (1, 2, 14, 15)
+
+
+def normalize_rewriting_tail(program):
+    """Reference normalization: every half-pi rotation flips the whole tail."""
+    ops = list(program.ops)
+    out = []
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        i += 1
+        if op.kind == MEASUREMENT:
+            out.append(op)
+            continue
+        if op.is_trivial():
+            continue
+        r = op.angle_num % 8
+        if r == 4:
+            ops[i:] = [flip_past_pauli(op.word, t) for t in ops[i:]]
+            continue
+        out.extend(rotation(op.word, k) for k in _EMIT[r])
+    return PbcProgram(program.n, tuple(out))
+
+
+@given(pbc_programs(max_qubits=8))
+@settings(max_examples=80, deadline=None)
+def test_normalize_matches_tail_rewriting_reference(prog):
+    assert normalize_angles(prog) == normalize_rewriting_tail(prog)
 
 
 class TestGoldenCompact:

@@ -124,8 +124,8 @@ def absorb_right_to_left(program):
 
 
 @st.composite
-def pbc_programs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def pbc_programs(draw, max_qubits=6):
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
     words = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(
         lambda letters: W("".join(letters)))
     ops = st.one_of(
