@@ -73,12 +73,6 @@ def adder_circuit(width: int) -> GateCircuit:
     return circ
 
 
-def toffoli_circuit() -> GateCircuit:
-    circ = GateCircuit(3)
-    ccx(circ, 0, 1, 2)
-    return circ
-
-
 def ising_circuit(n: int, layers: int = 1) -> GateCircuit:
     """Trotter steps of a transverse-field Ising chain at eighth-turn
     angles: ZZ couplings via CX-conjugated T, X field via H-conjugated T."""

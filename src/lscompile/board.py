@@ -458,6 +458,8 @@ def format_layout(board: Board) -> str:
 
 
 def parse_layout(text: str) -> Board:
+    """Inverse of format_layout; malformed text raises LayoutParseError,
+    or IllegalOpError for a tile the board rules forbid."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise LayoutParseError("empty layout")

@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
     for f in failures:
         print(f"FAIL: {f}")
     if not failures:
-        print("OK: semantics verified against the dense oracle")
+        print("OK: semantics verified against the state-vector oracle")
     return 1 if failures else 0
 
 

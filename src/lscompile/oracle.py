@@ -1,13 +1,19 @@
 """Independent reference semantics and a brute-force schedule optimum.
 
-Dense-matrix simulation for small qubit counts: unitaries for rotation
-sequences and gate circuits, and exact outcome distributions for
-measurement-bearing programs via projector branching.  Also an
-exhaustive branch-and-bound scheduler for tiny boards, used to measure
-the optimality gap of the heuristic scheduler.
+State-vector simulation for up to MAX_ORACLE_QUBITS qubits: unitaries
+for rotation sequences and gate circuits, and exact outcome
+distributions for measurement-bearing programs, with every surviving
+measurement branch kept as one column of a state array.  A Pauli word
+acts as an index map and a sign, as in Aaronson and Gottesman
+(quant-ph/0406196) and Stim (arXiv:2103.02202), so no operator is ever
+built as a matrix.  Also an exhaustive branch-and-bound scheduler for
+tiny boards, used to measure the optimality gap of the heuristic
+scheduler.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,16 +26,9 @@ from .scheduler import (
     required_edges,
     schedule_loose,
 )
-from .transpiler import GateCircuit, PbcProgram
+from .transpiler import Gate, GateCircuit, PbcProgram
 
-MAX_ORACLE_QUBITS = 6
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+MAX_ORACLE_QUBITS = 10
 
 _GATE_1Q = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -37,10 +36,12 @@ _GATE_1Q = {
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
     "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
     "tdg": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=complex),
-    "x": _SINGLE["X"],
-    "y": _SINGLE["Y"],
-    "z": _SINGLE["Z"],
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 class OracleLimitError(ValueError):
@@ -50,24 +51,64 @@ class OracleLimitError(ValueError):
 def _check_n(n: int) -> None:
     if n > MAX_ORACLE_QUBITS:
         raise OracleLimitError(
-            f"dense oracle handles at most {MAX_ORACLE_QUBITS} qubits")
+            f"oracle handles at most {MAX_ORACLE_QUBITS} qubits")
 
 
-def word_matrix(word: PauliWord) -> np.ndarray:
-    """Dense matrix with qubit 0 as the leftmost tensor factor."""
-    _check_n(word.n)
-    m = np.eye(1, dtype=complex)
-    for q in range(word.n):
-        m = np.kron(m, _SINGLE[word.letter(q)])
-    return m
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple:
+    """Every n-bit index, and (-1)^parity of each, built once per n."""
+    parity = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        parity = np.concatenate([parity, 1 - parity])
+    return np.arange(2 ** n), 1.0 - 2.0 * parity
 
 
-def rotation_matrix(op: PauliOp) -> np.ndarray:
-    if op.kind != ROTATION:
-        raise ValueError("rotation_matrix needs a rotation operator")
+def _reversed_mask(mask: int, n: int) -> int:
+    """Index bits of a qubit mask: qubit 0 is the leftmost tensor factor,
+    the most significant bit."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
+
+
+def _apply_word(word: PauliWord, s: np.ndarray, scale: complex = 1):
+    """scale * W s along axis 0, for W = i^popcount(x & z) X^x Z^z.
+
+    Entry j of the result is entry j ^ x of s times the sign
+    (-1)^parity((j ^ x) & z), with x and z as index-bit masks.
+    """
+    idx, signs = _tables(word.n)
+    x = _reversed_mask(word.x, word.n)
+    z = _reversed_mask(word.z, word.n)
+    src = idx ^ x
+    coeff = (scale * _I_POWERS[(word.x & word.z).bit_count() % 4]) \
+        * signs[src & z]
+    out = np.take(s, src, axis=0)
+    out *= coeff.reshape((-1,) + (1,) * (s.ndim - 1))
+    return out
+
+
+def _rotate(op: PauliOp, s: np.ndarray) -> np.ndarray:
+    """cos(theta) s - i sin(theta) W s, written over s."""
     theta = op.angle_num * np.pi / 8.0
-    w = word_matrix(op.word)
-    return np.cos(theta) * np.eye(w.shape[0]) - 1j * np.sin(theta) * w
+    ws = _apply_word(op.word, s, -1j * np.sin(theta))
+    s *= np.cos(theta)
+    s += ws
+    return s
+
+
+def _apply_gate(gate: Gate, n: int, s: np.ndarray) -> np.ndarray:
+    if gate.name == "cx":
+        c, t = (_reversed_mask(1 << q, n) for q in gate.qubits)
+        idx, _ = _tables(n)
+        return np.take(s, idx ^ np.where(idx & c, t, 0), axis=0)
+    if gate.name == "measure":
+        raise ValueError("measure gates have no unitary")
+    # Row r of the result is g[r, 0] s3[:, 0] + g[r, 1] s3[:, 1], by
+    # broadcasting: a matmul would hand the 2x2 product to BLAS threads.
+    g = _GATE_1Q[gate.name]
+    s3 = s.reshape(2 ** gate.qubits[0], 2, -1)
+    out = g[:, 0, None] * s3[:, :1]
+    out += g[:, 1, None] * s3[:, 1:]
+    return out.reshape(s.shape)
 
 
 def program_unitary(program: PbcProgram) -> np.ndarray:
@@ -77,40 +118,15 @@ def program_unitary(program: PbcProgram) -> np.ndarray:
     for op in program.ops:
         if op.kind == MEASUREMENT:
             raise ValueError("program_unitary cannot absorb measurements")
-        u = rotation_matrix(op) @ u
+        u = _rotate(op, u)
     return u
-
-
-def _embed_1q(mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for i in range(n):
-        m = np.kron(m, mat if i == q else _SINGLE["I"])
-    return m
-
-
-def gate_matrix(gate, n: int) -> np.ndarray:
-    _check_n(n)
-    if gate.name == "cx":
-        c, t = gate.qubits
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        m0 = np.eye(1, dtype=complex)
-        m1 = np.eye(1, dtype=complex)
-        for q in range(n):
-            m0 = np.kron(m0, p0 if q == c else _SINGLE["I"])
-            m1 = np.kron(m1, p1 if q == c
-                         else (_SINGLE["X"] if q == t else _SINGLE["I"]))
-        return m0 + m1
-    if gate.name == "measure":
-        raise ValueError("measure gates have no unitary")
-    return _embed_1q(_GATE_1Q[gate.name], gate.qubits[0], n)
 
 
 def circuit_unitary(circuit: GateCircuit) -> np.ndarray:
     _check_n(circuit.n)
     u = np.eye(2 ** circuit.n, dtype=complex)
     for g in circuit.gates:
-        u = gate_matrix(g, circuit.n) @ u
+        u = _apply_gate(g, circuit.n, u)
     return u
 
 
@@ -129,65 +145,60 @@ def equivalent_up_to_phase(a: np.ndarray, b: np.ndarray,
 
 # --- outcome distributions ------------------------------------------------
 
-def _measure_branches(state: np.ndarray, word: PauliWord, sign: int,
-                      tol: float):
-    w = word_matrix(word)
-    for r in (1, -1):
-        proj = 0.5 * (np.eye(w.shape[0]) + (r * sign) * w)
-        branch = proj @ state
-        p = float(np.vdot(branch, branch).real)
-        if p > tol:
-            yield r, p, branch / np.sqrt(p)
+class _Branches:
+    """Measurement branches from |0...0>: column i of `states` is the
+    normalized state after outcomes[i], reached with probability probs[i]."""
+
+    def __init__(self, n: int):
+        self.states = np.zeros((2 ** n, 1), dtype=complex)
+        self.states[0, 0] = 1.0
+        self.probs = np.ones(1)
+        self.outcomes = [()]
+
+    def measure(self, word: PauliWord, sign: int, tol: float) -> None:
+        """Split every branch by (s + r sign W s) / 2 for r = +1, -1,
+        keeping the parts with probability above tol."""
+        s = self.states
+        ws = _apply_word(word, s, sign)
+        halves = np.stack([s + ws, s - ws], axis=2).reshape(len(s), -1)
+        halves *= 0.5
+        p = np.einsum("ij,ij->j", halves.conj(), halves).real
+        keep = np.flatnonzero(p > tol)
+        self.states = halves[:, keep] / np.sqrt(p[keep])
+        self.probs = self.probs[keep // 2] * p[keep]
+        self.outcomes = [self.outcomes[k // 2] + ((1, -1)[k % 2],)
+                         for k in keep]
+
+    def distribution(self) -> dict:
+        return dict(zip(self.outcomes, self.probs.tolist()))
 
 
 def outcome_distribution(program: PbcProgram, tol: float = 1e-12) -> dict:
     """Joint outcome distribution on |0...0>, keyed by +/-1 tuples."""
     _check_n(program.n)
-    state0 = np.zeros(2 ** program.n, dtype=complex)
-    state0[0] = 1.0
-    branches = [(1.0, state0, ())]
+    b = _Branches(program.n)
     for op in program.ops:
         if op.kind == ROTATION:
-            u = rotation_matrix(op)
-            branches = [(p, u @ s, o) for p, s, o in branches]
+            b.states = _rotate(op, b.states)
         else:
-            nxt = []
-            for p, s, outcomes in branches:
-                for r, pr, ns in _measure_branches(s, op.word, op.sign, tol):
-                    nxt.append((p * pr, ns, outcomes + (r,)))
-            branches = nxt
-    dist: dict[tuple, float] = {}
-    for p, _, outcomes in branches:
-        dist[outcomes] = dist.get(outcomes, 0.0) + p
-    return dist
+            b.measure(op.word, op.sign, tol)
+    return b.distribution()
 
 
 def circuit_distribution(circuit: GateCircuit, tol: float = 1e-12) -> dict:
     """Direct circuit simulation; appends all-qubit Z measurements when the
     circuit has none, matching the transpiler default."""
     _check_n(circuit.n)
-    state0 = np.zeros(2 ** circuit.n, dtype=complex)
-    state0[0] = 1.0
-    branches = [(1.0, state0, ())]
+    b = _Branches(circuit.n)
     events = list(circuit.gates)
     if not any(g.name == "measure" for g in events):
-        from .transpiler import Gate
         events += [Gate("measure", (q,)) for q in range(circuit.n)]
     for g in events:
         if g.name == "measure":
-            word = PauliWord(circuit.n, 0, 1 << g.qubits[0])
-            nxt = []
-            for p, s, outcomes in branches:
-                for r, pr, ns in _measure_branches(s, word, 1, tol):
-                    nxt.append((p * pr, ns, outcomes + (r,)))
-            branches = nxt
+            b.measure(PauliWord(circuit.n, 0, 1 << g.qubits[0]), 1, tol)
         else:
-            u = gate_matrix(g, circuit.n)
-            branches = [(p, u @ s, o) for p, s, o in branches]
-    dist: dict[tuple, float] = {}
-    for p, _, outcomes in branches:
-        dist[outcomes] = dist.get(outcomes, 0.0) + p
-    return dist
+            b.states = _apply_gate(g, circuit.n, b.states)
+    return b.distribution()
 
 
 def distributions_match(a: dict, b: dict, tol: float = 1e-9) -> bool:

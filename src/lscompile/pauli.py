@@ -152,10 +152,6 @@ def multiply(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:
     return PhasedPauli(PauliWord(aw.n, x3, z3), ph)
 
 
-def identity_phased(n: int) -> PhasedPauli:
-    return PhasedPauli(PauliWord.identity(n), 0)
-
-
 @dataclass(frozen=True)
 class PauliOp:
     """One program operator: a rotation exp(-i W k pi/8) or a +/-W measurement."""
@@ -175,9 +171,6 @@ class PauliOp:
     @property
     def n(self) -> int:
         return self.word.n
-
-    def is_rotation(self) -> bool:
-        return self.kind == ROTATION
 
     def is_measurement(self) -> bool:
         return self.kind == MEASUREMENT
@@ -213,13 +206,6 @@ def rotation(word: PauliWord, k: int) -> PauliOp:
 
 def measurement(word: PauliWord, sign: int = 1) -> PauliOp:
     return PauliOp(word, MEASUREMENT, sign=sign)
-
-
-def canonical(op: PauliOp) -> PauliOp:
-    """Idempotent canonical form; word signs already live in angle/sign."""
-    if op.kind == ROTATION:
-        return PauliOp(op.word, ROTATION, op.angle_num % 16)
-    return op
 
 
 def conjugate_past(clifford: PauliOp, target: PauliOp) -> PauliOp:

@@ -197,7 +197,8 @@ def transpile(circuit: GateCircuit) -> PbcProgram:
 # --- native PBC text format ---------------------------------------------
 
 def parse_pbc(text: str, n: int | None = None) -> PbcProgram:
-    """One operator per line, `#` comments and blank lines ignored."""
+    """One operator per line, `#` comments and blank lines ignored;
+    malformed text raises PauliParseError."""
     from .pauli import parse_op
 
     ops = []
@@ -240,15 +241,14 @@ _QASM_CREG_RE = re.compile(r"^creg\s+(\w+)\[(\d+)\]$")
 
 
 def parse_qasm(text: str) -> GateCircuit:
-    """Parse the supported OpenQASM 2.0 subset; anything else is rejected."""
+    """Parse the supported OpenQASM 2.0 subset; anything else, and any
+    malformed text, raises CircuitParseError."""
     qreg_name = None
     circ: GateCircuit | None = None
-    body = text.replace("\n", " ")
+    body = " ".join(line.split("//", 1)[0] for line in text.splitlines())
     statements = [s.strip() for s in body.split(";") if s.strip()]
     for stmt in statements:
         if stmt.startswith("OPENQASM") or stmt.startswith("include"):
-            continue
-        if stmt.startswith("//"):
             continue
         if stmt.startswith("if"):
             raise CircuitParseError("classically controlled gates are not supported")

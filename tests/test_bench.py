@@ -3,12 +3,19 @@
 import pytest
 
 from lscompile.board import format_layout
-from lscompile.transpiler import SUPPORTED_GATES, transpile
+from lscompile.pauli import ROTATION
+from lscompile.transpiler import SUPPORTED_GATES, GateCircuit, transpile
 from lscompile import bench
 
 
+def toffoli() -> GateCircuit:
+    circ = GateCircuit(3)
+    bench.ccx(circ, 0, 1, 2)
+    return circ
+
+
 def test_toffoli_uses_seven_t_gates():
-    prog = transpile(bench.toffoli_circuit())
+    prog = transpile(toffoli())
     assert sum(1 for op in prog.ops if op.is_eighth()) == 7
 
 
@@ -20,7 +27,7 @@ def test_adder_sizes():
 
 
 def test_all_generators_emit_supported_gates():
-    circuits = [bench.adder_circuit(5), bench.toffoli_circuit(),
+    circuits = [bench.adder_circuit(5), toffoli(),
                 bench.ising_circuit(4, 2), bench.qft_fragment(4),
                 bench.swap_test_circuit(2), bench.random_circuit(3, 20, 0),
                 bench.star_ising_circuit(5, 1)]
@@ -73,7 +80,7 @@ class TestRandomSources:
 
     def test_random_program_shape(self):
         prog = bench.random_program(3, 5, seed=1)
-        rotations = [op for op in prog.ops if op.is_rotation()]
+        rotations = [op for op in prog.ops if op.kind == ROTATION]
         measures = [op for op in prog.ops if op.is_measurement()]
         assert len(rotations) == 5
         assert len(measures) == 3

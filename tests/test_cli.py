@@ -11,6 +11,7 @@ from lscompile.board import (
     parse_layout,
 )
 from lscompile.cli import main
+from lscompile.oracle import MAX_ORACLE_QUBITS
 from lscompile.pipeline import make_board
 from lscompile.transpiler import parse_pbc
 
@@ -160,6 +161,14 @@ def test_verify_program_input(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def test_verify_accepts_ten_qubit_circuit(tmp_path, capsys):
+    src = tmp_path / "wide.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[10];\n"
+                   "h q[0];\nt q[0];\ncx q[0],q[9];\ntdg q[9];\ns q[4];\n")
+    assert main(["verify", str(src)]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["layout", "--qubits", "4", "--board", "5x"],
     ["compile", "ok.pbc", "--board", "@one.layout"],
@@ -176,7 +185,8 @@ def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
     (tmp_path / "ok.pbc").write_text("pi/8 ZZ\nM ZZ\n")
     (tmp_path / "one.layout").write_text(
         format_layout(builtin_layout("compact", 1)))
-    (tmp_path / "wide.qasm").write_text(QASM.replace("[2]", "[7]"))
+    (tmp_path / "wide.qasm").write_text(
+        QASM.replace("[2]", f"[{MAX_ORACLE_QUBITS + 1}]"))
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2

@@ -1,8 +1,11 @@
-"""Dense simulation oracle: matrices, distributions, brute-force clocks."""
+"""State-vector oracle: unitaries, distributions, brute-force clocks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dense_reference as dense
+from lscompile import bench
 from lscompile.board import Board
 from lscompile.oracle import (
     MAX_ORACLE_QUBITS,
@@ -11,14 +14,22 @@ from lscompile.oracle import (
     circuit_unitary,
     distributions_match,
     equivalent_up_to_phase,
-    gate_matrix,
     outcome_distribution,
     program_unitary,
-    rotation_matrix,
-    word_matrix,
 )
-from lscompile.pauli import PauliWord, measurement, rotation
-from lscompile.transpiler import Gate, GateCircuit, PbcProgram
+from lscompile.pauli import ROTATION, PauliWord, measurement, rotation
+from lscompile.pipeline import CompileOptions, compile_program
+from lscompile.transpiler import (
+    SUPPORTED_GATES,
+    Gate,
+    GateCircuit,
+    PbcProgram,
+    decompose_gate,
+    transpile,
+)
+from lscompile.ysynth import y_synthesize
+from dense_reference import gate_matrix, rotation_matrix, word_matrix
+from test_transpiler import pbc_programs
 
 W = PauliWord.from_string
 
@@ -129,3 +140,96 @@ def test_brute_force_never_beats_known_golden():
     board = builtin_layout("compact", 3)
     loose = schedule_loose(prog, board).total_clocks
     assert brute_force_optimum(prog, board) <= loose
+
+
+# --- the index-map kernel against the dense reference ----------------------
+
+@st.composite
+def gate_circuits(draw, max_qubits=6, with_measure=True):
+    """Circuits over every supported gate name, `measure` included unless
+    `with_measure` is false."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
+    names = [g for g in SUPPORTED_GATES
+             if (with_measure or g != "measure") and (n > 1 or g != "cx")]
+    qubit = st.integers(min_value=0, max_value=n - 1)
+    circ = GateCircuit(n)
+    for name in draw(st.lists(st.sampled_from(names), max_size=25)):
+        if name == "cx":
+            circ.add("cx", *draw(st.lists(qubit, min_size=2, max_size=2,
+                                          unique=True)))
+        else:
+            circ.add(name, draw(qubit))
+    return circ
+
+
+def rotations_only(prog):
+    return PbcProgram(prog.n, tuple(op for op in prog.ops
+                                    if op.kind == ROTATION))
+
+
+def at_most_six_measurements(prog):
+    """The program cut before its seventh measurement: each measurement
+    can double the dense reference's branches."""
+    ends = [i for i, op in enumerate(prog.ops) if op.kind != ROTATION]
+    return PbcProgram(prog.n, prog.ops[:ends[6]] if len(ends) > 6
+                      else prog.ops)
+
+
+@given(pbc_programs().map(at_most_six_measurements))
+@settings(max_examples=25, deadline=None)
+def test_outcome_distribution_matches_dense_reference(prog):
+    got, want = outcome_distribution(prog), dense.outcome_distribution(prog)
+    assert list(got) == list(want)
+    assert distributions_match(got, want)
+
+
+@given(gate_circuits())
+@settings(max_examples=30, deadline=None)
+def test_circuit_distribution_matches_dense_reference(circ):
+    got, want = circuit_distribution(circ), dense.circuit_distribution(circ)
+    assert list(got) == list(want)
+    assert distributions_match(got, want)
+
+
+@given(pbc_programs())
+@settings(max_examples=20, deadline=None)
+def test_program_unitary_matches_dense_reference(prog):
+    prog = rotations_only(prog)
+    assert equivalent_up_to_phase(program_unitary(prog),
+                                  dense.program_unitary(prog))
+
+
+@given(gate_circuits(with_measure=False))
+@settings(max_examples=20, deadline=None)
+def test_circuit_unitary_matches_dense_reference(circ):
+    assert equivalent_up_to_phase(circuit_unitary(circ),
+                                  dense.circuit_unitary(circ))
+
+
+# --- 7 to MAX_ORACLE_QUBITS qubits, beyond the dense reference -------------
+
+@pytest.mark.parametrize("n", range(7, MAX_ORACLE_QUBITS + 1))
+def test_front_end_preserves_semantics_on_wide_circuits(n):
+    """The acceptance test's front-end check at widths the dense
+    reference cannot reach: the per-gate decomposition reproduces the
+    unitary, and Y synthesis under an X/Z-only access map keeps the
+    outcome distribution."""
+    circ = bench.random_circuit(n, 2 * n, seed=n)
+    gates_only = GateCircuit(
+        n, tuple(g for g in circ.gates if g.name != "measure"))
+    raw = [op for g in gates_only.gates for op in decompose_gate(g, n)]
+    assert equivalent_up_to_phase(program_unitary(PbcProgram(n, tuple(raw))),
+                                  circuit_unitary(gates_only), tol=1e-9)
+    synthesized = y_synthesize(transpile(circ),
+                               {q: {"X", "Z"} for q in range(n)})
+    assert distributions_match(outcome_distribution(synthesized),
+                               circuit_distribution(circ), tol=1e-9)
+
+
+@pytest.mark.parametrize("board", ["auto", "standard"])
+@pytest.mark.parametrize("name", ["adder_7", "adder_10"])
+def test_compiled_suite_adders_match_oracle(name, board):
+    circ = dict(bench.suite())[name]
+    result = compile_program(circ, CompileOptions(board=board))
+    assert distributions_match(circuit_distribution(circ),
+                               outcome_distribution(result.synthesized))

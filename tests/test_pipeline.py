@@ -11,6 +11,7 @@ from lscompile.oracle import (
     distributions_match,
     outcome_distribution,
 )
+from lscompile.pauli import ROTATION
 from lscompile.pipeline import (
     CompileOptions,
     CompileResult,
@@ -28,7 +29,7 @@ class TestInsertCorrections:
         out = insert_corrections(prog, "always")
         assert len(out.ops) == 5
         kinds = [(op.word.to_string(), op.angle_num) for op in out.ops
-                 if op.is_rotation()]
+                 if op.kind == ROTATION]
         assert kinds == [("ZZ", 1), ("ZZ", 2), ("XX", 1), ("XX", 2)]
 
     def test_never_is_identity(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from lscompile.board import Board, builtin_layout, irregular_demo, parse_layout
 from lscompile.oracle import distributions_match, outcome_distribution
 from lscompile.pauli import (
-    MEASUREMENT, PauliWord, flip_past_pauli, measurement, rotation)
+    MEASUREMENT, ROTATION, PauliWord, flip_past_pauli, measurement, rotation)
 from lscompile.scheduler import (
     _EMIT,
     OP_COSTS,
@@ -83,11 +83,11 @@ class TestNormalizeAngles:
     def test_output_angles_restricted(self):
         prog = bench.random_program(3, 8, seed=5)
         hot = PbcProgram(3, tuple(
-            rotation(op.word, (op.angle_num * 3) % 16) if op.is_rotation()
+            rotation(op.word, (op.angle_num * 3) % 16) if op.kind == ROTATION
             else op for op in prog.ops))
         out = normalize_angles(hot)
         for op in out.ops:
-            if op.is_rotation():
+            if op.kind == ROTATION:
                 assert op.angle_num in (1, 2, 14, 15)
 
 

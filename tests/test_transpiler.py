@@ -35,6 +35,7 @@ from lscompile.transpiler import (
     transpile,
 )
 from lscompile import bench
+from dense_reference import gate_matrix
 
 W = PauliWord.from_string
 
@@ -73,13 +74,11 @@ class TestDecomposeGate:
     @pytest.mark.parametrize("name", [g for g in SUPPORTED_GATES
                                       if g not in ("cx", "measure")])
     def test_single_qubit_unitaries_match_oracle(self, name):
-        from lscompile.oracle import gate_matrix
         ops = decompose_gate(Gate(name, (0,)), 1)
         u = program_unitary(PbcProgram(1, tuple(ops)))
         assert equivalent_up_to_phase(u, gate_matrix(Gate(name, (0,)), 1))
 
     def test_cx_unitary_matches_oracle(self):
-        from lscompile.oracle import gate_matrix
         ops = decompose_gate(Gate("cx", (1, 0)), 3)
         u = program_unitary(PbcProgram(3, tuple(ops)))
         assert equivalent_up_to_phase(u, gate_matrix(Gate("cx", (1, 0)), 3))
@@ -218,6 +217,11 @@ class TestTextFormats:
         assert circ.n == 2
         assert [g.name for g in circ.gates] == ["h", "cx", "measure", "measure"]
         assert circ.gates[1].qubits == (0, 1)
+
+    def test_qasm_line_comment_ends_at_newline(self):
+        circ = parse_qasm('OPENQASM 2.0;\n// header note\nqreg q[2];\n'
+                          'h q[0]; // trailing note\n// note\ncx q[0],q[1];\n')
+        assert [g.name for g in circ.gates] == ["h", "cx"]
 
     def test_qasm_rejects_unknown_gate(self):
         with pytest.raises((UnsupportedGateError, CircuitParseError)):
