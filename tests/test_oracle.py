@@ -162,11 +162,6 @@ def gate_circuits(draw, max_qubits=6, with_measure=True):
     return circ
 
 
-def rotations_only(prog):
-    return PbcProgram(prog.n, tuple(op for op in prog.ops
-                                    if op.kind == ROTATION))
-
-
 def at_most_six_measurements(prog):
     """The program cut before its seventh measurement: each measurement
     can double the dense reference's branches."""
@@ -194,7 +189,8 @@ def test_circuit_distribution_matches_dense_reference(circ):
 @given(pbc_programs())
 @settings(max_examples=20, deadline=None)
 def test_program_unitary_matches_dense_reference(prog):
-    prog = rotations_only(prog)
+    prog = PbcProgram(prog.n, tuple(op for op in prog.ops
+                                    if op.kind == ROTATION))
     assert equivalent_up_to_phase(program_unitary(prog),
                                   dense.program_unitary(prog))
 
