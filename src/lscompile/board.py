@@ -7,7 +7,11 @@ same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
 single routing component touches an exposed edge of every data patch and
 both typed edges of the ancilla.  That strict component is worked out on
-first use and kept until the next patch mutation.  Routing walks a
+first use and kept until the next patch mutation, as is the board's
+routing access: which patch edges face the component, and the
+component's cut tiles.  From the kept access, the access after a
+one-tile change (a placement, a move or a reorientation) is worked out
+without copying the board or flooding it again.  Routing walks a
 neighbour table built once per board shape and reads each patch's edges
 from a table keyed by the immutable patch.
 """
@@ -27,6 +31,7 @@ _DIRS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
 OP_COSTS = {"move": 1, "rotate": 3, "measure": 1}
 
 _STALE = object()   # the strict component must be worked out again
+_NONE = frozenset()
 
 
 class IllegalOpError(ValueError):
@@ -61,6 +66,78 @@ def _edges(patch: Patch) -> tuple:
                  for d, (dr, dc) in _DIRS)
 
 
+def flipped(orient: str) -> str:
+    return ORIENT_V if orient == ORIENT_H else ORIENT_H
+
+
+class Access(NamedTuple):
+    """Routing access of one board state.
+
+    comp is the strict component, or None.  counts maps each patch id to
+    (X edges facing comp, Z edges facing comp, routing tiles touched);
+    nx and nz count the patches with an X, resp. Z, edge on comp, and
+    density sums the routing tiles touched.  Without a component only
+    the touched tiles and density are kept up to date.
+    """
+    comp: frozenset | None
+    counts: dict
+    nx: int
+    nz: int
+    density: int
+
+    def reaches(self, qid: int, typ: str) -> bool:
+        """Board.reaches(qid, typ) of the state."""
+        return self.comp is not None and self.counts[qid][typ == "Z"] > 0
+
+
+def _count(patch: Patch, comp, nbrs, occ) -> tuple:
+    """The patch's Access.counts entry, given comp and the occupied tiles."""
+    x = z = touch = 0
+    for typ, out in _edges(patch):
+        if out in comp:
+            if typ == "X":
+                x += 1
+            else:
+                z += 1
+        if out in nbrs and out not in occ:
+            touch += 1
+    return x, z, touch
+
+
+def _cut_tiles(comp: frozenset, nbrs: dict) -> frozenset:
+    """Tiles whose removal splits comp: its articulation points, from one
+    iterative depth-first search (Hopcroft and Tarjan, CACM 1973)."""
+    root = min(comp)
+    disc = {root: 0}
+    low = {root: 0}
+    cut = set()
+    root_children = 0
+    stack = [(root, None, iter(nbrs[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if w not in comp:
+                continue
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(nbrs[w])))
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent is not None:
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    cut.add(parent)
+    if root_children > 1:
+        cut.add(root)
+    return frozenset(cut)
+
+
 @cache
 def _neighbour_table(rows: int, cols: int) -> dict:
     """Every tile's in-bounds neighbours in N, E, S, W order.
@@ -70,6 +147,29 @@ def _neighbour_table(rows: int, cols: int) -> dict:
     return {(r, c): tuple((r + dr, c + dc) for _, (dr, dc) in _DIRS
                           if 0 <= r + dr < rows and 0 <= c + dc < cols)
             for r in range(rows) for c in range(cols)}
+
+
+class _Kept:
+    """What access_with() reads of one board state: its access, the
+    patch on each patch tile, whether the ancilla's X-edge tiles all lie
+    in the strict component, the ancilla's outside tiles, and the
+    component's cut tiles."""
+    __slots__ = ("acc", "at", "one_component", "ancilla_tiles", "_cut")
+
+    def __init__(self, board: "Board", acc: Access):
+        self.acc = acc
+        self.at = {p.tile: q for q, p in board.patches.items()}
+        self.one_component = acc.comp is not None and all(
+            x in acc.comp for x in board.ancilla_touch("X"))
+        anc = board.ancilla
+        self.ancilla_tiles = (frozenset(o for _, o in _edges(anc))
+                              if anc else _NONE)
+        self._cut = None
+
+    def cut_tiles(self, nbrs: dict) -> frozenset:
+        if self._cut is None:
+            self._cut = _cut_tiles(self.acc.comp, nbrs)
+        return self._cut
 
 
 class Board:
@@ -84,6 +184,7 @@ class Board:
         self._nbrs = _neighbour_table(rows, cols)
         self._occ: set = set()   # tiles held by a patch or the ancilla
         self._comp = _STALE       # a_component() of the current state
+        self._kept = None         # what access_with() reads, or None
 
     # --- basic geometry ---------------------------------------------------
 
@@ -109,6 +210,7 @@ class Board:
         b.port = self.port
         b._occ = set(self._occ)
         b._comp = self._comp
+        b._kept = self._kept
         return b
 
     def key(self):
@@ -126,6 +228,7 @@ class Board:
             raise IllegalOpError("magic port tile must stay routing")
         self._occ.add(tile)
         self._comp = _STALE
+        self._kept = None
 
     def init_patch(self, qid: int, tile, orient: str, state: str = "|0>") -> None:
         """Create a fresh patch; zero clock cost."""
@@ -152,6 +255,7 @@ class Board:
     def remove_patch(self, qid: int) -> None:
         self._occ.remove(self.patches.pop(qid).tile)
         self._comp = _STALE
+        self._kept = None
 
     # --- patch operations -------------------------------------------------
 
@@ -173,6 +277,7 @@ class Board:
         self._occ.add(dest)
         self.patches[qid] = Patch(dest, p.orient)
         self._comp = _STALE
+        self._kept = None
         return frozenset(path)
 
     def _corridor(self, src, dest):
@@ -204,10 +309,10 @@ class Board:
         else:
             if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
                 raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        flipped = ORIENT_V if p.orient == ORIENT_H else ORIENT_H
         # the strict component stands: no tile changed hands, and it asks
         # for an edge of any type on every data patch
-        self.patches[qid] = Patch(p.tile, flipped)
+        self.patches[qid] = Patch(p.tile, flipped(p.orient))
+        self._kept = None
         return frozenset([p.tile, helper])
 
     # --- edges and exposure -----------------------------------------------
@@ -263,6 +368,93 @@ class Board:
         # read the kept answer directly; a_component() works out a stale one
         comp = self.a_component() if self._comp is _STALE else self._comp
         return comp is not None and self._on(comp, self.patches[qid], typ)
+
+    # --- routing access and one-tile changes ------------------------------
+
+    def access(self) -> Access:
+        """Routing access of the current state, kept like a_component()."""
+        if self._kept is None:
+            comp = self.a_component()
+            counts = {q: _count(p, comp or _NONE, self._nbrs, self._occ)
+                      for q, p in self.patches.items()}
+            self._kept = _Kept(self, Access(
+                comp, counts, sum(c[0] > 0 for c in counts.values()),
+                sum(c[1] > 0 for c in counts.values()),
+                sum(c[2] for c in counts.values())))
+        return self._kept.acc
+
+    def access_with(self, qid: int, tile, orient: str) -> Access:
+        """The access of this board with patch qid on tile in orient.
+
+        That is a placement when qid is new, a reorientation when tile
+        is qid's own, and otherwise a move to tile, which must be a free
+        routing tile other than the port.  The board is left unchanged.
+        The strict component loses tile and gains the freed tile if that
+        borders it, unless tile is a cut tile of the component, the
+        freed tile touches routing space outside it, or the ancilla's
+        X-edge tiles lie in two components; then a changed copy is
+        flooded.  Only the patches next to a tile that changed hands or
+        left or joined the component are counted again.
+        """
+        base = self.access()
+        kept = self._kept
+        at, nbrs, occ, comp = kept.at, self._nbrs, self._occ, base.comp
+        old = self.patches.get(qid)
+        src = old.tile if old is not None else None
+        changed = {qid}
+        if src != tile:
+            freed = () if src is None else (src,)
+            occ = (occ | {tile}).difference(freed)
+            ends = (tile, *freed)
+            if self._delta_holds(src, tile):
+                if tile in comp:
+                    comp = comp - {tile}
+                if freed and any(u in comp for u in nbrs[src]):
+                    comp = comp | {src}
+                # the ancilla faced the component on both edge types, and
+                # can only have lost that through tile
+                if tile in kept.ancilla_tiles and not (
+                        self._on(comp, self.ancilla, "X")
+                        and self._on(comp, self.ancilla, "Z")):
+                    comp = None
+            else:
+                comp = self._flooded(qid, tile, orient)
+                if comp is not None:
+                    ends += tuple(comp ^ (base.comp or _NONE))
+            changed.update(at[v] for u in ends for v in nbrs[u] if v in at)
+        counts = dict(base.counts)
+        nx, nz, density = base.nx, base.nz, base.density
+        faced = True
+        for q in changed:
+            before = counts.get(q)
+            if before is not None:
+                nx -= before[0] > 0
+                nz -= before[1] > 0
+                density -= before[2]
+            p = Patch(tile, orient) if q == qid else self.patches[q]
+            c = counts[q] = _count(p, comp or _NONE, nbrs, occ)
+            nx += c[0] > 0
+            nz += c[1] > 0
+            density += c[2]
+            faced = faced and c[0] + c[1] > 0
+        return Access(comp if faced else None, counts, nx, nz, density)
+
+    def _delta_holds(self, src, tile) -> bool:
+        """Whether taking tile, and freeing src unless it is None, leaves
+        the kept component less tile, plus src where that borders it."""
+        kept, nbrs = self._kept, self._nbrs
+        comp = kept.acc.comp
+        return (kept.one_component and tile not in kept.cut_tiles(nbrs)
+                and (src is None or all(u == tile or u in self._occ
+                                        or u in comp for u in nbrs[src])))
+
+    def _flooded(self, qid: int, tile, orient: str):
+        """a_component() of a copy with patch qid on tile in orient."""
+        trial = self.copy()
+        if qid in trial.patches:
+            trial.remove_patch(qid)
+        trial.init_patch(qid, tile, orient)
+        return trial.a_component()
 
 
 # --- bus routing ----------------------------------------------------------

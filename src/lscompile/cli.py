@@ -25,9 +25,11 @@ from .oracle import (
     outcome_distribution,
     program_unitary,
 )
+from .pauli import PauliOp, PauliWord
 from .pipeline import CompileOptions, compile_program, make_board
 from .render import svg_board, svg_schedule
 from .transpiler import (
+    Gate,
     GateCircuit,
     PbcProgram,
     decompose_gate,
@@ -189,6 +191,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _decomposes(gate: Gate, n: int) -> bool:
+    """Whether the gate's Pauli rotations act on its own qubits only and
+    multiply to its unitary there, up to phase."""
+    local = {q: i for i, q in enumerate(gate.qubits)}
+    k = len(local)
+    ops = []
+    for op in decompose_gate(gate, n):
+        support = op.word.support()
+        if not set(support) <= local.keys():
+            return False
+        word = PauliWord.from_letters(
+            k, {local[q]: op.word.letter(q) for q in support})
+        ops.append(PauliOp(word, op.kind, op.angle_num, op.sign))
+    return equivalent_up_to_phase(
+        program_unitary(PbcProgram(k, tuple(ops))),
+        circuit_unitary(GateCircuit(k, (Gate(gate.name, tuple(range(k))),))))
+
+
 def cmd_verify(args) -> int:
     source = _load_source(args.input, args.qubits)
     failures = []
@@ -196,15 +216,12 @@ def cmd_verify(args) -> int:
         if source.n > MAX_ORACLE_QUBITS:
             raise ValueError(
                 f"verify needs <= {MAX_ORACLE_QUBITS} qubits")
-        gates_only = GateCircuit(
-            source.n, tuple(g for g in source.gates if g.name != "measure"))
-        raw = []
-        for g in gates_only.gates:
-            raw.extend(decompose_gate(g, source.n))
-        decomposed = PbcProgram(source.n, tuple(raw))
-        if not equivalent_up_to_phase(program_unitary(decomposed),
-                                      circuit_unitary(gates_only)):
-            failures.append("gate decomposition unitary mismatch")
+        bad = next((g for g in source.gates
+                    if g.name != "measure" and not _decomposes(g, source.n)),
+                   None)
+        if bad is not None:
+            failures.append(f"gate decomposition unitary mismatch at "
+                            f"{bad.name} {', '.join(map(str, bad.qubits))}")
         program = transpile(source)
         restricted = {q: {"X", "Z"} for q in range(source.n)}
         synthesized = y_synthesize(program, restricted)

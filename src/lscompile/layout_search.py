@@ -6,11 +6,15 @@ component and one for every patch whose Z-edges do, minus a density
 penalty per exposed boundary edge, all gated by strict connectivity.
 After each placement a relocation sweep lets earlier patches take
 one-step moves or reorientations that strictly improve the score.
+Every candidate differs from the board by one tile, so it is scored
+from a one-tile delta of the board's kept access (`Board.access_with`)
+rather than from a copy of the board and a fresh flood; `layout_score`
+is the full reference.
 """
 
 from __future__ import annotations
 
-from .board import Board, ORIENT_H, ORIENT_V, builtin_layout
+from .board import Access, Board, ORIENT_H, ORIENT_V, builtin_layout, flipped
 
 
 class LayoutDesignError(RuntimeError):
@@ -31,44 +35,49 @@ def _density(board: Board) -> int:
     return sum(len(board.touch_tiles(q)) for q in board.patches)
 
 
+def _best(board: Board, qid: int, options, floor: float, alpha_e: float):
+    """(key, tile, orient) of the best option for patch qid scoring above
+    floor with the port in the component, or None.  The key ranks higher
+    scores first, then denser boards, then row-major tiles, "h" first."""
+    best = None
+    for tile, orient in options:
+        acc = board.access_with(qid, tile, orient)
+        if acc.comp is None or board.port not in acc.comp:
+            continue
+        score = _access_score(acc, alpha_e)
+        if score <= floor:
+            continue
+        key = (-score, acc.density, tile, 0 if orient == ORIENT_H else 1)
+        if best is None or key < best[0]:
+            best = (key, tile, orient)
+    return best
+
+
+def _access_score(acc: Access, alpha_e: float) -> float:
+    """layout_score of a connected board, read off its access."""
+    return acc.nx + acc.nz - alpha_e * acc.density
+
+
 def relocate_pass(board: Board, alpha_e: float = 0.2) -> Board:
     """One sweep of strict-improvement one-step moves and reorientations."""
-    current = layout_score(board, alpha_e)
+    _relocate(board, layout_score(board, alpha_e), alpha_e)
+    return board
+
+
+def _relocate(board: Board, current: float, alpha_e: float) -> float:
+    """relocate_pass from the board's score; returns the final score."""
     for qid in sorted(board.patches):
         patch = board.patches[qid]
-        base_tile, base_orient = patch.tile, patch.orient
-        options = []
-        for orient in (ORIENT_H, ORIENT_V):
-            if orient != base_orient:
-                options.append((base_tile, orient))
-        for nb in board.neighbors(base_tile):
+        options = [(patch.tile, flipped(patch.orient))]
+        for nb in board.neighbors(patch.tile):
             if board.is_routing(nb) and nb != board.port:
-                for orient in (ORIENT_H, ORIENT_V):
-                    options.append((nb, orient))
-        best = None
-        best_key = None
-        for tile, orient in options:
-            trial = board.copy()
-            trial.remove_patch(qid)
-            try:
-                trial.init_patch(qid, tile, orient)
-            except Exception:
-                continue
-            comp = trial.a_component()
-            if comp is None or trial.port not in comp:
-                continue
-            score = layout_score(trial, alpha_e)
-            if score <= current:
-                continue
-            key = (-score, _density(trial), tile, 0 if orient == ORIENT_H else 1)
-            if best_key is None or key < best_key:
-                best = (tile, orient)
-                best_key = key
+                options += [(nb, ORIENT_H), (nb, ORIENT_V)]
+        best = _best(board, qid, options, current, alpha_e)
         if best is not None:
             board.remove_patch(qid)
-            board.init_patch(qid, best[0], best[1])
-            current = layout_score(board, alpha_e)
-    return board
+            board.init_patch(qid, best[1], best[2])
+            current = -best[0][0]
+    return current
 
 
 def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
@@ -86,34 +95,18 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
     board.place_ancilla((0, 0), ORIENT_H)
     board.set_port((rows - 1, cols - 1))
 
+    score = 0.0
     for qid in range(n):
-        best = None
-        best_key = None
-        for tile in sorted(board.a_component()):
-            if tile == board.port:
-                continue
-            for orient in (ORIENT_H, ORIENT_V):
-                trial = board.copy()
-                try:
-                    trial.init_patch(qid, tile, orient)
-                except Exception:
-                    continue
-                comp = trial.a_component()
-                if comp is None or trial.port not in comp:
-                    continue
-                score = layout_score(trial, alpha_e)
-                if score <= 0:
-                    continue
-                key = (-score, _density(trial), tile,
-                       0 if orient == ORIENT_H else 1)
-                if best_key is None or key < best_key:
-                    best = (tile, orient)
-                    best_key = key
+        options = [(tile, orient) for tile in sorted(board.a_component())
+                   if tile != board.port for orient in (ORIENT_H, ORIENT_V)]
+        best = _best(board, qid, options, 0.0, alpha_e)
         if best is None:
             raise LayoutDesignError(
                 f"no legal position for patch {qid} on {rows}x{cols}")
-        board.init_patch(qid, best[0], best[1])
-        relocate_pass(board, alpha_e)
+        board.init_patch(qid, best[1], best[2])
+        score = _relocate(board, -best[0][0], alpha_e)
+    if score != layout_score(board, alpha_e):
+        raise AssertionError("delta scores drifted from the full score")
     return board
 
 

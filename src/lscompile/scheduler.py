@@ -20,11 +20,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .board import (
+    Access,
     Board,
-    IllegalOpError,
     NoPathError,
     OP_COSTS,
     bus_patches,
+    flipped,
     format_layout,
 )
 from .pauli import MEASUREMENT, PauliOp, format_op, rotation
@@ -205,12 +206,12 @@ def validate_schedule(schedule: Schedule) -> None:
 
 # --- shared helpers -------------------------------------------------------
 
-def enabled_count(board: Board, qmap: dict, op: PauliOp) -> int:
+def enabled_count(acc: Access, qmap: dict, op: PauliOp) -> int:
     """Qubits of op whose every required edge type reaches the strict
-    routing component; -1 when the board has none."""
-    if board.a_component() is None:
+    routing component of a board with access acc; -1 when it has none."""
+    if acc.comp is None:
         return -1
-    return sum(all(board.reaches(qmap[q], t)
+    return sum(all(acc.reaches(qmap[q], t)
                    for t in _REQUIRED[op.word.letter(q)])
                for q in op.word.support())
 
@@ -256,26 +257,23 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
     Ranking: more enabled qubits, then cheaper operation, then lower
     patch id, then generation order.  Actions breaking strict
     connectivity are dropped, as are ones cutting off the magic port
-    while an eighth rotation waits.
+    while an eighth rotation waits.  Each action is scored from the
+    one-tile delta of the board's kept access.
     """
-    base = enabled_count(board, qmap, op)
+    base = enabled_count(board.access(), qmap, op)
     best = None
     best_key = None
     for kind, pid, arg in _candidate_actions(board, qmap, op):
-        trial = board.copy()
-        try:
-            if kind == "move":
-                trial.move_patch(pid, arg)
-            else:
-                trial.rotate_patch(pid, arg)
-        except IllegalOpError:
+        p = board.patches[pid]
+        if kind == "move":
+            acc = board.access_with(pid, arg, p.orient)
+        else:
+            acc = board.access_with(pid, p.tile, flipped(p.orient))
+        if acc.comp is None:
             continue
-        comp = trial.a_component()
-        if comp is None:
+        if op.is_eighth() and board.port not in acc.comp:
             continue
-        if op.is_eighth() and trial.port not in comp:
-            continue
-        reward = enabled_count(trial, qmap, op)
+        reward = enabled_count(acc, qmap, op)
         if reward <= base:
             continue
         key = (-reward, OP_COSTS[kind], pid)

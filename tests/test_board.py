@@ -12,12 +12,24 @@ from lscompile.board import (
     NoPathError,
     builtin_layout,
     bus_patches,
+    _cut_tiles,
     edge_type,
+    flipped,
     format_layout,
     irregular_demo,
     parse_layout,
 )
-from lscompile.pauli import PauliWord
+from lscompile.layout_search import (
+    LayoutDesignError,
+    _density,
+    _access_score,
+    design_layout,
+    layout_score,
+)
+from lscompile.pauli import PauliWord, rotation
+from lscompile.scheduler import enabled_count
+
+import copy_flood_reference as ref
 
 W = PauliWord.from_string
 
@@ -224,6 +236,172 @@ class TestKeptComponent:
                 if j != i:
                     assert o.a_component() == before[j]
                 assert o.a_component() == _fresh_component(o)
+
+
+def _check_access_with(board, qid, tile, orient):
+    """access_with() agrees with the slow path, a copy with patch qid on
+    tile in orient flooded afresh, and leaves the board alone."""
+    layout, comp = format_layout(board), board.a_component()
+    acc = board.access_with(qid, tile, orient)
+    assert (format_layout(board), board.a_component()) == (layout, comp)
+    trial = board.copy()
+    if qid in trial.patches:
+        trial.remove_patch(qid)
+    trial.init_patch(qid, tile, orient)
+    fresh = parse_layout(format_layout(trial))
+    assert acc.comp == trial.a_component() == fresh.a_component()
+    assert (trial.port in (acc.comp or ())) == (
+        trial.port in (fresh.a_component() or ()))
+    assert acc.density == _density(trial) == _density(fresh)
+    score = 0.0 if acc.comp is None else _access_score(acc, 0.2)
+    assert score == layout_score(trial) == layout_score(fresh)
+    pids = sorted(trial.patches)
+    for q in pids:
+        for typ in ("X", "Z"):
+            assert acc.reaches(q, typ) == fresh.reaches(q, typ)
+    qmap = dict(enumerate(pids))
+    for letter in "XZY":
+        op = rotation(PauliWord.from_letters(len(pids), dict.fromkeys(
+            range(len(pids)), letter)), 1)
+        assert enabled_count(acc, qmap, op) == ref.enabled_count(fresh, qmap,
+                                                                  op)
+
+
+# (layout, patch id, tile, orient, whether a flooded copy answers)
+DELTA_CASES = {
+    # (0, 1) is a cut tile: (0, 0) is cut off and the board splits
+    "cut-tile-disconnects": ("M . .\n. Q0h .\nAh . .\n", 1, (0, 1),
+                             "h", True),
+    # (0, 1) is a cut tile, but only an unused corner falls away; that
+    # corner stays an X-edge tile of the ancilla, so the ancilla's
+    # X-edge tiles then lie in two components
+    "cut-tile-keeps-port": (". . . M Q0h\nAh . . . .\n. . . . .\n", 1,
+                            (0, 1), "h", True),
+    # freeing (0, 1) joins it to {(0, 0), (1, 0)}, a second component
+    "freed-tile-meets-second-component": (
+        ". Q1h . . .\n. Ah . . M\nQ0h . . . .\n", 1, (0, 2), "h", True),
+    # the ancilla's X-edge tiles lie in two strict components; the tie
+    # goes to the one holding (0, 0) until the new patch faces only the
+    # other one
+    "ancilla-x-tiles-split": (". . Q0h .\nM Av . .\nQ1v . . .\n", 9,
+                              (0, 3), "h", True),
+    # the ancilla's only X-edge tile is taken
+    "last-ancilla-x-tile": ("Ah . .\n. . .\n. . M\n", 0, (1, 0), "h",
+                            False),
+    "plain-placement": ("Ah . .\n. . .\n. . M\n", 0, (1, 1), "v", False),
+    "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h",
+                   False),
+    "reorientation": ("Ah . .\n. Q0h .\n. . M\n", 0, (1, 1), "v",
+                      False),
+}
+
+
+def _start_board(data):
+    style = data.draw(st.sampled_from(["compact", "standard", "sparse",
+                                       "irregular", "designed", "scattered",
+                                       "named"]))
+    if style == "irregular":
+        return irregular_demo()
+    if style == "named":
+        return parse_layout(DELTA_CASES[data.draw(st.sampled_from(
+            sorted(DELTA_CASES)))][0])
+    if style == "scattered":
+        # anywhere, in any orientation: the ancilla's two X-edge tiles
+        # can then land in two components
+        b = Board(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 6)))
+        tiles = data.draw(st.lists(st.sampled_from(sorted(b._nbrs)),
+                                   min_size=2, unique=True))
+        b.place_ancilla(tiles[0], data.draw(st.sampled_from(["h", "v"])))
+        b.set_port(tiles[1])
+        for q, t in enumerate(tiles[2:]):
+            b.init_patch(q, t, data.draw(st.sampled_from(["h", "v"])))
+        return b
+    if style == "designed":
+        rows = data.draw(st.integers(2, 5))
+        cols = data.draw(st.integers(rows, 6))
+        try:
+            return design_layout(data.draw(st.integers(1, rows * cols - 3)),
+                                 rows, cols)
+        except LayoutDesignError:
+            return design_layout(0, rows, cols)
+    return builtin_layout(style, data.draw(st.integers(1, 9)))
+
+
+class TestAccessDelta:
+    """Board.access_with() against the slow path: a changed copy of the
+    board, flooded afresh."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_tile_change_matches_a_flooded_copy(self, data):
+        board = _start_board(data)
+        for _ in range(data.draw(st.integers(0, 6))):
+            if data.draw(st.booleans()):
+                board.a_component()
+            try:
+                _mutate(data, board)
+            except IllegalOpError:
+                pass
+        free = [t for t in sorted(board._nbrs)
+                if board.is_routing(t) and t != board.port]
+        moves = [(q, t) for q, p in sorted(board.patches.items())
+                 for t in board.neighbors(p.tile) if t in free]
+        changes = ["place"] * bool(free) + ["move"] * bool(moves) + [
+            "reorient"] * bool(board.patches)
+        if not changes:
+            return
+        change = data.draw(st.sampled_from(changes))
+        orient = data.draw(st.sampled_from(["h", "v"]))
+        if change == "place":
+            qid = max(board.patches, default=-1) + 1
+            tile = data.draw(st.sampled_from(free))
+        elif change == "move":
+            qid, tile = data.draw(st.sampled_from(moves))
+        else:
+            qid = data.draw(st.sampled_from(sorted(board.patches)))
+            tile, orient = board.patches[qid].tile, flipped(
+                board.patches[qid].orient)
+        _check_access_with(board, qid, tile, orient)
+
+    @pytest.mark.parametrize("name", sorted(DELTA_CASES))
+    def test_named_change(self, name, monkeypatch):
+        text, qid, tile, orient, floods = DELTA_CASES[name]
+        board = parse_layout(text)
+        board.access()
+        copies = []
+        real_copy = Board.copy
+        monkeypatch.setattr(Board, "copy",
+                            lambda b: copies.append(b) or real_copy(b))
+        _check_access_with(board, qid, tile, orient)
+        # the check itself makes one copy
+        assert len(copies) == 1 + floods
+
+
+class TestCutTiles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cut_tiles_split_the_component(self, data):
+        board = _start_board(data)
+        comp = board.a_component()
+        if comp is None:
+            return
+        cut = _cut_tiles(comp, board._nbrs)
+        for t in sorted(comp):
+            rest = comp - {t}
+            seen = _ref_bfs_within(rest, min(rest)) if rest else set()
+            assert (t in cut) == (seen != rest)
+
+
+def _ref_bfs_within(tiles, start):
+    seen, queue = {start}, deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for _, (dr, dc) in _STEPS:
+            nb = (r + dr, c + dc)
+            if nb in tiles and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen
 
 
 class TestMoveAndRotate:

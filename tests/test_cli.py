@@ -236,3 +236,31 @@ def test_malformed_calibration_is_one_line_and_exit_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("lscompile: error: calibration")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bug,gate", [
+    ("t-as-s", "t 2"),              # the right qubit, the wrong angle
+    ("h-on-neighbour", "h 0"),      # the right rotations, the wrong qubit
+])
+def test_verify_names_a_wrong_gate_decomposition(tmp_path, capsys,
+                                                 monkeypatch, bug, gate):
+    from lscompile import cli
+    from lscompile.pauli import PauliWord, rotation
+
+    real = cli.decompose_gate
+
+    def broken(g, n):
+        if bug == "t-as-s" and g.name == "t":
+            return [rotation(PauliWord.from_letters(n, {g.qubits[0]: "Z"}), 2)]
+        if bug == "h-on-neighbour" and g.name == "h":
+            return real(type(g)("h", (g.qubits[0] + 1,)), n)
+        return real(g, n)
+
+    monkeypatch.setattr(cli, "decompose_gate", broken)
+    src = tmp_path / "c.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[3];\n"
+                   "h q[0];\ncx q[0],q[1];\nt q[2];\n")
+    assert main(["verify", str(src)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: gate decomposition unitary mismatch at {gate}\n" in out
+    assert "OK" not in out

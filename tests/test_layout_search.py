@@ -2,6 +2,7 @@
 
 import pytest
 
+from lscompile import layout_search
 from lscompile.board import Board, builtin_layout, format_layout
 from lscompile.layout_search import (
     LayoutDesignError,
@@ -11,6 +12,8 @@ from lscompile.layout_search import (
     relocate_pass,
     standard_tile_budget,
 )
+
+import copy_flood_reference as ref
 
 
 def score_example_board():
@@ -98,3 +101,53 @@ class TestBudget:
         assert len(b.patches) == n
         assert b.tile_count() <= standard_tile_budget(n)
         assert b.a_component() is not None
+
+
+def _designed(design, n, rows, cols):
+    """format_layout of the design, or the LayoutDesignError message."""
+    try:
+        return format_layout(design(n, rows, cols))
+    except LayoutDesignError as e:
+        return f"LayoutDesignError: {e}"
+
+
+GRIDS = [(r, c) for r in range(2, 9) for c in range(r, 10)]
+
+
+class TestMatchesCopyAndFlood:
+    """Delta-scored layout search gives the boards, and the errors, of
+    the copy-and-flood search in `copy_flood_reference`."""
+
+    @pytest.mark.parametrize("rows,cols", GRIDS)
+    def test_design_on_every_grid(self, rows, cols):
+        # one patch count per grid, spread over 1-10
+        n = 1 + (5 * rows + 7 * cols) % 10
+        assert _designed(design_layout, n, rows, cols) == _designed(
+            ref.design_layout, n, rows, cols)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_auto_design(self, n, monkeypatch):
+        ours = format_layout(auto_design(n))
+        monkeypatch.setattr(layout_search, "design_layout", ref.design_layout)
+        assert ours == format_layout(auto_design(n))
+
+    @pytest.mark.slow
+    def test_design_full_sweep(self):
+        # 840 cases, about 90 s on a 2-core VM
+        for rows, cols in GRIDS:
+            for n in range(1, 25):
+                assert _designed(design_layout, n, rows, cols) == _designed(
+                    ref.design_layout, n, rows, cols), (n, rows, cols)
+
+    @pytest.mark.slow
+    def test_auto_design_full_sweep(self, monkeypatch):
+        ours = [format_layout(auto_design(n)) for n in range(1, 25)]
+        monkeypatch.setattr(layout_search, "design_layout", ref.design_layout)
+        assert ours == [format_layout(auto_design(n)) for n in range(1, 25)]
+
+    def test_designs_check_their_final_score(self, monkeypatch):
+        # a delta that drifted from the full score is caught, not shipped
+        monkeypatch.setattr(layout_search, "_access_score",
+                            lambda acc, alpha_e: acc.nx + acc.nz)
+        with pytest.raises(AssertionError, match="drifted"):
+            design_layout(3, 3, 3)

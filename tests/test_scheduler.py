@@ -1,6 +1,7 @@
 """Slice scheduling: angle normalization, timelines, golden examples."""
 
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -12,6 +13,7 @@ from lscompile.pauli import (
     MEASUREMENT, ROTATION, PauliWord, flip_past_pauli, measurement, rotation)
 from lscompile.scheduler import (
     _EMIT,
+    DeadlockError,
     OP_COSTS,
     Schedule,
     ScheduleError,
@@ -22,8 +24,10 @@ from lscompile.scheduler import (
     validate_schedule,
 )
 from lscompile.transpiler import PbcProgram, parse_pbc
-from lscompile import bench
+from lscompile import bench, scheduler
 from test_transpiler import pbc_programs
+
+import copy_flood_reference as ref
 
 W = PauliWord.from_string
 
@@ -256,7 +260,7 @@ class TestSerialization:
 def test_deadlock_names_the_operator_patches_and_board():
     from lscompile import pipeline
     from lscompile.pauli import format_op, parse_op
-    from lscompile.scheduler import DeadlockError, _pick_action, _try_bus
+    from lscompile.scheduler import _pick_action, _try_bus
 
     program = pipeline.transpile(bench.random_circuit(9, 108, 854223144))
     board = pipeline.make_board("auto", program.n)
@@ -281,3 +285,28 @@ def test_deadlock_names_the_operator_patches_and_board():
     again = pickle.loads(pickle.dumps(exc))
     assert (str(again), again.patches, again.board) == (msg, exc.patches,
                                                         exc.board)
+
+
+def _schedule_json(circuit, board):
+    from lscompile.pipeline import CompileOptions, compile_program
+
+    try:
+        sch = compile_program(circuit, CompileOptions(board=board)).schedule
+    except DeadlockError as e:
+        return f"DeadlockError: {e}", None
+    actions = sum(i.kind != "measure" for i in sch.instructions)
+    return json.dumps(sch.to_dict(), sort_keys=True), actions
+
+
+@pytest.mark.parametrize("name,circuit,board", [
+    ("adder_20", bench.adder_circuit(20), "standard"),
+    *((f"random_{n}_{s}", bench.random_circuit(n, 20 * n, 1000 * n + s),
+       "compact") for n in range(8, 13) for s in (0, 2)),
+])
+def test_loose_schedule_matches_copy_and_flood_reference(name, circuit, board,
+                                                        monkeypatch):
+    ours, actions = _schedule_json(circuit, board)
+    monkeypatch.setattr(scheduler, "_pick_action", ref.pick_action)
+    assert (ours, actions) == _schedule_json(circuit, board)
+    if board == "compact" and actions is not None:
+        assert actions > 0   # the case drives moves or rotations
