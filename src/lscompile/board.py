@@ -6,11 +6,14 @@ N/S, "v" the opposite.  The ancilla patch sits at a fixed tile with the
 same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
 single routing component touches an exposed edge of every data patch and
-both typed edges of the ancilla.  That strict component is worked out on
-first use and kept until the next patch mutation, as is the board's
-routing access: which patch edges face the component, and the
-component's cut tiles.  From the kept access, the access after a
-one-tile change (a placement, a move or a reorientation) is worked out
+both typed edges of the ancilla.
+
+Each board state keeps one derived record, its routing access: the
+strict component and which patch edges face it, worked out in one flood
+on first use.  A tile changing hands drops it.  A rotation carries it
+forward, since swapping a patch's boundary labels leaves every tile, and
+so the component, where it was.  From the kept access, the access after
+a one-tile change (a placement, a move or a reorientation) is worked out
 without copying the board or flooding it again.  Routing walks a
 neighbour table built once per board shape and reads each patch's edges
 from a table keyed by the immutable patch.
@@ -30,7 +33,6 @@ _DIRS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
 
 OP_COSTS = {"move": 1, "rotate": 3, "measure": 1}
 
-_STALE = object()   # the strict component must be worked out again
 _NONE = frozenset()
 
 
@@ -66,18 +68,25 @@ def _edges(patch: Patch) -> tuple:
                  for d, (dr, dc) in _DIRS)
 
 
+@cache
+def _outside(patch: Patch) -> frozenset:
+    """The tiles across the patch's four edges."""
+    return frozenset(out for _, out in _edges(patch))
+
+
 def flipped(orient: str) -> str:
     return ORIENT_V if orient == ORIENT_H else ORIENT_H
 
 
 class Access(NamedTuple):
-    """Routing access of one board state.
+    """Routing access of one board state, the one record a board keeps.
 
     comp is the strict component, or None.  counts maps each patch id to
     (X edges facing comp, Z edges facing comp, routing tiles touched);
     nx and nz count the patches with an X, resp. Z, edge on comp, and
-    density sums the routing tiles touched.  Without a component only
-    the touched tiles and density are kept up to date.
+    density sums the routing tiles touched.  A board's own access is
+    exact.  One that access_with() answers without a component keeps
+    only the touched tiles and density up to date.
     """
     comp: frozenset | None
     counts: dict
@@ -149,29 +158,6 @@ def _neighbour_table(rows: int, cols: int) -> dict:
             for r in range(rows) for c in range(cols)}
 
 
-class _Kept:
-    """What access_with() reads of one board state: its access, the
-    patch on each patch tile, whether the ancilla's X-edge tiles all lie
-    in the strict component, the ancilla's outside tiles, and the
-    component's cut tiles."""
-    __slots__ = ("acc", "at", "one_component", "ancilla_tiles", "_cut")
-
-    def __init__(self, board: "Board", acc: Access):
-        self.acc = acc
-        self.at = {p.tile: q for q, p in board.patches.items()}
-        self.one_component = acc.comp is not None and all(
-            x in acc.comp for x in board.ancilla_touch("X"))
-        anc = board.ancilla
-        self.ancilla_tiles = (frozenset(o for _, o in _edges(anc))
-                              if anc else _NONE)
-        self._cut = None
-
-    def cut_tiles(self, nbrs: dict) -> frozenset:
-        if self._cut is None:
-            self._cut = _cut_tiles(self.acc.comp, nbrs)
-        return self._cut
-
-
 class Board:
     def __init__(self, rows: int, cols: int):
         if rows < 1 or cols < 1:
@@ -182,9 +168,9 @@ class Board:
         self.ancilla: Patch | None = None
         self.port: tuple | None = None
         self._nbrs = _neighbour_table(rows, cols)
-        self._occ: set = set()   # tiles held by a patch or the ancilla
-        self._comp = _STALE       # a_component() of the current state
-        self._kept = None         # what access_with() reads, or None
+        self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
+        self._acc = None      # access() of the current state, or None
+        self._cut = None      # tiles access_with() floods a copy for, or None
 
     # --- basic geometry ---------------------------------------------------
 
@@ -194,7 +180,7 @@ class Board:
 
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
-        return tile in self._nbrs and tile not in self._occ
+        return tile in self._nbrs and tile not in self._at
 
     def neighbors(self, tile) -> tuple:
         """In-bounds neighbours of an in-bounds tile, N, E, S, W."""
@@ -208,9 +194,9 @@ class Board:
         b.patches = dict(self.patches)
         b.ancilla = self.ancilla
         b.port = self.port
-        b._occ = set(self._occ)
-        b._comp = self._comp
-        b._kept = self._kept
+        b._at = dict(self._at)
+        b._acc = self._acc
+        b._cut = self._cut
         return b
 
     def key(self):
@@ -219,32 +205,29 @@ class Board:
 
     # --- placement --------------------------------------------------------
 
-    def _claim(self, tile):
+    def _claim(self, tile, qid: int):
         if not self.in_bounds(tile):
             raise IllegalOpError(f"tile {tile} out of bounds")
-        if tile in self._occ:
+        if tile in self._at:
             raise IllegalOpError(f"tile {tile} already occupied")
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
-        self._occ.add(tile)
-        self._comp = _STALE
-        self._kept = None
+        self._at[tile] = qid
+        self._acc = self._cut = None
 
-    def init_patch(self, qid: int, tile, orient: str, state: str = "|0>") -> None:
+    def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
         if qid in self.patches:
             raise IllegalOpError(f"patch {qid} already exists")
         if orient not in (ORIENT_H, ORIENT_V):
             raise IllegalOpError(f"bad orientation {orient!r}")
-        if state not in ("|0>", "|+>"):
-            raise IllegalOpError(f"bad init state {state!r}")
-        self._claim(tile)
+        self._claim(tile, qid)
         self.patches[qid] = Patch(tile, orient)
 
     def place_ancilla(self, tile, orient: str) -> None:
         if self.ancilla is not None:
             raise IllegalOpError("ancilla already placed")
-        self._claim(tile)
+        self._claim(tile, -1)
         self.ancilla = Patch(tile, orient)
 
     def set_port(self, tile) -> None:
@@ -253,9 +236,8 @@ class Board:
         self.port = tile
 
     def remove_patch(self, qid: int) -> None:
-        self._occ.remove(self.patches.pop(qid).tile)
-        self._comp = _STALE
-        self._kept = None
+        del self._at[self.patches.pop(qid).tile]
+        self._acc = self._cut = None
 
     # --- patch operations -------------------------------------------------
 
@@ -273,11 +255,10 @@ class Board:
         path = self._corridor(src, dest)
         if path is None:
             raise IllegalOpError(f"no free corridor from {src} to {dest}")
-        self._occ.remove(src)
-        self._occ.add(dest)
+        del self._at[src]
+        self._at[dest] = qid
         self.patches[qid] = Patch(dest, p.orient)
-        self._comp = _STALE
-        self._kept = None
+        self._acc = self._cut = None
         return frozenset(path)
 
     def _corridor(self, src, dest):
@@ -293,7 +274,7 @@ class Board:
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
         return next((t for t in self._nbrs[self.patches[qid].tile]
-                     if t not in self._occ), None)
+                     if t not in self._at), None)
 
     def rotate_patch(self, qid: int, helper=None) -> frozenset:
         """Swap the patch's X/Z boundary labels; cost 3 (three sub-slices).
@@ -309,10 +290,11 @@ class Board:
         else:
             if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
                 raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        # the strict component stands: no tile changed hands, and it asks
-        # for an edge of any type on every data patch
+        # the strict component and its cut tiles stand: no tile changed
+        # hands, and it asks for an edge of any type on every data patch
+        if self._acc is not None:
+            self._acc = self.access_with(qid, p.tile, flipped(p.orient))
         self.patches[qid] = Patch(p.tile, flipped(p.orient))
-        self._kept = None
         return frozenset([p.tile, helper])
 
     # --- edges and exposure -----------------------------------------------
@@ -348,10 +330,10 @@ class Board:
 
         The component must touch the ancilla's X-edge and Z-edge and at
         least one exposed edge of every data patch.  Should two qualify,
-        the one holding the row-major-first tile wins.  The answer is a
-        frozenset kept until the next patch mutation.
+        the one holding the row-major-first tile wins.  A stale state is
+        flooded here, and its whole access() worked out in the same pass.
         """
-        if self._comp is _STALE:
+        if self._acc is None:
             # flood from the ancilla's X-edge tiles (at most two)
             comps = []
             for x in self.ancilla_touch("X"):
@@ -360,28 +342,27 @@ class Board:
             strict = [comp for comp in comps
                       if self._on(comp, self.ancilla, "Z")
                       and all(self._on(comp, p) for p in self.patches.values())]
-            self._comp = min(strict, key=min, default=None)
-        return self._comp
+            comp = min(strict, key=min, default=None)
+            counts = {q: _count(p, comp or _NONE, self._nbrs, self._at)
+                      for q, p in self.patches.items()}
+            self._acc = Access(comp, counts,
+                               sum(c[0] > 0 for c in counts.values()),
+                               sum(c[1] > 0 for c in counts.values()),
+                               sum(c[2] for c in counts.values()))
+        return self._acc.comp
+
+    def access(self) -> Access:
+        """Routing access of the current state, kept until a tile changes
+        hands and carried through rotations."""
+        if self._acc is None:
+            self.a_component()
+        return self._acc
 
     def reaches(self, qid: int, typ: str) -> bool:
         """Whether patch qid has a typ edge on the strict component."""
-        # read the kept answer directly; a_component() works out a stale one
-        comp = self.a_component() if self._comp is _STALE else self._comp
-        return comp is not None and self._on(comp, self.patches[qid], typ)
+        return self.access().reaches(qid, typ)
 
-    # --- routing access and one-tile changes ------------------------------
-
-    def access(self) -> Access:
-        """Routing access of the current state, kept like a_component()."""
-        if self._kept is None:
-            comp = self.a_component()
-            counts = {q: _count(p, comp or _NONE, self._nbrs, self._occ)
-                      for q, p in self.patches.items()}
-            self._kept = _Kept(self, Access(
-                comp, counts, sum(c[0] > 0 for c in counts.values()),
-                sum(c[1] > 0 for c in counts.values()),
-                sum(c[2] for c in counts.values())))
-        return self._kept.acc
+    # --- one-tile changes -------------------------------------------------
 
     def access_with(self, qid: int, tile, orient: str) -> Access:
         """The access of this board with patch qid on tile in orient.
@@ -390,38 +371,39 @@ class Board:
         is qid's own, and otherwise a move to tile, which must be a free
         routing tile other than the port.  The board is left unchanged.
         The strict component loses tile and gains the freed tile if that
-        borders it, unless tile is a cut tile of the component, the
-        freed tile touches routing space outside it, or the ancilla's
-        X-edge tiles lie in two components; then a changed copy is
-        flooded.  Only the patches next to a tile that changed hands or
-        left or joined the component are counted again.
+        borders it, and only the patches next to a tile that changed
+        hands are counted again.  Where that need not hold (tile is a
+        cut tile of the component, the freed tile touches routing space
+        outside it, or the ancilla's X-edge tiles lie in two components)
+        the answer is a changed copy's own access().
         """
         base = self.access()
-        kept = self._kept
-        at, nbrs, occ, comp = kept.at, self._nbrs, self._occ, base.comp
+        at, nbrs, comp = self._at, self._nbrs, base.comp
         old = self.patches.get(qid)
         src = old.tile if old is not None else None
-        changed = {qid}
+        occ, changed = at, {qid}
         if src != tile:
+            if not self._delta_holds(src, tile):
+                trial = self.copy()
+                if old is not None:
+                    trial.remove_patch(qid)
+                trial.init_patch(qid, tile, orient)
+                return trial.access()
             freed = () if src is None else (src,)
-            occ = (occ | {tile}).difference(freed)
-            ends = (tile, *freed)
-            if self._delta_holds(src, tile):
-                if tile in comp:
-                    comp = comp - {tile}
-                if freed and any(u in comp for u in nbrs[src]):
-                    comp = comp | {src}
-                # the ancilla faced the component on both edge types, and
-                # can only have lost that through tile
-                if tile in kept.ancilla_tiles and not (
-                        self._on(comp, self.ancilla, "X")
-                        and self._on(comp, self.ancilla, "Z")):
-                    comp = None
-            else:
-                comp = self._flooded(qid, tile, orient)
-                if comp is not None:
-                    ends += tuple(comp ^ (base.comp or _NONE))
-            changed.update(at[v] for u in ends for v in nbrs[u] if v in at)
+            occ = (at.keys() | {tile}).difference(freed)
+            if tile in comp:
+                comp = comp - {tile}
+            if freed and any(u in comp for u in nbrs[src]):
+                comp = comp | {src}
+            # the ancilla faced the component on both edge types, and
+            # can only have lost that through tile
+            if tile in _outside(self.ancilla) and not (
+                    self._on(comp, self.ancilla, "X")
+                    and self._on(comp, self.ancilla, "Z")):
+                comp = None
+            changed.update(at[v] for u in (tile, *freed) for v in nbrs[u]
+                           if v in at)
+            changed.discard(-1)
         counts = dict(base.counts)
         nx, nz, density = base.nx, base.nz, base.density
         faced = True
@@ -442,19 +424,15 @@ class Board:
     def _delta_holds(self, src, tile) -> bool:
         """Whether taking tile, and freeing src unless it is None, leaves
         the kept component less tile, plus src where that borders it."""
-        kept, nbrs = self._kept, self._nbrs
-        comp = kept.acc.comp
-        return (kept.one_component and tile not in kept.cut_tiles(nbrs)
-                and (src is None or all(u == tile or u in self._occ
-                                        or u in comp for u in nbrs[src])))
-
-    def _flooded(self, qid: int, tile, orient: str):
-        """a_component() of a copy with patch qid on tile in orient."""
-        trial = self.copy()
-        if qid in trial.patches:
-            trial.remove_patch(qid)
-        trial.init_patch(qid, tile, orient)
-        return trial.a_component()
+        nbrs, comp = self._nbrs, self._acc.comp
+        if self._cut is None:
+            # with no component, or with the ancilla's X-edge tiles in two
+            # components, no tile can be taken without a flood
+            one = comp is not None and all(
+                x in comp for x in self.ancilla_touch("X"))
+            self._cut = _cut_tiles(comp, nbrs) if one else frozenset(nbrs)
+        return tile not in self._cut and (src is None or all(
+            u == tile or u in self._at or u in comp for u in nbrs[src]))
 
 
 # --- bus routing ----------------------------------------------------------
@@ -515,7 +493,7 @@ def _bfs_from(board: Board, sources, targets=()):
     every tile as near as that target has its final dist and prev, so
     the nearest targets and their paths are those of a full flood.
     """
-    nbrs, occ = board._nbrs, board._occ
+    nbrs, occ = board._nbrs, board._at
     dist = {}
     prev = {}
     queue = deque()

@@ -14,6 +14,8 @@ is the full reference.
 
 from __future__ import annotations
 
+import math
+
 from .board import Access, Board, ORIENT_H, ORIENT_V, builtin_layout, flipped
 
 
@@ -89,6 +91,8 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
     layout score, ties broken toward denser boards then row-major order
     with "h" first.
     """
+    if not math.isfinite(alpha_e):
+        raise ValueError(f"alpha_e must be finite, got {alpha_e}")
     if rows < 2 or cols < 2:
         raise LayoutDesignError("board too small to design on")
     board = Board(rows, cols)
@@ -110,9 +114,9 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
     return board
 
 
-def standard_tile_budget(n: int, fraction: float = 0.85) -> int:
-    ref = builtin_layout("standard", n)
-    return int(ref.tile_count() * fraction)
+def standard_tile_budget(n: int) -> int:
+    """85% of the tiles of the standard board for n qubits."""
+    return int(builtin_layout("standard", n).tile_count() * 0.85)
 
 
 def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = 0.2

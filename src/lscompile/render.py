@@ -21,7 +21,7 @@ def _text(x, y, s, size=12, fill="#111"):
             f'text-anchor="middle" font-family="monospace">{s}</text>')
 
 
-def svg_board(board: Board, highlight=frozenset()) -> str:
+def svg_board(board: Board) -> str:
     """Board drawing: patches labeled, X-edges red, Z-edges blue."""
     w = board.cols * _TILE + 2 * _PAD
     h = board.rows * _TILE + 2 * _PAD
@@ -31,11 +31,7 @@ def svg_board(board: Board, highlight=frozenset()) -> str:
         for c in range(board.cols):
             x, y = _PAD + c * _TILE, _PAD + r * _TILE
             tile = (r, c)
-            fill = "#f4f4f4"
-            if tile in highlight:
-                fill = "#ffe680"
-            elif tile == board.port:
-                fill = "#f0c040"
+            fill = "#f0c040" if tile == board.port else "#f4f4f4"
             parts.append(_rect(x, y, _TILE, _TILE, fill))
             if tile == board.port:
                 parts.append(_text(x + _TILE / 2, y + _TILE / 2 + 4, "M"))

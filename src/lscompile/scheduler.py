@@ -284,8 +284,7 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
 
 
 def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
-                   meta: dict | None = None, max_actions: int = 100000
-                   ) -> Schedule:
+                   meta: dict | None = None) -> Schedule:
     board = board.copy()
     if qmap is None:
         qmap = {q: q for q in range(program.n)}
@@ -304,7 +303,7 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
         return start
 
     instrs: list[Instruction] = []
-    actions = 0
+    actions = 0   # since the last measurement
     failed: set = set()  # a route that failed waits for a move or rotation
     while dag:
         ran = True
@@ -324,6 +323,7 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
                     "measure", start, OP_COSTS["measure"], tiles, patches,
                     format_op(op), op_index=nid, bus=bus))
                 dag.pop_node(nid)
+                actions = 0
                 ran = True
                 break
         if not dag:
@@ -351,9 +351,13 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
             instrs.append(Instruction(
                 "rotate", start, OP_COSTS["rotate"], fp, frozenset({pid}),
                 f"rotate P{pid} at {tile}", helper=arg))
+        # each action strictly raises the pending operator's enabled
+        # count, which cannot pass its weight
         actions += 1
-        if actions > max_actions:
-            raise ScheduleError("scheduler exceeded its action budget")
+        if actions > pending.word.weight():
+            raise ScheduleError(
+                f"{actions} actions without a measurement for "
+                f"{format_op(pending)}, more than its weight allows")
 
     total = max((i.end for i in instrs), default=0)
     return Schedule(program.n, "loose", initial_layout, instrs, total,

@@ -142,8 +142,7 @@ def choose_bipartition(y_indices, node_id: int, program: PbcProgram,
     return tuple(sorted(best)), tuple(sorted(yset - best))
 
 
-def y_synthesize(program: PbcProgram, access=None, dag: PDag | None = None
-                 ) -> PbcProgram:
+def y_synthesize(program: PbcProgram, access=None) -> PbcProgram:
     """Decompose Y-bearing operators blocked by the access map, then merge.
 
     An operator is rewritten when any of its Y qubits lacks Y access; all
@@ -151,8 +150,7 @@ def y_synthesize(program: PbcProgram, access=None, dag: PDag | None = None
     even counts an odd/odd bipartition chosen against the dependency
     neighborhood.  A merge pass afterwards cancels adjacent conjugators.
     """
-    if dag is None:
-        dag = build_pdag(program)
+    dag = build_pdag(program)
     out = []
     emitted: dict[int, list] = {}
     for idx, op in enumerate(program.ops):

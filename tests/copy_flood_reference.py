@@ -1,8 +1,10 @@
 """Layout search and action picking as they were before one-tile deltas.
 
 Every candidate is scored on a copy of the board, changed and flooded
-afresh: no kept access is read.  The tests hold `design_layout`,
-`relocate_pass` and `scheduler._pick_action` equal to these.
+afresh, and a patch reaches the component when a tile across one of
+its edges lies in it: no kept access or count is read.  The tests hold
+`design_layout`, `relocate_pass` and `scheduler._pick_action` equal to
+these.
 """
 
 from lscompile.board import (
@@ -16,10 +18,16 @@ from lscompile.layout_search import LayoutDesignError, _density, layout_score
 from lscompile.scheduler import _REQUIRED, _candidate_actions
 
 
+def reaches(board, qid, typ):
+    comp = board.a_component()
+    return comp is not None and any(
+        t in comp for t in board.touch_tiles(qid, typ))
+
+
 def enabled_count(board, qmap, op):
     if board.a_component() is None:
         return -1
-    return sum(all(board.reaches(qmap[q], t)
+    return sum(all(reaches(board, qmap[q], t)
                    for t in _REQUIRED[op.word.letter(q)])
                for q in op.word.support())
 

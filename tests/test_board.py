@@ -181,8 +181,8 @@ class TestRoutingComponents:
         assert b.a_component() is None
 
 
-def _fresh_component(board):
-    return parse_layout(format_layout(board)).a_component()
+def _fresh_access(board):
+    return parse_layout(format_layout(board)).access()
 
 
 def _mutate(data, b, kinds=("init", "remove", "move", "rotate")):
@@ -212,8 +212,9 @@ class TestKeptComponent:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_component_is_never_stale(self, data):
-        """The kept component matches a fresh board after every mutation,
-        and mutating one copy leaves every other board's answer alone."""
+        """The kept access (component, counts, nx, nz and density) matches
+        a fresh board after every mutation, rotations included, and
+        mutating one copy leaves every other board's answer alone."""
         style = data.draw(st.sampled_from(["compact", "standard", "sparse",
                                            "irregular"]))
         if style == "irregular":
@@ -227,15 +228,29 @@ class TestKeptComponent:
                 i = len(boards) - 1
             if data.draw(st.booleans()):
                 boards[i].a_component()
-            before = [_fresh_component(o) for o in boards]
+            before = [_fresh_access(o) for o in boards]
             try:
                 _mutate(data, boards[i])
             except IllegalOpError:
                 pass
             for j, o in enumerate(boards):
                 if j != i:
-                    assert o.a_component() == before[j]
-                assert o.a_component() == _fresh_component(o)
+                    assert o.access() == before[j]
+                assert o.access() == _fresh_access(o)
+
+    def test_rotation_carries_the_access_without_a_flood(self, monkeypatch):
+        board = builtin_layout("standard", 4)
+        board.access()
+        floods = []
+        real = Board.a_component
+        monkeypatch.setattr(Board, "a_component",
+                            lambda b: floods.append(b) or real(b))
+        board.rotate_patch(0)
+        acc = board.access()
+        assert floods == []
+        # (1, 1) turns from two X edges and one Z edge on routing space
+        # to one X edge and two Z edges
+        assert acc.counts[0] == (1, 2, 3) and acc == _fresh_access(board)
 
 
 def _check_access_with(board, qid, tile, orient):
@@ -258,7 +273,7 @@ def _check_access_with(board, qid, tile, orient):
     pids = sorted(trial.patches)
     for q in pids:
         for typ in ("X", "Z"):
-            assert acc.reaches(q, typ) == fresh.reaches(q, typ)
+            assert acc.reaches(q, typ) == ref.reaches(fresh, q, typ)
     qmap = dict(enumerate(pids))
     for letter in "XZY":
         op = rotation(PauliWord.from_letters(len(pids), dict.fromkeys(

@@ -177,8 +177,11 @@ def test_verify_accepts_ten_qubit_circuit(tmp_path, capsys):
     ["compile", "ok.pbc", "--board", "2x2"],
     ["compare", "ok.pbc", "--run", "only-name"],
     ["verify", "wide.qasm"],
+    ["layout", "--qubits", "4", "--board", "auto", "--alpha-e", "nan"],
+    ["layout", "--qubits", "4", "--board", "auto", "--alpha-e=-inf"],
 ], ids=["bad-spec", "few-patches", "missing-file", "bad-distance",
-        "no-design", "bad-run-spec", "verify-too-wide"])
+        "no-design", "bad-run-spec", "verify-too-wide", "nan-alpha-e",
+        "infinite-alpha-e"])
 def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
                                                 capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -164,6 +164,21 @@ class TestLooseScheduler:
         with pytest.raises(ScheduleError):
             schedule_loose(parse_pbc("M ZZZ", 3), b)
 
+    def test_actions_without_a_measurement_stop_past_the_weight(
+            self, monkeypatch):
+        # a picker that rotates patch 0 for ever, on a bus that never
+        # routes: each real action raises the enabled count, so more
+        # actions than the operator's weight name a scoring fault
+        calls = []
+        monkeypatch.setattr(scheduler, "_try_bus", lambda *args: None)
+        monkeypatch.setattr(
+            scheduler, "_pick_action", lambda board, qmap, op: calls.append(
+                op) or ("rotate", 0, board.rotation_helper(0)))
+        prog = PbcProgram(2, (rotation(W("XZ"), 1),))
+        with pytest.raises(ScheduleError, match="pi/8 XZ"):
+            schedule_loose(prog, builtin_layout("standard", 2))
+        assert len(calls) == 3
+
     def test_ancilla_sharing_serializes_products(self):
         # every product operator borrows the ancilla, so two otherwise
         # disjoint measurements can never share a slice
