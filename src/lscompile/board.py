@@ -6,7 +6,10 @@ N/S, "v" the opposite.  The ancilla patch sits at a fixed tile with the
 same orientation rule.  A designated routing tile acts as the magic-state
 port.  Connectivity is judged strictly: the board is connected when one
 single routing component touches an exposed edge of every data patch and
-both typed edges of the ancilla.
+both typed edges of the ancilla.  Edge queries name the ancilla by patch
+id -1, the id its tile and its instructions carry, so data patches have
+non-negative ids.  `LETTER_EDGES` is the one statement of which edge
+types a Pauli letter needs.
 
 Each board state keeps one derived record, its routing access: the
 strict component and which patch edges face it, worked out in one flood
@@ -21,6 +24,7 @@ from a table keyed by the immutable patch.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import cache
 from typing import NamedTuple
@@ -46,6 +50,10 @@ class NoPathError(RuntimeError):
 
 class LayoutParseError(ValueError):
     """Malformed layout text."""
+
+
+# edge types a Pauli letter must reach; Y needs both at once
+LETTER_EDGES = {"X": ("X",), "Z": ("Z",), "Y": ("X", "Z")}
 
 
 def edge_type(orient: str, direction: str) -> str:
@@ -95,7 +103,7 @@ class Access(NamedTuple):
     density: int
 
     def reaches(self, qid: int, typ: str) -> bool:
-        """Board.reaches(qid, typ) of the state."""
+        """Whether patch qid has a typ edge on the strict component."""
         return self.comp is not None and self.counts[qid][typ == "Z"] > 0
 
 
@@ -217,6 +225,8 @@ class Board:
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
+        if qid < 0:
+            raise IllegalOpError(f"patch id must be non-negative, got {qid}")
         if qid in self.patches:
             raise IllegalOpError(f"patch {qid} already exists")
         if orient not in (ORIENT_H, ORIENT_V):
@@ -276,20 +286,16 @@ class Board:
         return next((t for t in self._nbrs[self.patches[qid].tile]
                      if t not in self._at), None)
 
-    def rotate_patch(self, qid: int, helper=None) -> frozenset:
+    def rotate_patch(self, qid: int, helper) -> frozenset:
         """Swap the patch's X/Z boundary labels; cost 3 (three sub-slices).
 
-        Needs one adjacent free routing tile which is occupied for the
-        whole operation.  Returns the footprint {patch tile, helper tile}.
+        Needs helper, an adjacent free routing tile such as
+        rotation_helper(qid), which is occupied for the whole operation.
+        Returns the footprint {patch tile, helper tile}.
         """
         p = self.patches[qid]
-        if helper is None:
-            helper = self.rotation_helper(qid)
-            if helper is None:
-                raise IllegalOpError(f"no free routing tile adjacent to patch {qid}")
-        else:
-            if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
-                raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
+        if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
+            raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
         # the strict component and its cut tiles stand: no tile changed
         # hands, and it asks for an edge of any type on every data patch
         if self._acc is not None:
@@ -299,24 +305,19 @@ class Board:
 
     # --- edges and exposure -----------------------------------------------
 
-    def _touch(self, patch: Patch, typ: str | None = None) -> list:
-        """Routing tiles across the patch's edges of type typ (any if None)."""
-        # a single tile's four outside tiles are distinct
-        return sorted(out for t, out in _edges(patch)
-                      if (typ is None or t == typ) and self.is_routing(out))
-
     def touch_tiles(self, qid: int, typ: str | None = None) -> list:
-        """Routing tiles across the patch's edges of type typ (any if None)."""
-        return self._touch(self.patches[qid], typ)
+        """Routing tiles across the edges of type typ (any if None) of
+        patch qid, or of the ancilla for -1 ([] when there is none)."""
+        p = self.ancilla if qid == -1 else self.patches[qid]
+        if p is None:
+            return []
+        # a single tile's four outside tiles are distinct
+        return sorted(out for t, out in _edges(p)
+                      if (typ is None or t == typ) and self.is_routing(out))
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
         return {t for t, out in _edges(p) if self.is_routing(out)}
-
-    def ancilla_touch(self, typ: str) -> list:
-        if self.ancilla is None:
-            return []
-        return self._touch(self.ancilla, typ)
 
     # --- connectivity -----------------------------------------------------
 
@@ -336,7 +337,7 @@ class Board:
         if self._acc is None:
             # flood from the ancilla's X-edge tiles (at most two)
             comps = []
-            for x in self.ancilla_touch("X"):
+            for x in self.touch_tiles(-1, "X"):
                 if not any(x in comp for comp in comps):
                     comps.append(frozenset(_bfs_from(self, [x])[0]))
             strict = [comp for comp in comps
@@ -357,10 +358,6 @@ class Board:
         if self._acc is None:
             self.a_component()
         return self._acc
-
-    def reaches(self, qid: int, typ: str) -> bool:
-        """Whether patch qid has a typ edge on the strict component."""
-        return self.access().reaches(qid, typ)
 
     # --- one-tile changes -------------------------------------------------
 
@@ -429,7 +426,7 @@ class Board:
             # with no component, or with the ancilla's X-edge tiles in two
             # components, no tile can be taken without a flood
             one = comp is not None and all(
-                x in comp for x in self.ancilla_touch("X"))
+                x in comp for x in self.touch_tiles(-1, "X"))
             self._cut = _cut_tiles(comp, nbrs) if one else frozenset(nbrs)
         return tile not in self._cut and (src is None or all(
             u == tile or u in self._at or u in comp for u in nbrs[src]))
@@ -445,15 +442,11 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
     zero cost, a standard Steiner-tree heuristic.  Deterministic.
     """
     terminals = []
-    for qid, typ in required:
+    for qid, typ in [*required, (-1, "X"), (-1, "Z")]:
         opts = board.touch_tiles(qid, typ)
         if not opts:
-            raise NoPathError(f"patch {qid} has no exposed {typ}-edge")
-        terminals.append(opts)
-    for typ in ("X", "Z"):
-        opts = board.ancilla_touch(typ)
-        if not opts:
-            raise NoPathError(f"ancilla has no exposed {typ}-edge")
+            name = "ancilla" if qid == -1 else f"patch {qid}"
+            raise NoPathError(f"{name} has no exposed {typ}-edge")
         terminals.append(opts)
     if include_port:
         if board.port is None:
@@ -627,6 +620,10 @@ def format_layout(board: Board) -> str:
     return "\n".join(" ".join(row) for row in cells) + "\n"
 
 
+# the id as format_layout prints it: plain decimal, no sign or leading zero
+_PATCH_TOKEN = re.compile(r"Q(0|[1-9][0-9]*)([hv])")
+
+
 def parse_layout(text: str) -> Board:
     """Inverse of format_layout; malformed text raises LayoutParseError,
     or IllegalOpError for a tile the board rules forbid."""
@@ -655,17 +652,14 @@ def parse_layout(text: str) -> Board:
                 anc_tiles.append((r, c))
                 anc_orient = tok[1:]
             elif tok.startswith("Q"):
-                body = tok[1:]
-                if len(body) < 2 or body[-1] not in (ORIENT_H, ORIENT_V):
+                m = _PATCH_TOKEN.fullmatch(tok)
+                if m is None:
                     raise LayoutParseError(f"bad patch token {tok!r}")
-                try:
-                    q = int(body[:-1])
-                except ValueError:
-                    raise LayoutParseError(f"bad patch token {tok!r}") from None
+                q, orient = int(m[1]), m[2]
                 patch_tiles.setdefault(q, []).append((r, c))
-                if patch_orient.get(q, body[-1]) != body[-1]:
+                if patch_orient.get(q, orient) != orient:
                     raise LayoutParseError(f"patch {q} has mixed orientations")
-                patch_orient[q] = body[-1]
+                patch_orient[q] = orient
             else:
                 raise LayoutParseError(f"unknown tile token {tok!r}")
     if anc_tiles:

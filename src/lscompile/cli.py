@@ -164,7 +164,7 @@ def cmd_compare(args) -> int:
     rows = []
     for spec in args.run:
         parts = spec.split(":")
-        if len(parts) < 3:
+        if not 3 <= len(parts) <= 5:
             raise ValueError(f"bad --run spec {spec!r} "
                              "(NAME:SCHEDULER:LAYOUT[:MAPPING[:YSYNTH]])")
         name, sched, layout = parts[0], parts[1], parts[2]

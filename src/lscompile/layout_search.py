@@ -25,11 +25,10 @@ class LayoutDesignError(RuntimeError):
 
 def layout_score(board: Board, alpha_e: float = 0.2) -> float:
     """Access score gated by connectivity; disconnected boards score 0."""
-    if board.a_component() is None:
+    acc = board.access()
+    if acc.comp is None:
         return 0.0
-    nx = sum(board.reaches(q, "X") for q in board.patches)
-    nz = sum(board.reaches(q, "Z") for q in board.patches)
-    return nx + nz - alpha_e * _density(board)
+    return acc.nx + acc.nz - alpha_e * _density(board)
 
 
 def _density(board: Board) -> int:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from .scheduler import Schedule
 
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
+PHYSICAL_RATE = 1e-3   # p of the scaling proxy
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,15 @@ class Calibration:
                            **rates)
 
 
-def proxy_tile_round_rate(distance: int, physical_rate: float = 1e-3) -> float:
+def proxy_tile_round_rate(distance: int) -> float:
     """Per-tile, per-round logical rate from the scaling proxy."""
-    return 0.1 * (physical_rate / 0.01) ** ((distance + 1) / 2)
+    return 0.1 * (PHYSICAL_RATE / 0.01) ** ((distance + 1) / 2)
 
 
-def default_calibration(distance: int = 9, physical_rate: float = 1e-3
-                        ) -> Calibration:
+def default_calibration(distance: int = 9) -> Calibration:
     if distance not in SUPPORTED_DISTANCES:
         raise ValueError(f"distance must be one of {SUPPORTED_DISTANCES}")
-    per_clock = distance * proxy_tile_round_rate(distance, physical_rate)
+    per_clock = distance * proxy_tile_round_rate(distance)
     return Calibration(
         distance=distance,
         ppm_per_bus_tile=per_clock,

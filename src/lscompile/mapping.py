@@ -10,7 +10,7 @@ reach without a patch rotation.
 
 from __future__ import annotations
 
-from .board import Board
+from .board import LETTER_EDGES, Board
 from .pdag import PDag, rotation_demand
 
 MAPPING_STRATEGIES = ("identity", "ea", "greedy")
@@ -46,9 +46,6 @@ def identity_mapping(board: Board, n: int) -> dict:
 def ea_mapping(board: Board, dag: PDag) -> dict:
     """Rank qubits by rotation demand, patches by exposure richness."""
     n = dag.n
-    if len(board.patches) < n:
-        raise MappingError(
-            f"board has {len(board.patches)} patches for {n} qubits")
     demand = rotation_demand(dag)
     qubits = sorted(range(n), key=lambda q: (-demand[q], q))
     patches = sorted(board.patches,
@@ -60,9 +57,6 @@ def ea_mapping(board: Board, dag: PDag) -> dict:
 def greedy_mapping(board: Board, dag: PDag) -> dict:
     """Place frequently interacting qubits on mutually close patches."""
     n = dag.n
-    if len(board.patches) < n:
-        raise MappingError(
-            f"board has {len(board.patches)} patches for {n} qubits")
     weight: dict[tuple, int] = {}
     freq = {q: 0 for q in range(n)}
     for node in dag.nodes.values():
@@ -99,6 +93,9 @@ def greedy_mapping(board: Board, dag: PDag) -> dict:
 
 
 def build_mapping(strategy: str, board: Board, dag: PDag) -> dict:
+    if len(board.patches) < dag.n:
+        raise MappingError(
+            f"board has {len(board.patches)} patches for {dag.n} qubits")
     if strategy == "identity":
         return identity_mapping(board, dag.n)
     if strategy == "ea":
@@ -111,15 +108,12 @@ def build_mapping(strategy: str, board: Board, dag: PDag) -> dict:
 def access_map(board: Board, qmap: dict) -> dict:
     """Letters each program qubit reaches without rotating its patch.
 
-    A patch exposing only Z-edges grants {"Z"}, only X grants {"X"}, and
-    both grant {"X", "Y", "Z"} since a Y operator needs one edge of each
-    type at once.
+    A letter is granted when the patch exposes every edge type
+    LETTER_EDGES asks of it.
     """
     out = {}
     for q, pid in qmap.items():
         types = board.exposed_types(pid)
-        letters = set(types)
-        if "X" in types and "Z" in types:
-            letters.add("Y")
-        out[q] = letters
+        out[q] = {letter for letter, need in LETTER_EDGES.items()
+                  if types.issuperset(need)}
     return out

@@ -69,7 +69,7 @@ def _reversed_mask(mask: int, n: int) -> int:
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
-def _apply_word(word: PauliWord, s: np.ndarray, scale: complex = 1):
+def _apply_word(word: PauliWord, s: np.ndarray, scale: complex):
     """scale * W s along axis 0, for W = i^popcount(x & z) X^x Z^z.
 
     Entry j of the result is entry j ^ x of s times the sign
@@ -155,15 +155,15 @@ class _Branches:
         self.probs = np.ones(1)
         self.outcomes = [()]
 
-    def measure(self, word: PauliWord, sign: int, tol: float) -> None:
+    def measure(self, word: PauliWord, sign: int) -> None:
         """Split every branch by (s + r sign W s) / 2 for r = +1, -1,
-        keeping the parts with probability above tol."""
+        keeping the parts with probability above 1e-12."""
         s = self.states
         ws = _apply_word(word, s, sign)
         halves = np.stack([s + ws, s - ws], axis=2).reshape(len(s), -1)
         halves *= 0.5
         p = np.einsum("ij,ij->j", halves.conj(), halves).real
-        keep = np.flatnonzero(p > tol)
+        keep = np.flatnonzero(p > 1e-12)
         self.states = halves[:, keep] / np.sqrt(p[keep])
         self.probs = self.probs[keep // 2] * p[keep]
         self.outcomes = [self.outcomes[k // 2] + ((1, -1)[k % 2],)
@@ -173,7 +173,7 @@ class _Branches:
         return dict(zip(self.outcomes, self.probs.tolist()))
 
 
-def outcome_distribution(program: PbcProgram, tol: float = 1e-12) -> dict:
+def outcome_distribution(program: PbcProgram) -> dict:
     """Joint outcome distribution on |0...0>, keyed by +/-1 tuples."""
     _check_n(program.n)
     b = _Branches(program.n)
@@ -181,11 +181,11 @@ def outcome_distribution(program: PbcProgram, tol: float = 1e-12) -> dict:
         if op.kind == ROTATION:
             b.states = _rotate(op, b.states)
         else:
-            b.measure(op.word, op.sign, tol)
+            b.measure(op.word, op.sign)
     return b.distribution()
 
 
-def circuit_distribution(circuit: GateCircuit, tol: float = 1e-12) -> dict:
+def circuit_distribution(circuit: GateCircuit) -> dict:
     """Direct circuit simulation; appends all-qubit Z measurements when the
     circuit has none, matching the transpiler default."""
     _check_n(circuit.n)
@@ -195,7 +195,7 @@ def circuit_distribution(circuit: GateCircuit, tol: float = 1e-12) -> dict:
         events += [Gate("measure", (q,)) for q in range(circuit.n)]
     for g in events:
         if g.name == "measure":
-            b.measure(PauliWord(circuit.n, 0, 1 << g.qubits[0]), 1, tol)
+            b.measure(PauliWord(circuit.n, 0, 1 << g.qubits[0]), 1)
         else:
             b.states = _apply_gate(g, circuit.n, b.states)
     return b.distribution()

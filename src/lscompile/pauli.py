@@ -43,6 +43,13 @@ def _popcount(v: int) -> int:
     return v.bit_count()
 
 
+def set_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 @dataclass(frozen=True)
 class PauliWord:
     """Signless n-qubit Pauli word as (x, z) bit masks; bit q = qubit q."""
@@ -92,8 +99,7 @@ class PauliWord:
         return "".join(self.letter(q) for q in range(self.n))
 
     def support(self) -> tuple:
-        m = self.x | self.z
-        return tuple(q for q in range(self.n) if (m >> q) & 1)
+        return tuple(set_bits(self.x | self.z))
 
     def weight(self) -> int:
         return _popcount(self.x | self.z)

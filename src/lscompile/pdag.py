@@ -51,9 +51,6 @@ class PDag:
         """Remove a specific frontier node."""
         if nid not in self._ready:
             raise ValueError(f"node {nid} is not executable")
-        return self._remove(nid)
-
-    def _remove(self, nid: int) -> PDagNode:
         self._ready.remove(nid)
         node = self.nodes.pop(nid)
         del self._indeg[nid]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .board import Board, builtin_layout
 from .layout_search import auto_design, design_layout
 from .mapping import MappingError, access_map, build_mapping
-from .pauli import ROTATION, rotation
+from .pauli import rotation
 from .pdag import build_pdag
 from .scheduler import SCHEDULERS, Schedule, validate_schedule
 from .transpiler import GateCircuit, PbcProgram, transpile
@@ -37,7 +37,7 @@ def insert_corrections(program: PbcProgram, policy: str = "always",
     out = []
     for op in program.ops:
         out.append(op)
-        if op.kind == ROTATION and op.angle_num % 2 == 1:
+        if op.is_eighth():
             if policy == "always" or rng.random() < 0.5:
                 out.append(rotation(op.word, 2))
     return PbcProgram(program.n, tuple(out))
@@ -86,6 +86,8 @@ def make_board(spec, n: int, alpha_e: float = 0.2,
 def compile_program(source, opts: CompileOptions | None = None
                     ) -> CompileResult:
     opts = opts or CompileOptions()
+    if opts.scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {opts.scheduler!r}")
     if isinstance(source, GateCircuit):
         program = transpile(source)
     elif isinstance(source, PbcProgram):
@@ -105,8 +107,6 @@ def compile_program(source, opts: CompileOptions | None = None
         "mapping": opts.mapping,
         "y_strategy": opts.y_strategy,
     }
-    if opts.scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {opts.scheduler!r}")
     schedule = SCHEDULERS[opts.scheduler](corrected, board, qmap, meta=meta)
     validate_schedule(schedule)
     return CompileResult(program, synthesized, corrected, board, qmap,

@@ -11,13 +11,13 @@ _PAD = 10
 _KIND_COLOR = {"measure": "#4477aa", "rotate": "#ee6677", "move": "#ccbb44"}
 
 
-def _rect(x, y, w, h, fill, extra=""):
+def _rect(x, y, w, h, fill):
     return (f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
-            f'fill="{fill}" stroke="#333" {extra}/>')
+            f'fill="{fill}" stroke="#333" />')
 
 
-def _text(x, y, s, size=12, fill="#111"):
-    return (f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}" '
+def _text(x, y, s, size=12):
+    return (f'<text x="{x}" y="{y}" font-size="{size}" fill="#111" '
             f'text-anchor="middle" font-family="monospace">{s}</text>')
 
 

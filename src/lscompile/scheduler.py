@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .board import (
+    LETTER_EDGES,
     Access,
     Board,
     NoPathError,
@@ -51,15 +52,11 @@ class ScheduleError(RuntimeError):
     pass
 
 
-# edge types a Pauli letter must reach; Y needs both at once
-_REQUIRED = {"X": ("X",), "Z": ("Z",), "Y": ("X", "Z")}
-
-
 def required_edges(op: PauliOp, qmap: dict) -> list:
     """(patch id, edge type) terminals in qubit order, Y giving X then Z."""
     out = []
     for q in op.word.support():
-        for t in _REQUIRED[op.word.letter(q)]:
+        for t in LETTER_EDGES[op.word.letter(q)]:
             out.append((qmap[q], t))
     return out
 
@@ -212,7 +209,7 @@ def enabled_count(acc: Access, qmap: dict, op: PauliOp) -> int:
     if acc.comp is None:
         return -1
     return sum(all(acc.reaches(qmap[q], t)
-                   for t in _REQUIRED[op.word.letter(q)])
+                   for t in LETTER_EDGES[op.word.letter(q)])
                for q in op.word.support())
 
 
@@ -306,58 +303,54 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
     actions = 0   # since the last measurement
     failed: set = set()  # a route that failed waits for a move or rotation
     while dag:
-        ran = True
-        while ran and dag:
-            ran = False
-            for nid in dag.frontier():
-                if nid in failed:
-                    continue
-                op = dag.nodes[nid].op
-                bus = _try_bus(board, qmap, op)
-                if bus is None:
-                    failed.add(nid)
-                    continue
-                tiles, patches = _measure_footprint(board, qmap, op, bus)
-                start = pack(tiles, OP_COSTS["measure"])
-                instrs.append(Instruction(
-                    "measure", start, OP_COSTS["measure"], tiles, patches,
-                    format_op(op), op_index=nid, bus=bus))
-                dag.pop_node(nid)
-                actions = 0
-                ran = True
-                break
-        if not dag:
+        for nid in dag.frontier():
+            if nid in failed:
+                continue
+            op = dag.nodes[nid].op
+            bus = _try_bus(board, qmap, op)
+            if bus is None:
+                failed.add(nid)
+                continue
+            tiles, patches = _measure_footprint(board, qmap, op, bus)
+            start = pack(tiles, OP_COSTS["measure"])
+            instrs.append(Instruction(
+                "measure", start, OP_COSTS["measure"], tiles, patches,
+                format_op(op), op_index=nid, bus=bus))
+            dag.pop_node(nid)
+            actions = 0
             break
-        pending = dag.nodes[dag.frontier()[0]].op
-        action = _pick_action(board, qmap, pending)
-        if action is None:
-            raise DeadlockError(
-                format_op(pending),
-                tuple(sorted({qmap[q] for q in pending.word.support()})),
-                format_layout(board))
-        failed.clear()
-        kind, pid, arg = action
-        if kind == "move":
-            src = board.patches[pid].tile
-            fp = board.move_patch(pid, arg)
-            start = pack(fp, OP_COSTS["move"])
-            instrs.append(Instruction(
-                "move", start, OP_COSTS["move"], fp, frozenset({pid}),
-                f"move P{pid} {src}->{arg}", src=src, dst=arg))
         else:
-            tile = board.patches[pid].tile
-            fp = board.rotate_patch(pid, arg)
-            start = pack(fp, OP_COSTS["rotate"])
-            instrs.append(Instruction(
-                "rotate", start, OP_COSTS["rotate"], fp, frozenset({pid}),
-                f"rotate P{pid} at {tile}", helper=arg))
-        # each action strictly raises the pending operator's enabled
-        # count, which cannot pass its weight
-        actions += 1
-        if actions > pending.word.weight():
-            raise ScheduleError(
-                f"{actions} actions without a measurement for "
-                f"{format_op(pending)}, more than its weight allows")
+            # no frontier operator routes: act for the first one
+            pending = dag.nodes[dag.frontier()[0]].op
+            action = _pick_action(board, qmap, pending)
+            if action is None:
+                raise DeadlockError(
+                    format_op(pending),
+                    tuple(sorted({qmap[q] for q in pending.word.support()})),
+                    format_layout(board))
+            failed.clear()
+            kind, pid, arg = action
+            if kind == "move":
+                src = board.patches[pid].tile
+                fp = board.move_patch(pid, arg)
+                start = pack(fp, OP_COSTS["move"])
+                instrs.append(Instruction(
+                    "move", start, OP_COSTS["move"], fp, frozenset({pid}),
+                    f"move P{pid} {src}->{arg}", src=src, dst=arg))
+            else:
+                tile = board.patches[pid].tile
+                fp = board.rotate_patch(pid, arg)
+                start = pack(fp, OP_COSTS["rotate"])
+                instrs.append(Instruction(
+                    "rotate", start, OP_COSTS["rotate"], fp, frozenset({pid}),
+                    f"rotate P{pid} at {tile}", helper=arg))
+            # each action strictly raises the pending operator's enabled
+            # count, which cannot pass its weight
+            actions += 1
+            if actions > pending.word.weight():
+                raise ScheduleError(
+                    f"{actions} actions without a measurement for "
+                    f"{format_op(pending)}, more than its weight allows")
 
     total = max((i.end for i in instrs), default=0)
     return Schedule(program.n, "loose", initial_layout, instrs, total,
@@ -383,27 +376,25 @@ def schedule_spc(program: PbcProgram, board: Board, qmap: dict | None = None,
     clock = 0
     instrs: list[Instruction] = []
     for idx, op in enumerate(prog.ops):
-        for q in op.word.support():
-            pid = qmap[q]
-            for t in _REQUIRED[op.word.letter(q)]:
-                if board.touch_tiles(pid, t):
-                    continue
-                helper = board.rotation_helper(pid)
-                if helper is None:
-                    raise ScheduleError(
-                        f"patch {pid} has no free neighbor to rotate with")
-                tile = board.patches[pid].tile
-                fp = board.rotate_patch(pid, helper)
-                instrs.append(Instruction(
-                    "rotate", clock + 1, OP_COSTS["rotate"], fp,
-                    frozenset({pid}), f"rotate P{pid} at {tile}",
-                    helper=helper))
-                clock += OP_COSTS["rotate"]
-                if not board.touch_tiles(pid, t):
-                    raise ScheduleError(
-                        f"patch {pid} cannot expose a {t}-edge")
-        bus = bus_patches(board, required_edges(op, qmap),
-                          include_port=op.is_eighth())
+        required = required_edges(op, qmap)
+        for pid, t in required:
+            if board.touch_tiles(pid, t):
+                continue
+            helper = board.rotation_helper(pid)
+            if helper is None:
+                raise ScheduleError(
+                    f"patch {pid} has no free neighbor to rotate with")
+            tile = board.patches[pid].tile
+            fp = board.rotate_patch(pid, helper)
+            instrs.append(Instruction(
+                "rotate", clock + 1, OP_COSTS["rotate"], fp,
+                frozenset({pid}), f"rotate P{pid} at {tile}",
+                helper=helper))
+            clock += OP_COSTS["rotate"]
+            if not board.touch_tiles(pid, t):
+                raise ScheduleError(
+                    f"patch {pid} cannot expose a {t}-edge")
+        bus = bus_patches(board, required, include_port=op.is_eighth())
         tiles, patches = _measure_footprint(board, qmap, op, bus)
         instrs.append(Instruction(
             "measure", clock + 1, OP_COSTS["measure"], tiles, patches,

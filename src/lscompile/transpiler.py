@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field
 
 from .pauli import (
-    MEASUREMENT,
     ROTATION,
     PauliOp,
     PauliParseError,
@@ -20,6 +19,7 @@ from .pauli import (
     conjugate_past,
     measurement,
     rotation,
+    set_bits,
 )
 
 SUPPORTED_GATES = ("h", "s", "sdg", "t", "tdg", "x", "y", "z", "cx", "measure")
@@ -70,15 +70,6 @@ class PbcProgram:
     n: int
     ops: list = field(default_factory=list)
 
-    def copy(self) -> "PbcProgram":
-        return PbcProgram(self.n, list(self.ops))
-
-    def rotations(self) -> list:
-        return [op for op in self.ops if op.kind == ROTATION]
-
-    def measurements(self) -> list:
-        return [op for op in self.ops if op.kind == MEASUREMENT]
-
 
 def _letter(n: int, q: int, letter: str) -> PauliWord:
     return PauliWord.from_letters(n, {q: letter})
@@ -119,13 +110,6 @@ def decompose_gate(gate: Gate, n: int) -> list:
     raise UnsupportedGateError(f"unsupported gate {name!r}")
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _through_frame(xs: list, zs: list, op: PauliOp) -> PauliOp:
     """op with its word W = i^pc(x&z) X^x Z^z replaced by the product
     i^e X^x Z^z of the frame images of its letters, X letters first, and
@@ -134,7 +118,7 @@ def _through_frame(xs: list, zs: list, op: PauliOp) -> PauliOp:
     e = (w.x & w.z).bit_count()
     x = z = 0
     for images, mask in ((xs, w.x), (zs, w.z)):
-        for q in _bits(mask):
+        for q in set_bits(mask):
             g = images[q]
             gx, gz = g.word.x, g.word.z
             e += (gx & gz).bit_count() + 1 - g.sign + 2 * (z & gx).bit_count()
@@ -167,7 +151,7 @@ def absorb_cliffords(program: PbcProgram) -> PbcProgram:
         clifford = quarter and _through_frame(xs, zs, op)
         # X_q anticommutes with P where P has Z on q, Z_q where it has X
         for images, mask in ((xs, op.word.z), (zs, op.word.x)):
-            for q in _bits(mask):
+            for q in set_bits(mask):
                 images[q] = (conjugate_past(clifford, images[q]) if quarter
                              else images[q].negated())
     return PbcProgram(n, out)

@@ -218,9 +218,6 @@ def pauli_synthesis(program: PbcProgram) -> PbcProgram:
     changed = True
     while changed:
         ops, changed = _merge_once(ops)
-        if changed:
-            ops = [op for op in ops
-                   if not (op.kind == ROTATION and op.is_trivial())]
     return PbcProgram(program.n, tuple(ops))
 
 

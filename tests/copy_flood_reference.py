@@ -8,6 +8,7 @@ these.
 """
 
 from lscompile.board import (
+    LETTER_EDGES,
     Board,
     IllegalOpError,
     OP_COSTS,
@@ -15,7 +16,7 @@ from lscompile.board import (
     ORIENT_V,
 )
 from lscompile.layout_search import LayoutDesignError, _density, layout_score
-from lscompile.scheduler import _REQUIRED, _candidate_actions
+from lscompile.scheduler import _candidate_actions
 
 
 def reaches(board, qid, typ):
@@ -28,7 +29,7 @@ def enabled_count(board, qmap, op):
     if board.a_component() is None:
         return -1
     return sum(all(reaches(board, qmap[q], t)
-                   for t in _REQUIRED[op.word.letter(q)])
+                   for t in LETTER_EDGES[op.word.letter(q)])
                for q in op.word.support())
 
 

@@ -71,6 +71,21 @@ class TestBoardBasics:
         with pytest.raises(IllegalOpError):
             b.init_patch(1, (2, 2), "h")
 
+    def test_negative_patch_id_is_refused(self):
+        b = Board(2, 2)
+        with pytest.raises(IllegalOpError):
+            b.init_patch(-1, (0, 0), "h")
+        assert not b.patches and b.is_routing((0, 0))
+
+    def test_ancilla_edges_are_patch_minus_one(self):
+        b = Board(3, 3)
+        assert b.touch_tiles(-1, "X") == b.touch_tiles(-1) == []
+        b.place_ancilla((1, 1), "h")
+        b.init_patch(0, (0, 1), "h")
+        assert b.touch_tiles(-1, "X") == [(2, 1)]
+        assert b.touch_tiles(-1, "Z") == [(1, 0), (1, 2)]
+        assert b.touch_tiles(-1) == [(1, 0), (1, 2), (2, 1)]
+
     def test_single_ancilla(self):
         b = Board(3, 3)
         b.place_ancilla((1, 1), "h")
@@ -168,8 +183,9 @@ class TestRoutingComponents:
         # {(0,1),(0,2),(1,2)} and {(1,0),(2,0),(2,1)} both touch the
         # ancilla's X and Z edges and an edge of both patches
         assert b.a_component() == {(0, 1), (0, 2), (1, 2)}
-        assert b.reaches(0, "Z") and not b.reaches(0, "X")
-        assert b.reaches(1, "X") and not b.reaches(1, "Z")
+        acc = b.access()
+        assert acc.reaches(0, "Z") and not acc.reaches(0, "X")
+        assert acc.reaches(1, "X") and not acc.reaches(1, "Z")
 
     def test_split_board_has_no_working_region(self):
         b = Board(3, 3)
@@ -205,7 +221,7 @@ def _mutate(data, b, kinds=("init", "remove", "move", "rotate")):
         if free:
             b.move_patch(qid, data.draw(st.sampled_from(free)))
     else:
-        b.rotate_patch(qid)
+        b.rotate_patch(qid, b.rotation_helper(qid))
 
 
 class TestKeptComponent:
@@ -245,7 +261,7 @@ class TestKeptComponent:
         real = Board.a_component
         monkeypatch.setattr(Board, "a_component",
                             lambda b: floods.append(b) or real(b))
-        board.rotate_patch(0)
+        board.rotate_patch(0, board.rotation_helper(0))
         acc = board.access()
         assert floods == []
         # (1, 1) turns from two X edges and one Z edge on routing space
@@ -473,10 +489,10 @@ class TestMoveAndRotate:
     def test_rotate_flips_orientation(self):
         b = Board(3, 3)
         b.init_patch(0, (1, 1), "h")
-        footprint = b.rotate_patch(0)
+        footprint = b.rotate_patch(0, b.rotation_helper(0))
         assert footprint == {(1, 1), (0, 1)}
         assert b.patches[0].orient == "v"
-        b.rotate_patch(0)
+        b.rotate_patch(0, b.rotation_helper(0))
         assert b.patches[0].orient == "h"
 
     def test_rotate_rejects_bad_helper(self):
@@ -667,3 +683,15 @@ class TestLayoutText:
     def test_rejects_bad_token(self):
         with pytest.raises(LayoutParseError):
             parse_layout("Q0h ??\n. .\n")
+
+    @pytest.mark.parametrize("tok", ["Q-1h", "Q+1h", "Q1_0h", "Q01h",
+                                     "Q\u0663h", "Q00v", "Q-0h", "Qh"])
+    def test_rejects_ids_format_layout_would_not_print(self, tok):
+        """Ids are plain non-negative decimals; -1 is the ancilla's."""
+        with pytest.raises(LayoutParseError):
+            parse_layout(f"{tok} . Q5h\n. . .\nAh . M\n")
+
+    def test_accepts_plain_decimal_ids(self):
+        b = parse_layout("Q10h . Q0h\n. . .\nAh . M\n")
+        assert sorted(b.patches) == [0, 10]
+        assert format_layout(b) == "Q10h . Q0h\n. . .\nAh . M\n"

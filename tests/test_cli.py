@@ -176,18 +176,21 @@ def test_verify_accepts_ten_qubit_circuit(tmp_path, capsys):
     ["estimate", "ok.pbc", "--distance", "4"],
     ["compile", "ok.pbc", "--board", "2x2"],
     ["compare", "ok.pbc", "--run", "only-name"],
+    ["compare", "ok.pbc", "--run", "a:loose:standard:ea:o3ls:junk:more"],
     ["verify", "wide.qasm"],
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e", "nan"],
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e=-inf"],
+    ["compile", "ok.pbc", "--board", "@neg.layout"],
 ], ids=["bad-spec", "few-patches", "missing-file", "bad-distance",
-        "no-design", "bad-run-spec", "verify-too-wide", "nan-alpha-e",
-        "infinite-alpha-e"])
+        "no-design", "bad-run-spec", "run-spec-too-long", "verify-too-wide",
+        "nan-alpha-e", "infinite-alpha-e", "negative-patch-id"])
 def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
                                                 capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ok.pbc").write_text("pi/8 ZZ\nM ZZ\n")
     (tmp_path / "one.layout").write_text(
         format_layout(builtin_layout("compact", 1)))
+    (tmp_path / "neg.layout").write_text("Q-1h . Q0h\n. . .\nAh . M\n")
     (tmp_path / "wide.qasm").write_text(
         QASM.replace("[2]", f"[{MAX_ORACLE_QUBITS + 1}]"))
     with pytest.raises(SystemExit) as exit_:

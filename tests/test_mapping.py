@@ -3,6 +3,7 @@
 import pytest
 
 from lscompile.board import Board, builtin_layout, irregular_demo
+from lscompile.layout_search import auto_design
 from lscompile.mapping import (
     MAPPING_STRATEGIES,
     MappingError,
@@ -106,3 +107,18 @@ def test_access_map_respects_qmap():
     acc = access_map(b, {0: 1, 1: 0})
     assert acc[0] == {"X", "Y", "Z"}
     assert acc[1] == {"X"}
+
+
+@pytest.mark.parametrize("board", [
+    *(builtin_layout(style, n) for style in ("compact", "standard", "sparse")
+      for n in (1, 4, 6, 9)),
+    irregular_demo(),
+    *(auto_design(n) for n in range(1, 9)),
+])
+def test_access_map_is_exposed_types_plus_y_if_both(board):
+    """The letters read off LETTER_EDGES are the exposed edge types, plus
+    Y where both are exposed."""
+    qmap = {i: pid for i, pid in enumerate(sorted(board.patches))}
+    for q, letters in access_map(board, qmap).items():
+        types = board.exposed_types(qmap[q])
+        assert letters == types | ({"Y"} if types == {"X", "Z"} else set())

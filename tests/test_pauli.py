@@ -45,6 +45,15 @@ class TestPauliWord:
         assert w.support() == (0, 2, 3)
         assert w.weight() == 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1))))
+    def test_support_is_a_scan_of_the_qubits(self, nxz):
+        n, x, z = nxz
+        w = PauliWord(n, x, z)
+        assert w.support() == tuple(q for q in range(n)
+                                    if (x >> q) & 1 or (z >> q) & 1)
+
     def test_identity(self):
         w = PauliWord.identity(3)
         assert w.is_identity()

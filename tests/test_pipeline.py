@@ -152,6 +152,18 @@ class TestCompileProgram:
         assert r1.schedule.total_clocks == r2.schedule.total_clocks
 
 
+def test_unknown_scheduler_is_refused_before_any_stage(monkeypatch):
+    import lscompile.pipeline as pipeline
+
+    def no_board(*args):
+        raise AssertionError("make_board ran before the scheduler check")
+
+    monkeypatch.setattr(pipeline, "make_board", no_board)
+    with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+        compile_program(bench.adder_circuit(24),
+                        CompileOptions(board="auto", scheduler="bogus"))
+
+
 def test_traced_run_lookup_sites_exist():
     # perfbench/spans.py wraps these names where their callers look them
     # up; a rename here silently breaks `perfbench/run.py --trace 1`.
