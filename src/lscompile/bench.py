@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .board import Board
+from .board import Board, Patch, build
 from .pauli import PauliWord, measurement, rotation
 from .transpiler import GateCircuit, PbcProgram
 
@@ -200,7 +200,6 @@ def spread_layout(width: int) -> Board:
     if width < 5:
         raise ValueError("sweep boards start at 5x5")
     mid = width // 2
-    board = Board(width, width)
     if width <= 6:
         spots = ((4, 4), (4, 1), (4, 3), (3, 0), (1, 4), (0, 3), (0, 1), (1, 0))
         ancilla, port = (2, 2), (3, 4)
@@ -209,11 +208,8 @@ def spread_layout(width: int) -> Board:
         cols = (0, 1 + gap, width - 2 - gap, width - 1)
         spots = tuple((row, col) for row in (0, width - 1) for col in cols)
         ancilla, port = (mid, mid), (mid - 1, 0)
-    for qid, tile in enumerate(spots):
-        board.init_patch(qid, tile, "h")
-    board.place_ancilla(ancilla, "h")
-    board.set_port(port)
-    return board
+    return build(width, width, Patch(ancilla, "h"), port,
+                 [Patch(tile, "h") for tile in spots])
 
 
 def suite() -> list:

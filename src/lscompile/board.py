@@ -9,13 +9,17 @@ single routing component touches an exposed edge of every data patch and
 both typed edges of the ancilla.  Edge queries name the ancilla by patch
 id -1, the id its tile and its instructions carry, so data patches have
 non-negative ids.  `LETTER_EDGES` is the one statement of which edge
-types a Pauli letter needs.
+types a Pauli letter needs.  A patch changes place only by a one-tile
+step onto a free neighbour other than the port, and `Board.steps` is
+the one statement of that rule; a rotation swaps its boundary labels in
+place.  Every fixed-shape board is put together by `build`.
 
 Each board state keeps one derived record, its routing access: the
-strict component and which patch edges face it, worked out in one flood
-on first use.  A tile changing hands drops it.  A rotation carries it
-forward, since swapping a patch's boundary labels leaves every tile, and
-so the component, where it was.  From the kept access, the access after
+strict component and which patch edges face it (`_count`, the one
+edge-facing test), worked out in one flood on first use.  A tile
+changing hands drops it.  A rotation carries it forward, since swapping
+a patch's boundary labels leaves every tile, and so the component,
+where it was.  From the kept access, the access after
 a one-tile change (a placement, a move or a reorientation) is worked out
 without copying the board or flooding it again.  Routing walks a
 neighbour table built once per board shape and reads each patch's edges
@@ -24,6 +28,7 @@ from a table keyed by the immutable patch.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from functools import cache
@@ -74,12 +79,6 @@ def _edges(patch: Patch) -> tuple:
     r, c = patch.tile
     return tuple((edge_type(patch.orient, d), (r + dr, c + dc))
                  for d, (dr, dc) in _DIRS)
-
-
-@cache
-def _outside(patch: Patch) -> frozenset:
-    """The tiles across the patch's four edges."""
-    return frozenset(out for _, out in _edges(patch))
 
 
 def flipped(orient: str) -> str:
@@ -251,35 +250,24 @@ class Board:
 
     # --- patch operations -------------------------------------------------
 
-    def move_patch(self, qid: int, dest) -> frozenset:
-        """Expand-and-shrink composite along a free corridor; cost 1.
+    def steps(self, qid: int) -> list:
+        """Tiles patch qid may step onto: free neighbours but the port."""
+        return [t for t in self._nbrs[self.patches[qid].tile]
+                if t not in self._at and t != self.port]
 
-        Returns the swept tile set (source, corridor, destination).
+    def move_patch(self, qid: int, dest) -> frozenset:
+        """Step patch qid onto dest, one of steps(qid); cost 1.
+
+        Returns the swept tile set {source, dest}.
         """
         p = self.patches[qid]
-        src = p.tile
-        if dest == self.port:
-            raise IllegalOpError("magic port tile must stay routing")
-        if not self.is_routing(dest):
-            raise IllegalOpError(f"move destination {dest} not free routing")
-        path = self._corridor(src, dest)
-        if path is None:
-            raise IllegalOpError(f"no free corridor from {src} to {dest}")
-        del self._at[src]
+        if dest not in self.steps(qid):
+            raise IllegalOpError(f"{dest} is not a free step from {p.tile}")
+        del self._at[p.tile]
         self._at[dest] = qid
         self.patches[qid] = Patch(dest, p.orient)
         self._acc = self._cut = None
-        return frozenset(path)
-
-    def _corridor(self, src, dest):
-        """Shortest routing path from dest back to src (both kept), or None."""
-        _, prev = _bfs_from(self, [src], (dest,))
-        if dest not in prev:
-            return None
-        path = [dest]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        return path
+        return frozenset((p.tile, dest))
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
@@ -321,11 +309,6 @@ class Board:
 
     # --- connectivity -----------------------------------------------------
 
-    def _on(self, comp, patch: Patch, typ: str | None = None) -> bool:
-        """Whether an edge of the patch of type typ (any if None) faces comp."""
-        return any(out in comp for t, out in _edges(patch)
-                   if typ is None or t == typ)
-
     def a_component(self):
         """The single routing component realizing strict connectivity, or None.
 
@@ -340,12 +323,16 @@ class Board:
             for x in self.touch_tiles(-1, "X"):
                 if not any(x in comp for comp in comps):
                     comps.append(frozenset(_bfs_from(self, [x])[0]))
-            strict = [comp for comp in comps
-                      if self._on(comp, self.ancilla, "Z")
-                      and all(self._on(comp, p) for p in self.patches.values())]
-            comp = min(strict, key=min, default=None)
-            counts = {q: _count(p, comp or _NONE, self._nbrs, self._at)
-                      for q, p in self.patches.items()}
+            # the first, in min order, that also faces the ancilla's Z
+            # edge and an edge of every patch; its counts are the access
+            nbrs, at = self._nbrs, self._at
+            for comp in [*sorted(comps, key=min), None]:
+                counts = {q: _count(p, comp or _NONE, nbrs, at)
+                          for q, p in self.patches.items()}
+                if comp is None or (
+                        _count(self.ancilla, comp, nbrs, at)[1]
+                        and all(c[0] + c[1] for c in counts.values())):
+                    break
             self._acc = Access(comp, counts,
                                sum(c[0] > 0 for c in counts.values()),
                                sum(c[1] > 0 for c in counts.values()),
@@ -394,9 +381,8 @@ class Board:
                 comp = comp | {src}
             # the ancilla faced the component on both edge types, and
             # can only have lost that through tile
-            if tile in _outside(self.ancilla) and not (
-                    self._on(comp, self.ancilla, "X")
-                    and self._on(comp, self.ancilla, "Z")):
+            if tile in nbrs[self.ancilla.tile] and 0 in _count(
+                    self.ancilla, comp, nbrs, occ)[:2]:
                 comp = None
             changed.update(at[v] for u in (tile, *freed) for v in nbrs[u]
                            if v in at)
@@ -507,7 +493,18 @@ def _bfs_from(board: Board, sources, targets=()):
     return dist, prev
 
 
-# --- builtin layouts ------------------------------------------------------
+# --- fixed-shape boards ---------------------------------------------------
+
+def build(rows: int, cols: int, ancilla: Patch, port, patches) -> Board:
+    """A rows x cols board with the ancilla, then patches 0, 1, ... in
+    list order, then the magic port."""
+    b = Board(rows, cols)
+    b.place_ancilla(*ancilla)
+    for q, p in enumerate(patches):
+        b.init_patch(q, *p)
+    b.set_port(port)
+    return b
+
 
 def builtin_layout(style: str, n: int) -> Board:
     if n < 1:
@@ -524,83 +521,48 @@ def builtin_layout(style: str, n: int) -> Board:
 def _compact_layout(n: int) -> Board:
     """Two data rows of adjacent patch pairs with one routing row between.
 
-    Pair p of qubits (2p, 2p+1) goes to the top row at column block 3*(p//2)
-    when p is even, else to the bottom row at block 3*((p+1)//2); the
+    Pair p of qubits (2p, 2p+1) goes to column block 3*((p+1)//2), on
+    the top row when p is even and on the bottom row when it is odd; the
     ancilla sits at (2, 2) and the magic port at (2, 0).
     """
-    cols = 3
-    spots = []
-    for q in range(n):
-        p, off = divmod(q, 2)
-        if p % 2 == 0:
-            tile = (0, 3 * (p // 2) + off)
-        else:
-            tile = (2, 3 * ((p + 1) // 2) + off)
-        spots.append(tile)
-        cols = max(cols, tile[1] + 1)
-    b = Board(3, cols)
-    b.place_ancilla((2, 2), ORIENT_H)
-    for q, tile in enumerate(spots):
-        b.init_patch(q, tile, ORIENT_H)
-    b.set_port((2, 0))
-    return b
+    spots = [(2 * (p % 2), 3 * ((p + 1) // 2) + off)
+             for p, off in (divmod(q, 2) for q in range(n))]
+    cols = max(3, *(c + 1 for _, c in spots))
+    return build(3, cols, Patch((2, 2), ORIENT_H), (2, 0),
+                 [Patch(t, ORIENT_H) for t in spots])
+
+
+def _grid(n: int) -> tuple:
+    """(k, data rows) for n patches k to a row, k = ceil(sqrt(n))."""
+    k = math.isqrt(n - 1) + 1
+    return k, -(-n // k)
 
 
 def _standard_layout(n: int) -> Board:
     """Routing border ring with packed data rows on odd rows."""
-    k = 1
-    while k * k < n:
-        k += 1
-    rows_of_data = (n + k - 1) // k
-    h = 2 * rows_of_data + 1
-    w = k + 2
-    b = Board(h, w)
-    b.place_ancilla((h - 1, 0), ORIENT_H)
-    q = 0
-    for i in range(rows_of_data):
-        for j in range(k):
-            if q >= n:
-                break
-            b.init_patch(q, (2 * i + 1, j + 1), ORIENT_H)
-            q += 1
-    b.set_port((h - 1, w - 1))
-    return b
+    k, data_rows = _grid(n)
+    h, w = 2 * data_rows + 1, k + 2
+    return build(h, w, Patch((h - 1, 0), ORIENT_H), (h - 1, w - 1),
+                 [Patch((2 * (q // k) + 1, q % k + 1), ORIENT_H)
+                  for q in range(n)])
 
 
 def _sparse_layout(n: int) -> Board:
     """Patches on every other tile so both edge types stay exposed."""
-    k = 1
-    while k * k < n:
-        k += 1
-    rows_of_data = (n + k - 1) // k
+    k, data_rows = _grid(n)
     # a single data row would leave the tile beside the ancilla stranded
-    h = max(3, 2 * rows_of_data)
-    w = 2 * k
-    b = Board(h, w)
-    b.place_ancilla((h - 1, w - 1), ORIENT_H)
-    q = 0
-    for i in range(rows_of_data):
-        for j in range(k):
-            if q >= n:
-                break
-            b.init_patch(q, (2 * i, 2 * j), ORIENT_H)
-            q += 1
-    b.set_port((h - 1, 0))
-    return b
+    h, w = max(3, 2 * data_rows), 2 * k
+    return build(h, w, Patch((h - 1, w - 1), ORIENT_H), (h - 1, 0),
+                 [Patch((2 * (q // k), 2 * (q % k)), ORIENT_H)
+                  for q in range(n)])
 
 
 def irregular_demo() -> Board:
     """Hand-shaped six-qubit demo board used in the docs and golden tests."""
-    b = Board(3, 5)
-    b.place_ancilla((2, 3), ORIENT_V)
-    b.init_patch(0, (0, 0), ORIENT_H)
-    b.init_patch(1, (0, 1), ORIENT_V)
-    b.init_patch(2, (0, 2), ORIENT_V)
-    b.init_patch(5, (0, 3), ORIENT_V)
-    b.init_patch(3, (2, 1), ORIENT_V)
-    b.init_patch(4, (2, 2), ORIENT_V)
-    b.set_port((2, 0))
-    return b
+    return build(3, 5, Patch((2, 3), ORIENT_V), (2, 0), [
+        Patch((0, 0), ORIENT_H), Patch((0, 1), ORIENT_V),
+        Patch((0, 2), ORIENT_V), Patch((2, 1), ORIENT_V),
+        Patch((2, 2), ORIENT_V), Patch((0, 3), ORIENT_V)])
 
 
 # --- layout text format ---------------------------------------------------

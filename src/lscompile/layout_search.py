@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import math
 
-from .board import Access, Board, ORIENT_H, ORIENT_V, builtin_layout, flipped
+from .board import (Access, Board, ORIENT_H, ORIENT_V, Patch, build,
+                    builtin_layout, flipped)
+
+# design time grows with the square of the tile count: on a 2-core VM a
+# 64x64 grid takes about 2.5 s for four patches, 128x128 over 40 s
+MAX_DESIGN_TILES = 4096
 
 
 class LayoutDesignError(RuntimeError):
@@ -69,10 +74,8 @@ def _relocate(board: Board, current: float, alpha_e: float) -> float:
     """relocate_pass from the board's score; returns the final score."""
     for qid in sorted(board.patches):
         patch = board.patches[qid]
-        options = [(patch.tile, flipped(patch.orient))]
-        for nb in board.neighbors(patch.tile):
-            if board.is_routing(nb) and nb != board.port:
-                options += [(nb, ORIENT_H), (nb, ORIENT_V)]
+        options = [(patch.tile, flipped(patch.orient))] + [
+            (nb, o) for nb in board.steps(qid) for o in (ORIENT_H, ORIENT_V)]
         best = _best(board, qid, options, current, alpha_e)
         if best is not None:
             board.remove_patch(qid)
@@ -94,9 +97,11 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
         raise ValueError(f"alpha_e must be finite, got {alpha_e}")
     if rows < 2 or cols < 2:
         raise LayoutDesignError("board too small to design on")
-    board = Board(rows, cols)
-    board.place_ancilla((0, 0), ORIENT_H)
-    board.set_port((rows - 1, cols - 1))
+    if rows * cols > MAX_DESIGN_TILES:
+        raise LayoutDesignError(f"a {rows}x{cols} board is over the "
+                                f"{MAX_DESIGN_TILES}-tile design limit")
+    board = build(rows, cols, Patch((0, 0), ORIENT_H), (rows - 1, cols - 1),
+                  [])
 
     score = 0.0
     for qid in range(n):
@@ -120,18 +125,17 @@ def standard_tile_budget(n: int) -> int:
 
 def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = 0.2
                 ) -> Board:
-    """Design on the largest feasible grid within a tile budget.
+    """Design on the largest feasible grid within a tile budget, itself
+    at most MAX_DESIGN_TILES.
 
     Candidate grids are ordered by area (largest first) and squareness;
     the first one the greedy designer can fill wins.
     """
     if max_tiles is None:
         max_tiles = standard_tile_budget(n)
-    dims = []
-    for r in range(2, max_tiles + 1):
-        for c in range(r, max_tiles + 1):
-            if r * c <= max_tiles and r * c >= n + 2:
-                dims.append((r, c))
+    budget = min(max_tiles, MAX_DESIGN_TILES)
+    dims = [(r, c) for r in range(2, budget + 1)
+            for c in range(r, budget // r + 1) if r * c >= n + 2]
     dims.sort(key=lambda rc: (-(rc[0] * rc[1]), rc[1] - rc[0], rc[0]))
     last_err = None
     for r, c in dims:
@@ -140,4 +144,4 @@ def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = 0.2
         except LayoutDesignError as e:
             last_err = e
     raise LayoutDesignError(
-        f"no grid within {max_tiles} tiles fits {n} patches: {last_err}")
+        f"no grid within {budget} tiles fits {n} patches: {last_err}")

@@ -288,28 +288,19 @@ def brute_force_optimum(program: PbcProgram, board: Board,
             home = b.patches[pid].tile
             if not free([home]):
                 continue
-            for dest in b.neighbors(home):
-                if not b.is_routing(dest) or dest == b.port:
-                    continue
-                if not free([dest]):
-                    continue
-                nb = b.copy()
-                fp = nb.move_patch(pid, dest)
-                nb_busy = dict(busy)
-                for tile in fp:
-                    nb_busy[tile] = t + OP_COSTS["move"] - 1
-                dfs(t, nb_busy, dict(op_end), nb,
-                    max(makespan, t + OP_COSTS["move"] - 1))
-            for helper in b.neighbors(home):
-                if not b.is_routing(helper) or not free([helper]):
+            helpers = [h for h in b.neighbors(home) if b.is_routing(h)]
+            for kind, arg in ([("move", d) for d in b.steps(pid)]
+                              + [("rotate", h) for h in helpers]):
+                if not free([arg]):
                     continue
                 nb = b.copy()
-                fp = nb.rotate_patch(pid, helper)
+                step = nb.move_patch if kind == "move" else nb.rotate_patch
+                fp = step(pid, arg)
+                end = t + OP_COSTS[kind] - 1
                 nb_busy = dict(busy)
                 for tile in fp:
-                    nb_busy[tile] = t + OP_COSTS["rotate"] - 1
-                dfs(t, nb_busy, dict(op_end), nb,
-                    max(makespan, t + OP_COSTS["rotate"] - 1))
+                    nb_busy[tile] = end
+                dfs(t, nb_busy, dict(op_end), nb, max(makespan, end))
 
         # advance time
         dfs(t + 1, busy, op_end, b, makespan)

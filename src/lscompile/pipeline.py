@@ -68,6 +68,8 @@ class CompileResult:
 
 def make_board(spec, n: int, alpha_e: float = 0.2,
                max_tiles: int | None = None) -> Board:
+    if n < 1:
+        raise ValueError("need at least one qubit")
     if isinstance(spec, Board):
         if len(spec.patches) < n:
             raise MappingError(

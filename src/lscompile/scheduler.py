@@ -237,12 +237,11 @@ def _measure_footprint(board: Board, qmap: dict, op: PauliOp, bus):
 # --- loose scheduler ------------------------------------------------------
 
 def _candidate_actions(board: Board, qmap: dict, op: PauliOp):
-    """Moves to free neighbor tiles then a rotation, per involved patch."""
+    """Moves to the patch's steps() then a rotation, per involved patch."""
     for q in sorted(set(op.word.support())):
         pid = qmap[q]
-        for dest in board.neighbors(board.patches[pid].tile):
-            if board.is_routing(dest) and dest != board.port:
-                yield ("move", pid, dest)
+        for dest in board.steps(pid):
+            yield ("move", pid, dest)
         helper = board.rotation_helper(pid)
         if helper is not None:
             yield ("rotate", pid, helper)

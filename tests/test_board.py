@@ -96,9 +96,9 @@ class TestBoardBasics:
         b = Board(3, 3)
         b.init_patch(0, (0, 0), "h")
         c = b.copy()
-        c.move_patch(0, (0, 2))
+        c.move_patch(0, (0, 1))
         assert b.patches[0].tile == (0, 0)
-        assert c.patches[0].tile == (0, 2)
+        assert c.patches[0].tile == (0, 1)
 
 
 class TestBuiltinLayouts:
@@ -218,8 +218,9 @@ def _mutate(data, b, kinds=("init", "remove", "move", "rotate")):
     if kind == "remove":
         b.remove_patch(qid)
     elif kind == "move":
-        if free:
-            b.move_patch(qid, data.draw(st.sampled_from(free)))
+        steps = b.steps(qid)
+        if steps:
+            b.move_patch(qid, data.draw(st.sampled_from(steps)))
     else:
         b.rotate_patch(qid, b.rotation_helper(qid))
 
@@ -436,19 +437,57 @@ def _ref_bfs_within(tiles, start):
 
 
 class TestMoveAndRotate:
-    def test_move_sweeps_a_straight_corridor(self):
+    def test_move_is_one_step(self):
         b = Board(3, 3)
         b.init_patch(0, (0, 0), "h")
-        swept = b.move_patch(0, (0, 2))
-        assert swept == {(0, 0), (0, 1), (0, 2)}
-        assert b.patches[0].tile == (0, 2)
+        assert b.move_patch(0, (0, 1)) == {(0, 0), (0, 1)}
+        assert b.patches[0].tile == (0, 1)
 
-    def test_move_routes_around_obstacles(self):
+    @pytest.mark.parametrize("dest", [(0, 0), (2, 2), (1, 2), (0, 1),
+                                      (2, 0), (1, 1), (1, 3)],
+                             ids=["diagonal", "two-away", "port", "patch",
+                                  "ancilla", "own-tile", "out-of-bounds"])
+    def test_move_refuses_all_but_a_step(self, dest):
         b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
+        b.place_ancilla((2, 0), "h")
+        b.init_patch(0, (1, 1), "h")
         b.init_patch(1, (0, 1), "h")
-        swept = b.move_patch(0, (0, 2))
-        assert (1, 0) in swept and b.patches[0].tile == (0, 2)
+        b.set_port((1, 2))
+        acc, at = b.access(), dict(b._at)
+        # N is a patch and E the port: S, then W
+        assert b.steps(0) == [(2, 1), (1, 0)]
+        with pytest.raises(IllegalOpError):
+            b.move_patch(0, dest)
+        assert (b.patches[0].tile, b._at, b.access()) == ((1, 1), at, acc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_steps_are_the_free_neighbours_but_the_port(self, data):
+        """steps() is the filtered neighbour list, and move_patch
+        accepts exactly those tiles."""
+        b = _start_board(data)
+        for _ in range(data.draw(st.integers(0, 6))):
+            try:
+                _mutate(data, b)
+            except IllegalOpError:
+                pass
+        if not b.patches:
+            return
+        for q, p in sorted(b.patches.items()):
+            r, c = p.tile
+            want = [(r + dr, c + dc) for _, (dr, dc) in _STEPS
+                    if _ref_routing(b, (r + dr, c + dc))
+                    and (r + dr, c + dc) != b.port]
+            assert b.steps(q) == want
+        qid = data.draw(st.sampled_from(sorted(b.patches)))
+        dest = data.draw(st.sampled_from(sorted(b._nbrs)))
+        legal = dest in b.steps(qid)
+        try:
+            b.move_patch(qid, dest)
+        except IllegalOpError:
+            assert not legal
+        else:
+            assert legal and b.patches[qid].tile == dest
 
     def test_move_rejects_sealed_source(self):
         b = Board(3, 3)
@@ -601,16 +640,6 @@ def _ref_bus(board, required, include_port=False):
     return frozenset(tree)
 
 
-def _ref_corridor(board, src, dest):
-    _, prev = _ref_bfs(board, [src])
-    if dest not in prev:
-        return None
-    path = [dest]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path
-
-
 def _drawn_board(data):
     """A builtin or demo board after a few drawn moves and rotations."""
     style = data.draw(st.sampled_from(["compact", "standard", "sparse",
@@ -645,23 +674,6 @@ class TestRoutingMatchesFullFlood:
         include_port = data.draw(st.booleans())
         assert (_outcome(bus_patches, b, required, include_port)
                 == _outcome(_ref_bus, b, required, include_port))
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_corridor_equals_reference(self, data):
-        b = _drawn_board(data)
-        for _ in range(data.draw(st.integers(1, 4))):
-            free = sorted((r, c) for r in range(b.rows) for c in range(b.cols)
-                          if _ref_routing(b, (r, c)) and (r, c) != b.port)
-            if not free:
-                return
-            qid = data.draw(st.sampled_from(sorted(b.patches)))
-            dest = data.draw(st.sampled_from(free))
-            src = b.patches[qid].tile
-            path = _ref_corridor(b, src, dest)
-            assert b._corridor(src, dest) == path
-            if path is not None:
-                assert b.move_patch(qid, dest) == frozenset(path)
 
 
 class TestLayoutText:

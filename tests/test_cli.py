@@ -1,6 +1,7 @@
 """Command line entry points, driven through main() with temp files."""
 
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from lscompile.board import (
     parse_layout,
 )
 from lscompile.cli import main
+from lscompile.layout_search import MAX_DESIGN_TILES
 from lscompile.oracle import MAX_ORACLE_QUBITS
 from lscompile.pipeline import make_board
 from lscompile.transpiler import parse_pbc
@@ -82,6 +84,15 @@ def test_layout_dimension_spec_matches_make_board(tmp_path):
     assert main(["layout", "--qubits", "4", "--board", "5x4",
                  "-o", str(out)]) == 0
     assert out.read_text() == format_layout(make_board("5x4", 4))
+
+
+def test_auto_budget_above_the_design_limit_designs_at_the_limit(tmp_path):
+    out = tmp_path / "board.layout"
+    start = time.perf_counter()
+    assert main(["layout", "--qubits", "2", "--board", "auto",
+                 "--max-tiles", "20000", "-o", str(out)]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert parse_layout(out.read_text()).tile_count() == MAX_DESIGN_TILES
 
 
 def test_compile_emits_schedule_json(qasm_file, tmp_path):
@@ -181,9 +192,13 @@ def test_verify_accepts_ten_qubit_circuit(tmp_path, capsys):
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e", "nan"],
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e=-inf"],
     ["compile", "ok.pbc", "--board", "@neg.layout"],
+    ["layout", "--qubits", "0", "--board", "3x3"],
+    ["compile", "empty.qasm", "--board", "3x3"],
+    ["layout", "--qubits", "2", "--board", "99999x99999"],
 ], ids=["bad-spec", "few-patches", "missing-file", "bad-distance",
         "no-design", "bad-run-spec", "run-spec-too-long", "verify-too-wide",
-        "nan-alpha-e", "infinite-alpha-e", "negative-patch-id"])
+        "nan-alpha-e", "infinite-alpha-e", "negative-patch-id",
+        "zero-qubits", "zero-qubit-program", "over-design-limit"])
 def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
                                                 capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -193,6 +208,7 @@ def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
     (tmp_path / "neg.layout").write_text("Q-1h . Q0h\n. . .\nAh . M\n")
     (tmp_path / "wide.qasm").write_text(
         QASM.replace("[2]", f"[{MAX_ORACLE_QUBITS + 1}]"))
+    (tmp_path / "empty.qasm").write_text("OPENQASM 2.0;\nqreg q[0];\n")
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
