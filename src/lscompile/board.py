@@ -12,7 +12,9 @@ non-negative ids.  `LETTER_EDGES` is the one statement of which edge
 types a Pauli letter needs.  A patch changes place only by a one-tile
 step onto a free neighbour other than the port, and `Board.steps` is
 the one statement of that rule; a rotation swaps its boundary labels in
-place.  Every fixed-shape board is put together by `build`.
+place.  Every fixed-shape board is put together by `build`, and
+`BUILTIN_LAYOUTS` names the builtin shapes.  Layout text is read in one
+scan that refuses a second ancilla or a repeated patch id at its token.
 
 Each board state keeps one derived record, its routing access: the
 strict component and which patch edges face it (`_count`, the one
@@ -506,18 +508,6 @@ def build(rows: int, cols: int, ancilla: Patch, port, patches) -> Board:
     return b
 
 
-def builtin_layout(style: str, n: int) -> Board:
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if style == "compact":
-        return _compact_layout(n)
-    if style == "standard":
-        return _standard_layout(n)
-    if style == "sparse":
-        return _sparse_layout(n)
-    raise ValueError(f"unknown layout style {style!r}")
-
-
 def _compact_layout(n: int) -> Board:
     """Two data rows of adjacent patch pairs with one routing row between.
 
@@ -555,6 +545,18 @@ def _sparse_layout(n: int) -> Board:
     return build(h, w, Patch((h - 1, w - 1), ORIENT_H), (h - 1, 0),
                  [Patch((2 * (q // k), 2 * (q % k)), ORIENT_H)
                   for q in range(n)])
+
+
+BUILTIN_LAYOUTS = {"compact": _compact_layout, "standard": _standard_layout,
+                   "sparse": _sparse_layout}
+
+
+def builtin_layout(style: str, n: int) -> Board:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    if style not in BUILTIN_LAYOUTS:
+        raise ValueError(f"unknown layout style {style!r}")
+    return BUILTIN_LAYOUTS[style](n)
 
 
 def irregular_demo() -> Board:
@@ -595,11 +597,8 @@ def parse_layout(text: str) -> Board:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise LayoutParseError("ragged layout rows")
-    b = Board(len(rows), width)
-    port = None
-    patch_tiles: dict[int, list] = {}
-    patch_orient: dict[int, str] = {}
-    anc_tiles, anc_orient = [], None
+    ancilla = port = None
+    patches: dict[int, Patch] = {}
     for r, row in enumerate(rows):
         for c, tok in enumerate(row):
             if tok == ".":
@@ -611,28 +610,24 @@ def parse_layout(text: str) -> Board:
             elif tok.startswith("A"):
                 if tok[1:] not in (ORIENT_H, ORIENT_V):
                     raise LayoutParseError(f"bad ancilla token {tok!r}")
-                anc_tiles.append((r, c))
-                anc_orient = tok[1:]
+                if ancilla is not None:
+                    raise LayoutParseError("ancilla must occupy one tile")
+                ancilla = Patch((r, c), tok[1:])
             elif tok.startswith("Q"):
                 m = _PATCH_TOKEN.fullmatch(tok)
                 if m is None:
                     raise LayoutParseError(f"bad patch token {tok!r}")
-                q, orient = int(m[1]), m[2]
-                patch_tiles.setdefault(q, []).append((r, c))
-                if patch_orient.get(q, orient) != orient:
-                    raise LayoutParseError(f"patch {q} has mixed orientations")
-                patch_orient[q] = orient
+                q = int(m[1])
+                if q in patches:
+                    raise LayoutParseError(f"patch {q} must occupy one tile")
+                patches[q] = Patch((r, c), m[2])
             else:
                 raise LayoutParseError(f"unknown tile token {tok!r}")
-    if anc_tiles:
-        if len(anc_tiles) != 1:
-            raise LayoutParseError("ancilla must occupy one tile")
-        b.place_ancilla(anc_tiles[0], anc_orient)
-    for q in sorted(patch_tiles):
-        tiles = patch_tiles[q]
-        if len(tiles) != 1:
-            raise LayoutParseError(f"patch {q} must occupy one tile")
-        b.init_patch(q, tiles[0], patch_orient[q])
+    b = Board(len(rows), width)
+    if ancilla is not None:
+        b.place_ancilla(*ancilla)
+    for q in sorted(patches):
+        b.init_patch(q, *patches[q])
     if port is not None:
         b.set_port(port)
     return b

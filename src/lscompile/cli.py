@@ -14,10 +14,10 @@ import os
 import sys
 
 from .board import format_layout, parse_layout
-from .layout_search import layout_score
+from .layout_search import ALPHA_E, layout_score
 from .ler import Calibration, default_calibration, estimate_ler
+from .mapping import MAPPING_STRATEGIES
 from .oracle import (
-    MAX_ORACLE_QUBITS,
     circuit_distribution,
     circuit_unitary,
     distributions_match,
@@ -26,8 +26,10 @@ from .oracle import (
     program_unitary,
 )
 from .pauli import PauliOp, PauliWord
-from .pipeline import CompileOptions, compile_program, make_board
+from .pipeline import (CORRECTION_POLICIES, CompileOptions, check_choices,
+                       compile_program, make_board)
 from .render import svg_board, svg_schedule
+from .scheduler import SCHEDULERS
 from .transpiler import (
     Gate,
     GateCircuit,
@@ -38,7 +40,7 @@ from .transpiler import (
     parse_qasm,
     transpile,
 )
-from .ysynth import y_synthesize
+from .ysynth import Y_STRATEGIES, y_synthesize
 
 
 def _read(path: str) -> str:
@@ -67,7 +69,7 @@ def _load_source(path: str, qubits: int | None):
 def _board_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--board", default="compact",
                         help="compact|standard|sparse|auto|WxH|@layout-file")
-    parser.add_argument("--alpha-e", type=float, default=0.2,
+    parser.add_argument("--alpha-e", type=float, default=ALPHA_E,
                         help="density penalty weight for designed layouts")
     parser.add_argument("--max-tiles", type=int, default=None,
                         help="tile budget for --board auto")
@@ -78,14 +80,12 @@ def _compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qubits", type=int, default=None,
                         help="qubit count for empty Pauli-program input")
     _board_args(parser)
-    parser.add_argument("--mapping", default="ea",
-                        choices=("ea", "greedy", "identity"))
-    parser.add_argument("--scheduler", default="loose",
-                        choices=("loose", "spc"))
+    parser.add_argument("--mapping", default="ea", choices=MAPPING_STRATEGIES)
+    parser.add_argument("--scheduler", default="loose", choices=SCHEDULERS)
     parser.add_argument("--y-synthesis", default="o3ls",
-                        choices=("o3ls", "naive", "off"), dest="y_synthesis")
+                        choices=Y_STRATEGIES, dest="y_synthesis")
     parser.add_argument("--correction", default="always",
-                        choices=("always", "never", "seeded-random"))
+                        choices=CORRECTION_POLICIES)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -161,7 +161,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_compare(args) -> int:
     source = _load_source(args.input, args.qubits)
-    rows = []
+    runs = []
     for spec in args.run:
         parts = spec.split(":")
         if not 3 <= len(parts) <= 5:
@@ -174,20 +174,20 @@ def cmd_compare(args) -> int:
         opts = _options_from(argparse.Namespace(
             **vars(args), scheduler=sched, mapping=mapping,
             y_synthesis=ysynth, board=layout))
-        result = compile_program(source, opts)
-        calib = default_calibration(args.distance)
-        report = estimate_ler(result.schedule, calib)
-        rows.append((name, sched, layout,
-                     result.schedule.total_clocks,
-                     result.schedule.mean_bus_tiles(),
-                     len(result.corrected.ops), report["p_total"]))
+        check_choices(opts)
+        runs.append((name, sched, layout, opts))
+    calib = default_calibration(args.distance)
     header = (f"{'name':<16} {'sched':<6} {'layout':<10} "
               f"{'clocks':>7} {'bus':>6} {'ops':>5} {'p_total':>12}")
     print(header)
     print("-" * len(header))
-    for name, sched, layout, clocks, bus, ops, p in rows:
-        print(f"{name:<16} {sched:<6} {layout:<10} {clocks:>7} "
-              f"{bus:>6.2f} {ops:>5} {p:>12.4e}")
+    for name, sched, layout, opts in runs:
+        result = compile_program(source, opts)
+        schedule = result.schedule
+        p = estimate_ler(schedule, calib)["p_total"]
+        print(f"{name:<16} {sched:<6} {layout:<10} {schedule.total_clocks:>7} "
+              f"{schedule.mean_bus_tiles():>6.2f} "
+              f"{len(result.corrected.ops):>5} {p:>12.4e}")
     return 0
 
 
@@ -213,9 +213,7 @@ def cmd_verify(args) -> int:
     source = _load_source(args.input, args.qubits)
     failures = []
     if isinstance(source, GateCircuit):
-        if source.n > MAX_ORACLE_QUBITS:
-            raise ValueError(
-                f"verify needs <= {MAX_ORACLE_QUBITS} qubits")
+        reference = circuit_distribution(source)   # refuses a wide circuit
         bad = next((g for g in source.gates
                     if g.name != "measure" and not _decomposes(g, source.n)),
                    None)
@@ -223,18 +221,15 @@ def cmd_verify(args) -> int:
             failures.append(f"gate decomposition unitary mismatch at "
                             f"{bad.name} {', '.join(map(str, bad.qubits))}")
         program = transpile(source)
-        restricted = {q: {"X", "Z"} for q in range(source.n)}
-        synthesized = y_synthesize(program, restricted)
-        if not distributions_match(outcome_distribution(synthesized),
-                                   circuit_distribution(source)):
-            failures.append("outcome distribution mismatch")
+        mismatch = "outcome distribution mismatch"
     else:
         program = source
-        restricted = {q: {"X", "Z"} for q in range(program.n)}
-        synthesized = y_synthesize(program, restricted)
-        if not distributions_match(outcome_distribution(synthesized),
-                                   outcome_distribution(program)):
-            failures.append("Y synthesis changed outcome distribution")
+        reference = outcome_distribution(program)
+        mismatch = "Y synthesis changed outcome distribution"
+    restricted = {q: {"X", "Z"} for q in range(program.n)}
+    synthesized = y_synthesize(program, restricted)
+    if not distributions_match(outcome_distribution(synthesized), reference):
+        failures.append(mismatch)
     for f in failures:
         print(f"FAIL: {f}")
     if not failures:
@@ -281,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--qubits", type=int, default=None)
     p.add_argument("--run", action="append", required=True,
-                   help="NAME:SCHEDULER:LAYOUT[:MAPPING[:YSYNTH]]")
+                   help="NAME:SCHEDULER:LAYOUT[:MAPPING[:YSYNTH]]; MAPPING "
+                   "defaults to ea, YSYNTH to naive under spc, else o3ls")
     p.add_argument("--correction", default="always",
-                   choices=("always", "never", "seeded-random"))
+                   choices=CORRECTION_POLICIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-e", type=float, default=0.2)
+    p.add_argument("--alpha-e", type=float, default=ALPHA_E)
     p.add_argument("--max-tiles", type=int, default=None)
     p.add_argument("--distance", type=int, default=9)
     p.set_defaults(func=cmd_compare)

@@ -23,12 +23,14 @@ from .board import (Access, Board, ORIENT_H, ORIENT_V, Patch, build,
 # 64x64 grid takes about 2.5 s for four patches, 128x128 over 40 s
 MAX_DESIGN_TILES = 4096
 
+ALPHA_E = 0.2   # default weight of the density penalty in the layout score
+
 
 class LayoutDesignError(RuntimeError):
     pass
 
 
-def layout_score(board: Board, alpha_e: float = 0.2) -> float:
+def layout_score(board: Board, alpha_e: float = ALPHA_E) -> float:
     """Access score gated by connectivity; disconnected boards score 0."""
     acc = board.access()
     if acc.comp is None:
@@ -64,7 +66,7 @@ def _access_score(acc: Access, alpha_e: float) -> float:
     return acc.nx + acc.nz - alpha_e * acc.density
 
 
-def relocate_pass(board: Board, alpha_e: float = 0.2) -> Board:
+def relocate_pass(board: Board, alpha_e: float = ALPHA_E) -> Board:
     """One sweep of strict-improvement one-step moves and reorientations."""
     _relocate(board, layout_score(board, alpha_e), alpha_e)
     return board
@@ -84,7 +86,7 @@ def _relocate(board: Board, current: float, alpha_e: float) -> float:
     return current
 
 
-def design_layout(n: int, rows: int, cols: int, alpha_e: float = 0.2) -> Board:
+def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Board:
     """Place an ancilla, a magic port, and n patches on a fresh grid.
 
     The ancilla anchors the top-left corner and the port the bottom-right
@@ -123,7 +125,7 @@ def standard_tile_budget(n: int) -> int:
     return int(builtin_layout("standard", n).tile_count() * 0.85)
 
 
-def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = 0.2
+def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = ALPHA_E
                 ) -> Board:
     """Design on the largest feasible grid within a tile budget, itself
     at most MAX_DESIGN_TILES.
@@ -137,11 +139,11 @@ def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = 0.2
     dims = [(r, c) for r in range(2, budget + 1)
             for c in range(r, budget // r + 1) if r * c >= n + 2]
     dims.sort(key=lambda rc: (-(rc[0] * rc[1]), rc[1] - rc[0], rc[0]))
-    last_err = None
+    reason = ""
     for r, c in dims:
         try:
             return design_layout(n, r, c, alpha_e)
         except LayoutDesignError as e:
-            last_err = e
+            reason = f": {e}"
     raise LayoutDesignError(
-        f"no grid within {budget} tiles fits {n} patches: {last_err}")
+        f"no grid within {budget} tiles fits {n} patches{reason}")

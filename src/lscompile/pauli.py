@@ -21,9 +21,9 @@ _BITS_BY_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 # canonical angle spellings for k mod 16 (numerator of pi/8)
 _ANGLE_TOKENS = {
-    1: "pi/8", 2: "pi/4", 3: "3pi/8", 4: "pi/2", 5: "5pi/8", 6: "3pi/4",
-    7: "7pi/8", 8: "pi", 9: "-7pi/8", 10: "-3pi/4", 11: "-5pi/8",
-    12: "-pi/2", 13: "-3pi/8", 14: "-pi/4", 15: "-pi/8",
+    0: "0", 1: "pi/8", 2: "pi/4", 3: "3pi/8", 4: "pi/2", 5: "5pi/8",
+    6: "3pi/4", 7: "7pi/8", 8: "pi", 9: "-7pi/8", 10: "-3pi/4",
+    11: "-5pi/8", 12: "-pi/2", 13: "-3pi/8", 14: "-pi/4", 15: "-pi/8",
 }
 _ANGLE_VALUES = {tok: k for k, tok in _ANGLE_TOKENS.items()}
 
@@ -251,11 +251,7 @@ def format_op(op: PauliOp) -> str:
     if op.kind == MEASUREMENT:
         tok = "M" if op.sign > 0 else "-M"
     else:
-        k = op.angle_num % 16
-        if k == 0:
-            tok = "0"
-        else:
-            tok = _ANGLE_TOKENS[k]
+        tok = _ANGLE_TOKENS[op.angle_num]
     return f"{tok} {op.word.to_string()}"
 
 
@@ -269,8 +265,6 @@ def parse_op(line: str) -> PauliOp:
         return measurement(word, 1)
     if tok == "-M":
         return measurement(word, -1)
-    if tok == "0":
-        return rotation(word, 0)
     if tok not in _ANGLE_VALUES:
         raise PauliParseError(f"unknown angle token {tok!r}")
     return rotation(word, _ANGLE_VALUES[tok])

@@ -10,14 +10,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .board import Board, builtin_layout
-from .layout_search import auto_design, design_layout
-from .mapping import MappingError, access_map, build_mapping
+from .board import BUILTIN_LAYOUTS, Board, builtin_layout
+from .layout_search import ALPHA_E, auto_design, design_layout
+from .mapping import (MAPPING_STRATEGIES, MappingError, access_map,
+                      build_mapping)
 from .pauli import rotation
 from .pdag import build_pdag
 from .scheduler import SCHEDULERS, Schedule, validate_schedule
 from .transpiler import GateCircuit, PbcProgram, transpile
-from .ysynth import apply_y_strategy
+from .ysynth import Y_STRATEGIES, apply_y_strategy
 
 CORRECTION_POLICIES = ("always", "never", "seeded-random")
 
@@ -51,7 +52,7 @@ class CompileOptions:
     correction: str = "always"
     seed: int = 0
     board: object = "compact"      # style name, "WxH", "auto", or a Board
-    alpha_e: float = 0.2
+    alpha_e: float = ALPHA_E
     max_tiles: int | None = None
 
 
@@ -66,7 +67,7 @@ class CompileResult:
     schedule: Schedule
 
 
-def make_board(spec, n: int, alpha_e: float = 0.2,
+def make_board(spec, n: int, alpha_e: float = ALPHA_E,
                max_tiles: int | None = None) -> Board:
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -75,7 +76,7 @@ def make_board(spec, n: int, alpha_e: float = 0.2,
             raise MappingError(
                 f"board has {len(spec.patches)} patches for {n} qubits")
         return spec
-    if spec in ("compact", "standard", "sparse"):
+    if spec in BUILTIN_LAYOUTS:
         return builtin_layout(spec, n)
     if spec == "auto":
         return auto_design(n, max_tiles, alpha_e)
@@ -85,11 +86,23 @@ def make_board(spec, n: int, alpha_e: float = 0.2,
     raise ValueError(f"unknown board spec {spec!r}")
 
 
+def check_choices(opts: CompileOptions) -> None:
+    """Refuse an unknown scheduler, mapping, Y strategy or correction
+    name with the error its stage would raise, before any stage runs."""
+    for what, name, known, error in (
+            ("scheduler", opts.scheduler, SCHEDULERS, ValueError),
+            ("mapping strategy", opts.mapping, MAPPING_STRATEGIES, MappingError),
+            ("Y strategy", opts.y_strategy, Y_STRATEGIES, ValueError),
+            ("correction policy", opts.correction, CORRECTION_POLICIES,
+             ValueError)):
+        if name not in known:
+            raise error(f"unknown {what} {name!r}")
+
+
 def compile_program(source, opts: CompileOptions | None = None
                     ) -> CompileResult:
     opts = opts or CompileOptions()
-    if opts.scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {opts.scheduler!r}")
+    check_choices(opts)
     if isinstance(source, GateCircuit):
         program = transpile(source)
     elif isinstance(source, PbcProgram):

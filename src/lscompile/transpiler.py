@@ -3,7 +3,9 @@
 Every gate becomes a short list of Pauli rotations; one left-to-right scan
 carrying the Clifford frame then absorbs the +/- pi/4 and pi/2 rotations
 into the later operators, leaving only +/- pi/8 rotations and (possibly
-transformed) measurements.
+transformed) measurements.  `_ONE_QUBIT_ROTATIONS` is the one statement
+of the one-qubit gates and their rotations: `SUPPORTED_GATES`,
+`decompose_gate` and the OpenQASM parser read it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,21 @@ from .pauli import (
     PauliParseError,
     PauliWord,
     conjugate_past,
+    format_op,
     measurement,
+    parse_op,
     rotation,
     set_bits,
 )
 
-SUPPORTED_GATES = ("h", "s", "sdg", "t", "tdg", "x", "y", "z", "cx", "measure")
+# each one-qubit gate as its Pauli rotations (letter, k pi/8), in order
+_ONE_QUBIT_ROTATIONS = {
+    "h": (("Z", 2), ("X", 2), ("Z", 2)), "s": (("Z", 2),),
+    "sdg": (("Z", 14),), "t": (("Z", 1),), "tdg": (("Z", 15),),
+    "x": (("X", 4),), "y": (("Y", 4),), "z": (("Z", 4),),
+}
 
-_ONE_QUBIT = {"h", "s", "sdg", "t", "tdg", "x", "y", "z", "measure"}
+SUPPORTED_GATES = (*_ONE_QUBIT_ROTATIONS, "cx", "measure")
 
 
 class UnsupportedGateError(ValueError):
@@ -89,25 +98,8 @@ def decompose_gate(gate: Gate, n: int) -> list:
             rotation(_letter(n, c, "Z"), 14),
         ]
     q = gate.qubits[0]
-    if name == "h":
-        z = _letter(n, q, "Z")
-        x = _letter(n, q, "X")
-        return [rotation(z, 2), rotation(x, 2), rotation(z, 2)]
-    if name == "s":
-        return [rotation(_letter(n, q, "Z"), 2)]
-    if name == "sdg":
-        return [rotation(_letter(n, q, "Z"), 14)]
-    if name == "t":
-        return [rotation(_letter(n, q, "Z"), 1)]
-    if name == "tdg":
-        return [rotation(_letter(n, q, "Z"), 15)]
-    if name == "x":
-        return [rotation(_letter(n, q, "X"), 4)]
-    if name == "y":
-        return [rotation(_letter(n, q, "Y"), 4)]
-    if name == "z":
-        return [rotation(_letter(n, q, "Z"), 4)]
-    raise UnsupportedGateError(f"unsupported gate {name!r}")
+    return [rotation(_letter(n, q, letter), k)
+            for letter, k in _ONE_QUBIT_ROTATIONS[name]]
 
 
 def _through_frame(xs: list, zs: list, op: PauliOp) -> PauliOp:
@@ -183,8 +175,6 @@ def transpile(circuit: GateCircuit) -> PbcProgram:
 def parse_pbc(text: str, n: int | None = None) -> PbcProgram:
     """One operator per line, `#` comments and blank lines ignored;
     malformed text raises PauliParseError."""
-    from .pauli import parse_op
-
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -205,8 +195,6 @@ def parse_pbc(text: str, n: int | None = None) -> PbcProgram:
 
 
 def format_pbc(program: PbcProgram) -> str:
-    from .pauli import format_op
-
     lines = [f"# {program.n} qubits, {len(program.ops)} operators"]
     lines.extend(format_op(op) for op in program.ops)
     return "\n".join(lines) + "\n"
@@ -215,11 +203,11 @@ def format_pbc(program: PbcProgram) -> str:
 # --- OpenQASM 2.0 subset -------------------------------------------------
 
 _QASM_GATE_RE = re.compile(
-    r"^(h|s|sdg|t|tdg|x|y|z)\s+(\w+)\[(\d+)\]$")
+    rf"^({'|'.join(_ONE_QUBIT_ROTATIONS)})\s+(\w+)\[(\d+)\]$")
 _QASM_CX_RE = re.compile(
     r"^cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]$")
 _QASM_MEASURE_RE = re.compile(
-    r"^measure\s+(\w+)\[(\d+)\]\s*->\s*\w+\[(\d+)\]$")
+    r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\]$")
 _QASM_QREG_RE = re.compile(r"^qreg\s+(\w+)\[(\d+)\]$")
 _QASM_CREG_RE = re.compile(r"^creg\s+(\w+)\[(\d+)\]$")
 
@@ -228,6 +216,7 @@ def parse_qasm(text: str) -> GateCircuit:
     """Parse the supported OpenQASM 2.0 subset; anything else, and any
     malformed text, raises CircuitParseError."""
     qreg_name = None
+    cregs: dict[str, int] = {}
     circ: GateCircuit | None = None
     body = " ".join(line.split("//", 1)[0] for line in text.splitlines())
     statements = [s.strip() for s in body.split(";") if s.strip()]
@@ -245,7 +234,11 @@ def parse_qasm(text: str) -> GateCircuit:
             qreg_name = m.group(1)
             circ = GateCircuit(int(m.group(2)))
             continue
-        if _QASM_CREG_RE.match(stmt):
+        m = _QASM_CREG_RE.match(stmt)
+        if m:
+            if m.group(1) in cregs:
+                raise CircuitParseError(f"creg {m.group(1)} declared twice")
+            cregs[m.group(1)] = int(m.group(2))
             continue
         if circ is None:
             raise CircuitParseError(f"statement before qreg: {stmt!r}")
@@ -265,6 +258,10 @@ def parse_qasm(text: str) -> GateCircuit:
         if m:
             if m.group(1) != qreg_name:
                 raise CircuitParseError("unknown register in measure")
+            if int(m.group(4)) >= cregs.get(m.group(3), 0):
+                raise CircuitParseError(
+                    f"measure target {m.group(3)}[{m.group(4)}] is not a "
+                    "declared classical bit")
             circ.add("measure", int(m.group(2)))
             continue
         raise CircuitParseError(f"unsupported statement: {stmt!r}")

@@ -703,6 +703,22 @@ class TestLayoutText:
         with pytest.raises(LayoutParseError):
             parse_layout(f"{tok} . Q5h\n. . .\nAh . M\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("Q0h . Q0h\n. . .\nAh . M\n", "patch 0 must occupy one tile"),
+        ("Q0h . Q0v\n. . .\nAh . M\n", "patch 0 must occupy one tile"),
+        ("Q0h . Ah\n. . .\nAh . M\n", "ancilla must occupy one tile"),
+        ("Q0h . Av\n. . .\nAh . M\n", "ancilla must occupy one tile"),
+    ], ids=["repeated-id", "repeated-id-mixed-orientation", "two-ancillas",
+            "two-ancillas-mixed-orientation"])
+    def test_rejects_a_repeated_patch_or_ancilla(self, text, message):
+        with pytest.raises(LayoutParseError, match=f"^{message}$"):
+            parse_layout(text)
+
+    def test_refuses_a_repeat_at_its_token(self):
+        # the repeat comes before the bad token, so it is the one named
+        with pytest.raises(LayoutParseError, match="patch 0 must occupy"):
+            parse_layout("Q0h Q0h ??\n. . .\nAh . M\n")
+
     def test_accepts_plain_decimal_ids(self):
         b = parse_layout("Q10h . Q0h\n. . .\nAh . M\n")
         assert sorted(b.patches) == [0, 10]

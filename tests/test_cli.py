@@ -160,6 +160,27 @@ def test_compare_rejects_bad_run_spec(qasm_file):
         main(["compare", qasm_file, "--run", "only-name"])
 
 
+@pytest.mark.parametrize("extra", [
+    ["--run", "b:loose:compact:bogus"],
+    ["--run", "b:loose", "--distance", "9"],
+    ["--run", "b:loose:compact", "--distance", "4"],
+], ids=["bad-mapping", "two-fields", "bad-distance"])
+def test_compare_checks_every_run_before_compiling(qasm_file, monkeypatch,
+                                                    capsys, extra):
+    from lscompile import cli
+
+    real, calls = cli.compile_program, []
+    monkeypatch.setattr(cli, "compile_program",
+                        lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", qasm_file, "--run", "a:loose:compact", *extra])
+    assert exit_.value.code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("lscompile: error: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_accepts_sound_circuit(qasm_file, capsys):
     assert main(["verify", qasm_file]) == 0
     assert "OK" in capsys.readouterr().out

@@ -95,6 +95,20 @@ class TestBudget:
         b6 = auto_design(4, max_tiles=18)
         assert b6.tile_count() <= 18
 
+    @pytest.mark.parametrize("max_tiles", [0, 4])
+    def test_auto_design_with_no_grid_in_budget_names_only_the_budget(
+            self, max_tiles):
+        with pytest.raises(LayoutDesignError) as err:
+            auto_design(3, max_tiles=max_tiles)
+        assert str(err.value) == \
+            f"no grid within {max_tiles} tiles fits 3 patches"
+
+    def test_auto_design_names_the_last_design_error(self):
+        # 6 tiles admit only the 2x3 grid, where 3 patches do not fit
+        with pytest.raises(LayoutDesignError, match=
+                           "^no grid within 6 tiles fits 3 patches: .+"):
+            auto_design(3, max_tiles=6)
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_auto_design_scales(self, n):
         b = auto_design(n)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lscompile.pauli import (
     DimensionError,
@@ -224,7 +224,8 @@ class TestTextFormat:
             with pytest.raises(PauliParseError):
                 parse_op(line)
 
-    @given(words_3q, st.integers(min_value=1, max_value=15))
+    @given(words_3q, st.integers(min_value=0, max_value=15))
+    @example("XYZ", 0)
     @settings(max_examples=60, deadline=None)
     def test_rotation_round_trip(self, w, k):
         op = rotation(W(w), k)

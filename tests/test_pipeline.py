@@ -152,16 +152,24 @@ class TestCompileProgram:
         assert r1.schedule.total_clocks == r2.schedule.total_clocks
 
 
-def test_unknown_scheduler_is_refused_before_any_stage(monkeypatch):
+@pytest.mark.parametrize("field,error,message", [
+    ("scheduler", ValueError, "unknown scheduler 'bogus'"),
+    ("mapping", MappingError, "unknown mapping strategy 'bogus'"),
+    ("y_strategy", ValueError, "unknown Y strategy 'bogus'"),
+    ("correction", ValueError, "unknown correction policy 'bogus'"),
+], ids=["scheduler", "mapping", "y_strategy", "correction"])
+def test_unknown_scheduler_is_refused_before_any_stage(monkeypatch, field,
+                                                       error, message):
     import lscompile.pipeline as pipeline
 
-    def no_board(*args):
-        raise AssertionError("make_board ran before the scheduler check")
+    def no_stage(*args):
+        raise AssertionError(f"a stage ran before the {field} check")
 
-    monkeypatch.setattr(pipeline, "make_board", no_board)
-    with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+    for stage in ("transpile", "build_pdag", "make_board"):
+        monkeypatch.setattr(pipeline, stage, no_stage)
+    with pytest.raises(error, match=f"^{message}$"):
         compile_program(bench.adder_circuit(24),
-                        CompileOptions(board="auto", scheduler="bogus"))
+                        CompileOptions(board="auto", **{field: "bogus"}))
 
 
 def test_traced_run_lookup_sites_exist():

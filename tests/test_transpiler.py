@@ -44,21 +44,35 @@ def op_triples(program):
     return [(op.kind[0], op.word.to_string(), op.angle_num) for op in program.ops]
 
 
+# each one-qubit gate's rotations (word, k pi/8), written apart from the
+# transpiler's own table
+ONE_QUBIT_TABLE = {
+    "t": [("Z", 1)],
+    "tdg": [("Z", 15)],
+    "s": [("Z", 2)],
+    "sdg": [("Z", 14)],
+    "h": [("Z", 2), ("X", 2), ("Z", 2)],
+    "x": [("X", 4)],
+    "y": [("Y", 4)],
+    "z": [("Z", 4)],
+}
+ONE_QUBIT_GATES = [g for g in SUPPORTED_GATES if g not in ("cx", "measure")]
+
+
 class TestDecomposeGate:
     def test_known_tables(self):
-        table = {
-            "t": [("Z", 1)],
-            "tdg": [("Z", 15)],
-            "s": [("Z", 2)],
-            "sdg": [("Z", 14)],
-            "h": [("Z", 2), ("X", 2), ("Z", 2)],
-            "x": [("X", 4)],
-            "y": [("Y", 4)],
-            "z": [("Z", 4)],
-        }
-        for name, expected in table.items():
+        for name, expected in ONE_QUBIT_TABLE.items():
             ops = decompose_gate(Gate(name, (0,)), 1)
             assert [(o.word.to_string(), o.angle_num) for o in ops] == expected
+
+    @pytest.mark.parametrize("name", ONE_QUBIT_GATES)
+    def test_every_one_qubit_gate_parses_and_decomposes_as_the_table(
+            self, name):
+        circ = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{name} q[0];\n")
+        assert circ.gates == [Gate(name, (0,))]
+        ops = decompose_gate(circ.gates[0], 1)
+        assert [(o.word.to_string(), o.angle_num) for o in ops] == \
+            ONE_QUBIT_TABLE[name]
 
     def test_cx(self):
         ops = decompose_gate(Gate("cx", (0, 1)), 2)
@@ -71,8 +85,7 @@ class TestDecomposeGate:
         assert ops[0].is_measurement()
         assert ops[0].word.to_string() == "IZ"
 
-    @pytest.mark.parametrize("name", [g for g in SUPPORTED_GATES
-                                      if g not in ("cx", "measure")])
+    @pytest.mark.parametrize("name", ONE_QUBIT_GATES)
     def test_single_qubit_unitaries_match_oracle(self, name):
         ops = decompose_gate(Gate(name, (0,)), 1)
         u = program_unitary(PbcProgram(1, tuple(ops)))
@@ -217,6 +230,25 @@ class TestTextFormats:
         assert circ.n == 2
         assert [g.name for g in circ.gates] == ["h", "cx", "measure", "measure"]
         assert circ.gates[1].qubits == (0, 1)
+
+    @pytest.mark.parametrize("body", [
+        "creg c[2];\nmeasure q[0] -> d[0];",
+        "measure q[0] -> c[0];",
+        "creg c[1];\nmeasure q[1] -> c[5];",
+        "creg c[1];\nmeasure q[1] -> c[1];",
+        "creg c[2];\ncreg c[3];",
+        "creg c[2];\ncreg c[2];",
+    ], ids=["undeclared-creg", "no-creg", "index-past-size",
+            "index-at-size", "creg-declared-twice", "creg-repeated"])
+    def test_qasm_rejects_bad_classical_registers(self, body):
+        with pytest.raises(CircuitParseError):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{body}\n")
+
+    def test_qasm_measures_into_any_declared_bit(self):
+        circ = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg a[1];\n"
+                          "creg b[3];\nmeasure q[0] -> b[2];\n"
+                          "measure q[1] -> a[0];\n")
+        assert [g.qubits for g in circ.gates] == [(0,), (1,)]
 
     def test_qasm_line_comment_ends_at_newline(self):
         circ = parse_qasm('OPENQASM 2.0;\n// header note\nqreg q[2];\n'
