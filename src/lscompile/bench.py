@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .board import Board, Patch, build
+from .board import Board, Patch
 from .pauli import PauliWord, measurement, rotation
 from .transpiler import GateCircuit, PbcProgram
 
@@ -208,8 +208,8 @@ def spread_layout(width: int) -> Board:
         cols = (0, 1 + gap, width - 2 - gap, width - 1)
         spots = tuple((row, col) for row in (0, width - 1) for col in cols)
         ancilla, port = (mid, mid), (mid - 1, 0)
-    return build(width, width, Patch(ancilla, "h"), port,
-                 [Patch(tile, "h") for tile in spots])
+    return Board(width, width, Patch(ancilla, "h"), port,
+                 {q: Patch(tile, "h") for q, tile in enumerate(spots)})
 
 
 def suite() -> list:

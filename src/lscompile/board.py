@@ -1,20 +1,22 @@
 """Surface-code tile board: typed patch edges, patch operations, bus routing.
 
-Tiles form an N x M grid.  Each data patch occupies one tile and
-carries an orientation: "h" puts Z-edges on E/W and X-edges on
-N/S, "v" the opposite.  The ancilla patch sits at a fixed tile with the
-same orientation rule.  A designated routing tile acts as the magic-state
-port.  Connectivity is judged strictly: the board is connected when one
-single routing component touches an exposed edge of every data patch and
-both typed edges of the ancilla.  Edge queries name the ancilla by patch
-id -1, the id its tile and its instructions carry, so data patches have
-non-negative ids.  `LETTER_EDGES` is the one statement of which edge
-types a Pauli letter needs.  A patch changes place only by a one-tile
-step onto a free neighbour other than the port, and `Board.steps` is
-the one statement of that rule; a rotation swaps its boundary labels in
-place.  Every fixed-shape board is put together by `build`, and
+Tiles form an N x M grid.  Every board has data patches, one ancilla
+and one magic-state port, and is made in one call, `Board(rows, cols,
+ancilla, port, patches)`: the ancilla, then the patches by id, then the
+port, a routing tile that stays one.  Each patch occupies one tile and
+carries an orientation: "h" puts Z-edges on E/W and X-edges on N/S, "v"
+the opposite, and so for the ancilla.  Connectivity is judged strictly:
+the board is connected when one single routing component touches an
+exposed edge of every data patch and both typed edges of the ancilla.
+Edge queries name the ancilla by patch id -1, the id its tile and its
+instructions carry, so data patches have non-negative ids.
+`LETTER_EDGES` is the one statement of which edge types a Pauli letter
+needs.  A patch changes place only by a one-tile step onto a free
+neighbour other than the port, and `Board.steps` is the one statement of
+that rule; a rotation swaps its boundary labels in place.
 `BUILTIN_LAYOUTS` names the builtin shapes.  Layout text is read in one
-scan that refuses a second ancilla or a repeated patch id at its token.
+scan that refuses a second ancilla or a repeated patch id at its token,
+and text without an ancilla or a port.
 
 Each board state keeps one derived record, its routing access: the
 strict component and which patch edges face it (`_count`, the one
@@ -168,18 +170,26 @@ def _neighbour_table(rows: int, cols: int) -> dict:
 
 
 class Board:
-    def __init__(self, rows: int, cols: int):
+    """ancilla is a Patch or (tile, orient) pair; patches maps ids to such."""
+
+    def __init__(self, rows: int, cols: int, ancilla, port, patches):
         if rows < 1 or cols < 1:
             raise ValueError("board dimensions must be positive")
         self.rows = rows
         self.cols = cols
         self.patches: dict[int, Patch] = {}
-        self.ancilla: Patch | None = None
-        self.port: tuple | None = None
+        self.port = None      # set last, once every tile is claimed
         self._nbrs = _neighbour_table(rows, cols)
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
         self._acc = None      # access() of the current state, or None
         self._cut = None      # tiles access_with() floods a copy for, or None
+        self._claim(ancilla[0], -1)
+        self.ancilla = Patch(*ancilla)
+        for q in sorted(patches):
+            self.init_patch(q, *patches[q])
+        if not self.is_routing(port):
+            raise IllegalOpError(f"port tile {port} must be routing")
+        self.port = port
 
     # --- basic geometry ---------------------------------------------------
 
@@ -199,13 +209,10 @@ class Board:
         return self.rows * self.cols
 
     def copy(self) -> "Board":
-        b = Board(self.rows, self.cols)
+        b = object.__new__(Board)
+        b.__dict__.update(self.__dict__)
         b.patches = dict(self.patches)
-        b.ancilla = self.ancilla
-        b.port = self.port
         b._at = dict(self._at)
-        b._acc = self._acc
-        b._cut = self._cut
         return b
 
     def key(self):
@@ -234,17 +241,6 @@ class Board:
             raise IllegalOpError(f"bad orientation {orient!r}")
         self._claim(tile, qid)
         self.patches[qid] = Patch(tile, orient)
-
-    def place_ancilla(self, tile, orient: str) -> None:
-        if self.ancilla is not None:
-            raise IllegalOpError("ancilla already placed")
-        self._claim(tile, -1)
-        self.ancilla = Patch(tile, orient)
-
-    def set_port(self, tile) -> None:
-        if not self.is_routing(tile):
-            raise IllegalOpError(f"port tile {tile} must be routing")
-        self.port = tile
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
@@ -297,10 +293,8 @@ class Board:
 
     def touch_tiles(self, qid: int, typ: str | None = None) -> list:
         """Routing tiles across the edges of type typ (any if None) of
-        patch qid, or of the ancilla for -1 ([] when there is none)."""
+        patch qid, or of the ancilla for -1."""
         p = self.ancilla if qid == -1 else self.patches[qid]
-        if p is None:
-            return []
         # a single tile's four outside tiles are distinct
         return sorted(out for t, out in _edges(p)
                       if (typ is None or t == typ) and self.is_routing(out))
@@ -437,10 +431,6 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
             raise NoPathError(f"{name} has no exposed {typ}-edge")
         terminals.append(opts)
     if include_port:
-        if board.port is None:
-            raise NoPathError("board has no magic port")
-        if not board.is_routing(board.port):
-            raise NoPathError("magic port tile is blocked")
         terminals.append([board.port])
 
     tree: set = set()
@@ -497,17 +487,6 @@ def _bfs_from(board: Board, sources, targets=()):
 
 # --- fixed-shape boards ---------------------------------------------------
 
-def build(rows: int, cols: int, ancilla: Patch, port, patches) -> Board:
-    """A rows x cols board with the ancilla, then patches 0, 1, ... in
-    list order, then the magic port."""
-    b = Board(rows, cols)
-    b.place_ancilla(*ancilla)
-    for q, p in enumerate(patches):
-        b.init_patch(q, *p)
-    b.set_port(port)
-    return b
-
-
 def _compact_layout(n: int) -> Board:
     """Two data rows of adjacent patch pairs with one routing row between.
 
@@ -518,8 +497,8 @@ def _compact_layout(n: int) -> Board:
     spots = [(2 * (p % 2), 3 * ((p + 1) // 2) + off)
              for p, off in (divmod(q, 2) for q in range(n))]
     cols = max(3, *(c + 1 for _, c in spots))
-    return build(3, cols, Patch((2, 2), ORIENT_H), (2, 0),
-                 [Patch(t, ORIENT_H) for t in spots])
+    return Board(3, cols, Patch((2, 2), ORIENT_H), (2, 0),
+                 {q: Patch(t, ORIENT_H) for q, t in enumerate(spots)})
 
 
 def _grid(n: int) -> tuple:
@@ -532,9 +511,9 @@ def _standard_layout(n: int) -> Board:
     """Routing border ring with packed data rows on odd rows."""
     k, data_rows = _grid(n)
     h, w = 2 * data_rows + 1, k + 2
-    return build(h, w, Patch((h - 1, 0), ORIENT_H), (h - 1, w - 1),
-                 [Patch((2 * (q // k) + 1, q % k + 1), ORIENT_H)
-                  for q in range(n)])
+    return Board(h, w, Patch((h - 1, 0), ORIENT_H), (h - 1, w - 1),
+                 {q: Patch((2 * (q // k) + 1, q % k + 1), ORIENT_H)
+                  for q in range(n)})
 
 
 def _sparse_layout(n: int) -> Board:
@@ -542,9 +521,9 @@ def _sparse_layout(n: int) -> Board:
     k, data_rows = _grid(n)
     # a single data row would leave the tile beside the ancilla stranded
     h, w = max(3, 2 * data_rows), 2 * k
-    return build(h, w, Patch((h - 1, w - 1), ORIENT_H), (h - 1, 0),
-                 [Patch((2 * (q // k), 2 * (q % k)), ORIENT_H)
-                  for q in range(n)])
+    return Board(h, w, Patch((h - 1, w - 1), ORIENT_H), (h - 1, 0),
+                 {q: Patch((2 * (q // k), 2 * (q % k)), ORIENT_H)
+                  for q in range(n)})
 
 
 BUILTIN_LAYOUTS = {"compact": _compact_layout, "standard": _standard_layout,
@@ -561,27 +540,20 @@ def builtin_layout(style: str, n: int) -> Board:
 
 def irregular_demo() -> Board:
     """Hand-shaped six-qubit demo board used in the docs and golden tests."""
-    return build(3, 5, Patch((2, 3), ORIENT_V), (2, 0), [
+    return Board(3, 5, Patch((2, 3), ORIENT_V), (2, 0), dict(enumerate([
         Patch((0, 0), ORIENT_H), Patch((0, 1), ORIENT_V),
         Patch((0, 2), ORIENT_V), Patch((2, 1), ORIENT_V),
-        Patch((2, 2), ORIENT_V), Patch((0, 3), ORIENT_V)])
+        Patch((2, 2), ORIENT_V), Patch((0, 3), ORIENT_V)])))
 
 
 # --- layout text format ---------------------------------------------------
 
 def format_layout(board: Board) -> str:
     """Grid text: '.' routing, 'Q<n><o>' patch, 'A<o>' ancilla, 'M' port."""
-    cells = [["." for _ in range(board.cols)] for _ in range(board.rows)]
-    if board.port is not None:
-        r, c = board.port
-        cells[r][c] = "M"
-    if board.ancilla is not None:
-        r, c = board.ancilla.tile
-        cells[r][c] = f"A{board.ancilla.orient}"
-    for q, p in sorted(board.patches.items()):
-        r, c = p.tile
-        cells[r][c] = f"Q{q}{p.orient}"
-    return "\n".join(" ".join(row) for row in cells) + "\n"
+    tok = {board.port: "M", board.ancilla.tile: f"A{board.ancilla.orient}"}
+    tok.update((p.tile, f"Q{q}{p.orient}") for q, p in board.patches.items())
+    return "".join(" ".join(tok.get((r, c), ".") for c in range(board.cols))
+                   + "\n" for r in range(board.rows))
 
 
 # the id as format_layout prints it: plain decimal, no sign or leading zero
@@ -623,11 +595,8 @@ def parse_layout(text: str) -> Board:
                 patches[q] = Patch((r, c), m[2])
             else:
                 raise LayoutParseError(f"unknown tile token {tok!r}")
-    b = Board(len(rows), width)
-    if ancilla is not None:
-        b.place_ancilla(*ancilla)
-    for q in sorted(patches):
-        b.init_patch(q, *patches[q])
-    if port is not None:
-        b.set_port(port)
-    return b
+    if ancilla is None:
+        raise LayoutParseError("layout has no ancilla")
+    if port is None:
+        raise LayoutParseError("layout has no magic port")
+    return Board(len(rows), width, ancilla, port, patches)

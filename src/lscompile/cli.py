@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -66,10 +67,17 @@ def _load_source(path: str, qubits: int | None):
     return parse_pbc(text, qubits)
 
 
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _board_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--board", default="compact",
                         help="compact|standard|sparse|auto|WxH|@layout-file")
-    parser.add_argument("--alpha-e", type=float, default=ALPHA_E,
+    parser.add_argument("--alpha-e", type=finite, default=ALPHA_E,
                         help="density penalty weight for designed layouts")
     parser.add_argument("--max-tiles", type=int, default=None,
                         help="tile budget for --board auto")
@@ -175,6 +183,8 @@ def cmd_compare(args) -> int:
             **vars(args), scheduler=sched, mapping=mapping,
             y_synthesis=ysynth, board=layout))
         check_choices(opts)
+        opts.board = make_board(opts.board, source.n, opts.alpha_e,
+                                opts.max_tiles)
         runs.append((name, sched, layout, opts))
     calib = default_calibration(args.distance)
     header = (f"{'name':<16} {'sched':<6} {'layout':<10} "
@@ -237,8 +247,13 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one line, as an input error is
+        self.exit(2, f"lscompile: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lscompile",
         description="Clifford+T to lattice-surgery schedule compiler")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correction", default="always",
                    choices=CORRECTION_POLICIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-e", type=float, default=ALPHA_E)
+    p.add_argument("--alpha-e", type=finite, default=ALPHA_E)
     p.add_argument("--max-tiles", type=int, default=None)
     p.add_argument("--distance", type=int, default=9)
     p.set_defaults(func=cmd_compare)
@@ -296,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit codes: 0 ok, 1 verify mismatch, 2 usage
-    or input error; like argparse's own usage errors, an input error is
-    one `lscompile: error:` line on stderr and a SystemExit(2)."""
+    or input error; either error is one `lscompile: error:` line on
+    stderr and a SystemExit(2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .board import (Access, Board, ORIENT_H, ORIENT_V, Patch, build,
-                    builtin_layout, flipped)
+from .board import (Access, Board, ORIENT_H, ORIENT_V, Patch, builtin_layout,
+                    flipped)
 
 # design time grows with the square of the tile count: on a 2-core VM a
 # 64x64 grid takes about 2.5 s for four patches, 128x128 over 40 s
@@ -102,8 +102,8 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Boa
     if rows * cols > MAX_DESIGN_TILES:
         raise LayoutDesignError(f"a {rows}x{cols} board is over the "
                                 f"{MAX_DESIGN_TILES}-tile design limit")
-    board = build(rows, cols, Patch((0, 0), ORIENT_H), (rows - 1, cols - 1),
-                  [])
+    board = Board(rows, cols, Patch((0, 0), ORIENT_H), (rows - 1, cols - 1),
+                  {})
 
     score = 0.0
     for qid in range(n):

@@ -91,9 +91,7 @@ def default_calibration(distance: int = 9) -> Calibration:
 
 def estimate_ler(schedule: Schedule, calib: Calibration) -> dict:
     """Per-slice and total failure probabilities for a schedule."""
-    n_patches = len(schedule.final_board.patches)
-    if schedule.final_board.ancilla is not None:
-        n_patches += 1
+    n_patches = len(schedule.final_board.patches) + 1   # and the ancilla
     sub_rates = (calib.rotate_deform_rate, calib.rotate_corner_rate,
                  calib.rotate_move_rate)
 

@@ -30,8 +30,6 @@ def _exposure_class(board: Board, pid: int) -> int:
 
 
 def _anchor_distance(board: Board, pid: int) -> int:
-    if board.ancilla is None:
-        return 0
     (ar, ac) = board.ancilla.tile
     (r, c) = board.patches[pid].tile
     return abs(r - ar) + abs(c - ac)

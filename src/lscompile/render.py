@@ -51,8 +51,7 @@ def svg_board(board: Board) -> str:
                          f'y2="{y2}" stroke="{color}" stroke-width="3"/>')
         parts.append(_text(x + _TILE / 2, y + _TILE / 2 + 4, label))
 
-    if board.ancilla is not None:
-        draw_patch(board.ancilla, "A", "#bbddbb")
+    draw_patch(board.ancilla, "A", "#bbddbb")
     for q, p in sorted(board.patches.items()):
         draw_patch(p, f"Q{q}", "#cfdef2")
     parts.append("</svg>")

@@ -222,16 +222,10 @@ def _try_bus(board: Board, qmap: dict, op: PauliOp):
 
 
 def _measure_footprint(board: Board, qmap: dict, op: PauliOp, bus):
-    tiles = set(bus)
-    patches = set()
-    for q in op.word.support():
-        pid = qmap[q]
-        patches.add(pid)
-        tiles.add(board.patches[pid].tile)
-    if board.ancilla is not None:
-        patches.add(-1)
-        tiles.add(board.ancilla.tile)
-    return frozenset(tiles), frozenset(patches)
+    pids = [qmap[q] for q in op.word.support()]
+    tiles = [board.patches[p].tile for p in pids]
+    return (frozenset(bus).union(tiles, [board.ancilla.tile]),
+            frozenset([*pids, -1]))
 
 
 # --- loose scheduler ------------------------------------------------------

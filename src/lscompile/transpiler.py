@@ -208,8 +208,7 @@ _QASM_CX_RE = re.compile(
     r"^cx\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\]$")
 _QASM_MEASURE_RE = re.compile(
     r"^measure\s+(\w+)\[(\d+)\]\s*->\s*(\w+)\[(\d+)\]$")
-_QASM_QREG_RE = re.compile(r"^qreg\s+(\w+)\[(\d+)\]$")
-_QASM_CREG_RE = re.compile(r"^creg\s+(\w+)\[(\d+)\]$")
+_QASM_REG_RE = re.compile(r"^([qc])reg\s+(\w+)\[(\d+)\]$")
 
 
 def parse_qasm(text: str) -> GateCircuit:
@@ -227,18 +226,16 @@ def parse_qasm(text: str) -> GateCircuit:
             raise CircuitParseError("classically controlled gates are not supported")
         if stmt.startswith("barrier"):
             raise CircuitParseError("barrier is not supported")
-        m = _QASM_QREG_RE.match(stmt)
+        m = _QASM_REG_RE.match(stmt)
         if m:
-            if qreg_name is not None:
+            if m[2] == qreg_name or m[2] in cregs:
+                raise CircuitParseError(f"register {m[2]} declared twice")
+            if m[1] == "c":
+                cregs[m[2]] = int(m[3])
+            elif qreg_name is not None:
                 raise CircuitParseError("only one qreg is supported")
-            qreg_name = m.group(1)
-            circ = GateCircuit(int(m.group(2)))
-            continue
-        m = _QASM_CREG_RE.match(stmt)
-        if m:
-            if m.group(1) in cregs:
-                raise CircuitParseError(f"creg {m.group(1)} declared twice")
-            cregs[m.group(1)] = int(m.group(2))
+            else:
+                qreg_name, circ = m[2], GateCircuit(int(m[3]))
             continue
         if circ is None:
             raise CircuitParseError(f"statement before qreg: {stmt!r}")

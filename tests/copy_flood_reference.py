@@ -76,9 +76,7 @@ def relocate_pass(board, alpha_e=0.2):
 def design_layout(n, rows, cols, alpha_e=0.2):
     if rows < 2 or cols < 2:
         raise LayoutDesignError("board too small to design on")
-    board = Board(rows, cols)
-    board.place_ancilla((0, 0), ORIENT_H)
-    board.set_port((rows - 1, cols - 1))
+    board = Board(rows, cols, ((0, 0), ORIENT_H), (rows - 1, cols - 1), {})
 
     for qid in range(n):
         best = None

@@ -34,6 +34,10 @@ import copy_flood_reference as ref
 W = PauliWord.from_string
 
 
+# three patches along the top row, to wall in the middle one
+ROW_OF_THREE = {0: ((0, 0), "h"), 1: ((0, 1), "h"), 2: ((0, 2), "h")}
+
+
 def test_edge_type_table():
     # wide patches expose Z east/west and X north/south; tall ones swap
     assert edge_type("h", "E") == "Z"
@@ -49,52 +53,45 @@ def test_edge_type_table():
 class TestBoardBasics:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
-            Board(0, 3)
+            Board(0, 3, ((0, 0), "h"), (0, 1), {})
 
     def test_out_of_bounds_patch(self):
-        b = Board(2, 2)
-        with pytest.raises(IllegalOpError):
-            b.init_patch(0, (2, 0), "h")
+        with pytest.raises(IllegalOpError, match="out of bounds"):
+            Board(2, 2, ((1, 1), "h"), (1, 0), {0: ((2, 0), "h")})
 
     def test_double_occupancy(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
-        with pytest.raises(IllegalOpError):
-            b.init_patch(1, (0, 0), "h")
+        with pytest.raises(IllegalOpError, match="already occupied"):
+            Board(3, 3, ((2, 1), "h"), (2, 2),
+                  {0: ((0, 0), "h"), 1: ((0, 0), "h")})
+        with pytest.raises(IllegalOpError, match="already occupied"):
+            Board(3, 3, ((2, 1), "h"), (2, 2), {0: ((2, 1), "h")})
 
     def test_port_must_stay_routing(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
-        with pytest.raises(IllegalOpError):
-            b.set_port((0, 0))
-        b.set_port((2, 2))
-        with pytest.raises(IllegalOpError):
+        # on a patch, on the ancilla, off the board
+        for port in ((0, 0), (2, 1), (3, 0)):
+            with pytest.raises(IllegalOpError, match=rf"^port tile \({port[0]}"
+                               rf", {port[1]}\) must be routing$"):
+                Board(3, 3, ((2, 1), "h"), port, {0: ((0, 0), "h")})
+        b = Board(3, 3, ((2, 1), "h"), (2, 2), {0: ((0, 0), "h")})
+        with pytest.raises(IllegalOpError, match="port tile must stay"):
             b.init_patch(1, (2, 2), "h")
 
     def test_negative_patch_id_is_refused(self):
-        b = Board(2, 2)
+        with pytest.raises(IllegalOpError):
+            Board(2, 2, ((1, 1), "h"), (1, 0), {-1: ((0, 0), "h")})
+        b = Board(2, 2, ((1, 1), "h"), (1, 0), {})
         with pytest.raises(IllegalOpError):
             b.init_patch(-1, (0, 0), "h")
         assert not b.patches and b.is_routing((0, 0))
 
     def test_ancilla_edges_are_patch_minus_one(self):
-        b = Board(3, 3)
-        assert b.touch_tiles(-1, "X") == b.touch_tiles(-1) == []
-        b.place_ancilla((1, 1), "h")
-        b.init_patch(0, (0, 1), "h")
+        b = Board(3, 3, ((1, 1), "h"), (2, 2), {0: ((0, 1), "h")})
         assert b.touch_tiles(-1, "X") == [(2, 1)]
         assert b.touch_tiles(-1, "Z") == [(1, 0), (1, 2)]
         assert b.touch_tiles(-1) == [(1, 0), (1, 2), (2, 1)]
 
-    def test_single_ancilla(self):
-        b = Board(3, 3)
-        b.place_ancilla((1, 1), "h")
-        with pytest.raises(IllegalOpError):
-            b.place_ancilla((0, 0), "h")
-
     def test_copy_is_independent(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
+        b = Board(3, 3, ((2, 0), "h"), (2, 2), {0: ((0, 0), "h")})
         c = b.copy()
         c.move_patch(0, (0, 1))
         assert b.patches[0].tile == (0, 0)
@@ -155,15 +152,11 @@ class TestExposure:
         assert b.exposed_types(2) == {"X"}
 
     def test_open_patch_sees_both(self):
-        b = Board(3, 3)
-        b.init_patch(0, (1, 1), "h")
+        b = Board(3, 3, ((2, 2), "h"), (2, 0), {0: ((1, 1), "h")})
         assert b.exposed_types(0) == {"X", "Z"}
 
     def test_walled_in_patch_sees_nothing(self):
-        b = Board(1, 3)
-        b.init_patch(0, (0, 0), "h")
-        b.init_patch(1, (0, 1), "h")
-        b.init_patch(2, (0, 2), "h")
+        b = Board(2, 3, ((1, 1), "h"), (1, 0), ROW_OF_THREE)
         assert b.exposed_types(1) == set()
 
 
@@ -176,10 +169,8 @@ class TestRoutingComponents:
         assert b.port in b.a_component()
 
     def test_tie_goes_to_the_row_major_first_component(self):
-        b = Board(3, 3)
-        b.place_ancilla((1, 1), "h")
-        b.init_patch(0, (0, 0), "h")
-        b.init_patch(1, (2, 2), "h")
+        b = Board(3, 3, ((1, 1), "h"), (2, 0),
+                  {0: ((0, 0), "h"), 1: ((2, 2), "h")})
         # {(0,1),(0,2),(1,2)} and {(1,0),(2,0),(2,1)} both touch the
         # ancilla's X and Z edges and an edge of both patches
         assert b.a_component() == {(0, 1), (0, 2), (1, 2)}
@@ -188,11 +179,8 @@ class TestRoutingComponents:
         assert acc.reaches(1, "X") and not acc.reaches(1, "Z")
 
     def test_split_board_has_no_working_region(self):
-        b = Board(3, 3)
-        b.place_ancilla((0, 1), "h")
-        b.init_patch(0, (1, 0), "h")
-        b.init_patch(1, (1, 1), "h")
-        b.init_patch(2, (1, 2), "h")
+        b = Board(3, 3, ((0, 1), "h"), (2, 0), {
+            0: ((1, 0), "h"), 1: ((1, 1), "h"), 2: ((1, 2), "h")})
         # the free tiles beside the ancilla are cut off from the bottom row
         assert b.a_component() is None
 
@@ -340,14 +328,14 @@ def _start_board(data):
     if style == "scattered":
         # anywhere, in any orientation: the ancilla's two X-edge tiles
         # can then land in two components
-        b = Board(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 6)))
-        tiles = data.draw(st.lists(st.sampled_from(sorted(b._nbrs)),
-                                   min_size=2, unique=True))
-        b.place_ancilla(tiles[0], data.draw(st.sampled_from(["h", "v"])))
-        b.set_port(tiles[1])
-        for q, t in enumerate(tiles[2:]):
-            b.init_patch(q, t, data.draw(st.sampled_from(["h", "v"])))
-        return b
+        rows, cols = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 6))
+        tiles = data.draw(st.lists(st.sampled_from(
+            [(r, c) for r in range(rows) for c in range(cols)]),
+            min_size=2, unique=True))
+        ancilla = (tiles[0], data.draw(st.sampled_from(["h", "v"])))
+        return Board(rows, cols, ancilla, tiles[1], {
+            q: (t, data.draw(st.sampled_from(["h", "v"])))
+            for q, t in enumerate(tiles[2:])})
     if style == "designed":
         rows = data.draw(st.integers(2, 5))
         cols = data.draw(st.integers(rows, 6))
@@ -438,8 +426,7 @@ def _ref_bfs_within(tiles, start):
 
 class TestMoveAndRotate:
     def test_move_is_one_step(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
+        b = Board(3, 3, ((2, 0), "h"), (2, 2), {0: ((0, 0), "h")})
         assert b.move_patch(0, (0, 1)) == {(0, 0), (0, 1)}
         assert b.patches[0].tile == (0, 1)
 
@@ -448,11 +435,8 @@ class TestMoveAndRotate:
                              ids=["diagonal", "two-away", "port", "patch",
                                   "ancilla", "own-tile", "out-of-bounds"])
     def test_move_refuses_all_but_a_step(self, dest):
-        b = Board(3, 3)
-        b.place_ancilla((2, 0), "h")
-        b.init_patch(0, (1, 1), "h")
-        b.init_patch(1, (0, 1), "h")
-        b.set_port((1, 2))
+        b = Board(3, 3, ((2, 0), "h"), (1, 2),
+                  {0: ((1, 1), "h"), 1: ((0, 1), "h")})
         acc, at = b.access(), dict(b._at)
         # N is a patch and E the port: S, then W
         assert b.steps(0) == [(2, 1), (1, 0)]
@@ -490,44 +474,33 @@ class TestMoveAndRotate:
             assert legal and b.patches[qid].tile == dest
 
     def test_move_rejects_sealed_source(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
-        b.init_patch(1, (0, 1), "h")
-        b.init_patch(2, (1, 0), "h")
+        b = Board(3, 3, ((2, 2), "h"), (2, 0), {
+            0: ((0, 0), "h"), 1: ((0, 1), "h"), 2: ((1, 0), "h")})
         with pytest.raises(IllegalOpError):
             b.move_patch(0, (0, 2))
 
     def test_move_never_lands_on_port(self):
-        b = Board(2, 2)
-        b.init_patch(0, (0, 0), "h")
-        b.set_port((1, 0))
+        b = Board(2, 2, ((1, 1), "h"), (1, 0), {0: ((0, 0), "h")})
         with pytest.raises(IllegalOpError):
             b.move_patch(0, (1, 0))
 
     def test_rotation_helper_prefers_north(self):
-        b = Board(3, 3)
-        b.init_patch(0, (1, 1), "h")
+        b = Board(3, 3, ((2, 2), "h"), (2, 0), {0: ((1, 1), "h")})
         assert b.rotation_helper(0) == (0, 1)
 
     def test_rotation_helper_may_borrow_port(self):
         """A cornered patch can still rotate through the port tile even
         though it could never move onto it."""
-        b = Board(2, 2)
-        b.init_patch(0, (0, 0), "h")
-        b.init_patch(1, (0, 1), "h")
-        b.set_port((1, 0))
+        b = Board(2, 2, ((1, 1), "h"), (1, 0),
+                  {0: ((0, 0), "h"), 1: ((0, 1), "h")})
         assert b.rotation_helper(0) == (1, 0)
 
     def test_rotation_helper_none_when_enclosed(self):
-        b = Board(1, 3)
-        b.init_patch(0, (0, 0), "h")
-        b.init_patch(1, (0, 1), "h")
-        b.init_patch(2, (0, 2), "h")
+        b = Board(2, 3, ((1, 1), "h"), (1, 0), ROW_OF_THREE)
         assert b.rotation_helper(1) is None
 
     def test_rotate_flips_orientation(self):
-        b = Board(3, 3)
-        b.init_patch(0, (1, 1), "h")
+        b = Board(3, 3, ((2, 2), "h"), (2, 0), {0: ((1, 1), "h")})
         footprint = b.rotate_patch(0, b.rotation_helper(0))
         assert footprint == {(1, 1), (0, 1)}
         assert b.patches[0].orient == "v"
@@ -535,8 +508,7 @@ class TestMoveAndRotate:
         assert b.patches[0].orient == "h"
 
     def test_rotate_rejects_bad_helper(self):
-        b = Board(3, 3)
-        b.init_patch(0, (0, 0), "h")
+        b = Board(3, 3, ((1, 1), "h"), (2, 0), {0: ((0, 0), "h")})
         with pytest.raises(IllegalOpError):
             b.rotate_patch(0, helper=(2, 2))
 
@@ -711,6 +683,15 @@ class TestLayoutText:
     ], ids=["repeated-id", "repeated-id-mixed-orientation", "two-ancillas",
             "two-ancillas-mixed-orientation"])
     def test_rejects_a_repeated_patch_or_ancilla(self, text, message):
+        with pytest.raises(LayoutParseError, match=f"^{message}$"):
+            parse_layout(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("Q0h . .\n. . .\n. . M\n", "layout has no ancilla"),
+        ("Q0h . .\n. . .\nAh . .\n", "layout has no magic port"),
+        (". .\n", "layout has no ancilla"),
+    ], ids=["no-ancilla", "no-port", "all-routing"])
+    def test_refuses_a_layout_without_ancilla_or_port(self, text, message):
         with pytest.raises(LayoutParseError, match=f"^{message}$"):
             parse_layout(text)
 

@@ -164,7 +164,8 @@ def test_compare_rejects_bad_run_spec(qasm_file):
     ["--run", "b:loose:compact:bogus"],
     ["--run", "b:loose", "--distance", "9"],
     ["--run", "b:loose:compact", "--distance", "4"],
-], ids=["bad-mapping", "two-fields", "bad-distance"])
+    ["--run", "b:loose:bogus"],
+], ids=["bad-mapping", "two-fields", "bad-distance", "bad-layout"])
 def test_compare_checks_every_run_before_compiling(qasm_file, monkeypatch,
                                                     capsys, extra):
     from lscompile import cli
@@ -176,9 +177,24 @@ def test_compare_checks_every_run_before_compiling(qasm_file, monkeypatch,
         main(["compare", qasm_file, "--run", "a:loose:compact", *extra])
     assert exit_.value.code == 2
     assert calls == []
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("lscompile: error: ")
     assert err.count("\n") == 1
+
+
+def test_compile_names_a_missing_magic_port(tmp_path, monkeypatch, capsys):
+    """A layout without M is refused as it is read, before its first T
+    gate could look for the port."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bell_t.qasm").write_text(QASM.replace(
+        "measure q[0] -> c[0];\n", "t q[1];\nmeasure q[0] -> c[0];\n"))
+    (tmp_path / "no_port.layout").write_text("Q0h Q1h .\n. . .\nAh . .\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["compile", "bell_t.qasm", "--board", "@no_port.layout"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == (
+        "lscompile: error: layout has no magic port\n")
 
 
 def test_verify_accepts_sound_circuit(qasm_file, capsys):
@@ -212,13 +228,19 @@ def test_verify_accepts_ten_qubit_circuit(tmp_path, capsys):
     ["verify", "wide.qasm"],
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e", "nan"],
     ["layout", "--qubits", "4", "--board", "auto", "--alpha-e=-inf"],
+    ["layout", "--qubits", "3", "--board", "compact", "--alpha-e", "nan"],
+    ["compile", "ok.pbc", "--alpha-e", "inf"],
+    ["estimate", "ok.pbc", "--alpha-e", "nan"],
+    ["compare", "ok.pbc", "--run", "a:loose:compact", "--alpha-e", "nan"],
     ["compile", "ok.pbc", "--board", "@neg.layout"],
     ["layout", "--qubits", "0", "--board", "3x3"],
     ["compile", "empty.qasm", "--board", "3x3"],
     ["layout", "--qubits", "2", "--board", "99999x99999"],
 ], ids=["bad-spec", "few-patches", "missing-file", "bad-distance",
         "no-design", "bad-run-spec", "run-spec-too-long", "verify-too-wide",
-        "nan-alpha-e", "infinite-alpha-e", "negative-patch-id",
+        "nan-alpha-e", "infinite-alpha-e", "nan-alpha-e-builtin-board",
+        "infinite-alpha-e-compile", "nan-alpha-e-estimate",
+        "nan-alpha-e-compare", "negative-patch-id",
         "zero-qubits", "zero-qubit-program", "over-design-limit"])
 def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
                                                 capsys, argv):

@@ -19,11 +19,7 @@ import copy_flood_reference as ref
 def score_example_board():
     """One patch whose Z edge (west) and X edge (south) both touch the
     working region, giving two exposed boundary edges in total."""
-    b = Board(2, 3)
-    b.place_ancilla((0, 0), "h")
-    b.set_port((1, 2))
-    b.init_patch(0, (0, 2), "h")
-    return b
+    return Board(2, 3, ((0, 0), "h"), (1, 2), {0: ((0, 2), "h")})
 
 
 class TestScore:
@@ -37,18 +33,12 @@ class TestScore:
         assert layout_score(b, alpha_e=0.5) == pytest.approx(1.0)
 
     def test_ancilla_only_board_scores_zero(self):
-        b = Board(2, 2)
-        b.place_ancilla((0, 0), "h")
-        b.set_port((1, 1))
+        b = Board(2, 2, ((0, 0), "h"), (1, 1), {})
         assert layout_score(b) == 0.0
 
     def test_split_routing_scores_zero(self):
-        b = Board(3, 3)
-        b.place_ancilla((0, 1), "h")
-        b.init_patch(0, (1, 0), "h")
-        b.init_patch(1, (1, 1), "h")
-        b.init_patch(2, (1, 2), "h")
-        b.set_port((2, 0))
+        b = Board(3, 3, ((0, 1), "h"), (2, 0), {
+            0: ((1, 0), "h"), 1: ((1, 1), "h"), 2: ((1, 2), "h")})
         assert layout_score(b) == 0.0
 
     def test_builtin_standard_scores_positive(self):

@@ -24,11 +24,8 @@ def small_schedule():
 
 def single_slice_schedule():
     """One measure over a 10-tile bus, one rotation, one idle patch."""
-    board = Board(4, 12)
-    for q, tile in ((0, (1, 0)), (1, (2, 0)), (2, (3, 0))):
-        board.init_patch(q, tile, "h")
-    board.place_ancilla((1, 11), "h")
-    board.set_port((0, 0))
+    board = Board(4, 12, ((1, 11), "h"), (0, 0),
+                  {0: ((1, 0), "h"), 1: ((2, 0), "h"), 2: ((3, 0), "h")})
     bus = frozenset((0, c) for c in range(1, 11))
     measure = Instruction(kind="measure", start=1, duration=1,
                           tiles=bus | {(1, 0), (1, 11)},

@@ -95,15 +95,15 @@ def test_access_map_single_type():
 
 
 def test_access_map_both_types_grants_y():
-    b = Board(3, 3)
-    b.init_patch(0, (1, 1), "h")
+    b = Board(3, 3, ((2, 2), "h"), (2, 0), {0: ((1, 1), "h")})
     assert access_map(b, {0: 0})[0] == {"X", "Y", "Z"}
 
 
 def test_access_map_respects_qmap():
-    b = Board(3, 5)
-    b.init_patch(0, (0, 0), "h")   # corner with a blocked east side, X only
-    b.init_patch(1, (0, 1), "h")   # east and south stay open, all letters
+    b = Board(3, 5, ((2, 4), "h"), (2, 0), {
+        0: ((0, 0), "h"),   # corner with a blocked east side, X only
+        1: ((0, 1), "h"),   # east and south stay open, all letters
+    })
     acc = access_map(b, {0: 1, 1: 0})
     assert acc[0] == {"X", "Y", "Z"}
     assert acc[1] == {"X"}

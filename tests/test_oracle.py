@@ -121,11 +121,8 @@ def test_qubit_cap_enforced():
 
 
 def test_brute_force_single_measurement():
-    board = Board(3, 3)
-    board.init_patch(0, (0, 0), "h")
-    board.init_patch(1, (0, 2), "h")
-    board.place_ancilla((2, 1), "h")
-    board.set_port((2, 0))
+    board = Board(3, 3, ((2, 1), "h"), (2, 0),
+                  {0: ((0, 0), "h"), 1: ((0, 2), "h")})
     prog = PbcProgram(2, (measurement(W("ZZ")),))
     assert brute_force_optimum(prog, board) == 1
 

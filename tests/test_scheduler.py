@@ -156,11 +156,8 @@ class TestGoldenIrregular:
 
 class TestLooseScheduler:
     def test_rejects_split_routing(self):
-        b = Board(3, 3)
-        b.place_ancilla((0, 1), "h")
-        b.init_patch(0, (1, 0), "h")
-        b.init_patch(1, (1, 1), "h")
-        b.init_patch(2, (1, 2), "h")
+        b = Board(3, 3, ((0, 1), "h"), (2, 0), {
+            0: ((1, 0), "h"), 1: ((1, 1), "h"), 2: ((1, 2), "h")})
         with pytest.raises(ScheduleError):
             schedule_loose(parse_pbc("M ZZZ", 3), b)
 

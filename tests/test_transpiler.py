@@ -244,6 +244,14 @@ class TestTextFormats:
         with pytest.raises(CircuitParseError):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{body}\n")
 
+    @pytest.mark.parametrize("decls", ["qreg q[2];\ncreg q[2];",
+                                       "creg q[2];\nqreg q[2];"],
+                             ids=["qreg-first", "creg-first"])
+    def test_qasm_register_names_share_one_namespace(self, decls):
+        with pytest.raises(CircuitParseError,
+                           match="^register q declared twice$"):
+            parse_qasm(f"OPENQASM 2.0;\n{decls}\nmeasure q[0] -> q[0];\n")
+
     def test_qasm_measures_into_any_declared_bit(self):
         circ = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg a[1];\n"
                           "creg b[3];\nmeasure q[0] -> b[2];\n"
