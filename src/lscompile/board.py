@@ -18,16 +18,17 @@ that rule; a rotation swaps its boundary labels in place.
 scan that refuses a second ancilla or a repeated patch id at its token,
 and text without an ancilla or a port.
 
-Each board state keeps one derived record, its routing access: the
-strict component and which patch edges face it (`_count`, the one
-edge-facing test), worked out in one flood on first use.  A tile
-changing hands drops it.  A rotation carries it forward, since swapping
-a patch's boundary labels leaves every tile, and so the component,
-where it was.  From the kept access, the access after
-a one-tile change (a placement, a move or a reorientation) is worked out
-without copying the board or flooding it again.  Routing walks a
-neighbour table built once per board shape and reads each patch's edges
-from a table keyed by the immutable patch.
+Each board state keeps two records, worked out on first use: its routing
+access (the strict component and which patch edges face it, `_count`
+being the one edge-facing test) and its distance maps (`distances`, the
+one flood, per routing tile asked for).  A tile changing hands drops
+both; a rotation keeps the maps and carries the access forward, as it
+leaves every tile where it was.  A copy gets its own record of the maps.
+The access after a one-tile change (a placement, a move or a
+reorientation) is worked out from the kept one without a copy or a
+flood, and bus routing reads the kept maps.  Floods walk a neighbour
+table built once per board shape; patch edges come from a table keyed
+by the immutable patch.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ class Board:
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
         self._acc = None      # access() of the current state, or None
         self._cut = None      # tiles access_with() floods a copy for, or None
+        self._dist: dict = {}  # routing tile -> distances() of it
+        if ancilla[1] not in (ORIENT_H, ORIENT_V):
+            raise IllegalOpError(f"bad orientation {ancilla[1]!r}")
         self._claim(ancilla[0], -1)
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):
@@ -213,6 +217,7 @@ class Board:
         b.__dict__.update(self.__dict__)
         b.patches = dict(self.patches)
         b._at = dict(self._at)
+        b._dist = dict(self._dist)
         return b
 
     def key(self):
@@ -229,7 +234,7 @@ class Board:
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
         self._at[tile] = qid
-        self._acc = self._cut = None
+        self._acc, self._cut, self._dist = None, None, {}
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
@@ -244,7 +249,7 @@ class Board:
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
-        self._acc = self._cut = None
+        self._acc, self._cut, self._dist = None, None, {}
 
     # --- patch operations -------------------------------------------------
 
@@ -264,7 +269,7 @@ class Board:
         del self._at[p.tile]
         self._at[dest] = qid
         self.patches[qid] = Patch(dest, p.orient)
-        self._acc = self._cut = None
+        self._acc, self._cut, self._dist = None, None, {}
         return frozenset((p.tile, dest))
 
     def rotation_helper(self, qid: int):
@@ -282,8 +287,9 @@ class Board:
         p = self.patches[qid]
         if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
             raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        # the strict component and its cut tiles stand: no tile changed
-        # hands, and it asks for an edge of any type on every data patch
+        # the strict component, its cut tiles and the distance maps
+        # stand: no tile changed hands, and the component asks for an
+        # edge of any type on every data patch
         if self._acc is not None:
             self._acc = self.access_with(qid, p.tile, flipped(p.orient))
         self.patches[qid] = Patch(p.tile, flipped(p.orient))
@@ -305,6 +311,24 @@ class Board:
 
     # --- connectivity -----------------------------------------------------
 
+    def distances(self, tile) -> dict:
+        """Breadth-first distance from the routing tile to each routing
+        tile it reaches; kept until a tile changes hands, never mutated."""
+        dist = self._dist.get(tile)
+        if dist is None:
+            nbrs, occ = self._nbrs, self._at
+            dist = {tile: 0}
+            queue = deque((tile,))
+            while queue:
+                cur = queue.popleft()
+                d = dist[cur] + 1
+                for nb in nbrs[cur]:
+                    if nb not in dist and nb not in occ:
+                        dist[nb] = d
+                        queue.append(nb)
+            self._dist[tile] = dist
+        return dist
+
     def a_component(self):
         """The single routing component realizing strict connectivity, or None.
 
@@ -318,7 +342,7 @@ class Board:
             comps = []
             for x in self.touch_tiles(-1, "X"):
                 if not any(x in comp for comp in comps):
-                    comps.append(frozenset(_bfs_from(self, [x])[0]))
+                    comps.append(frozenset(self.distances(x)))
             # the first, in min order, that also faces the ancilla's Z
             # edge and an edge of every patch; its counts are the access
             nbrs, at = self._nbrs, self._at
@@ -420,8 +444,12 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
     """Connected routing-tile set touching every required (patch, edge type)
     boundary plus the ancilla's X and Z edges (and the magic port if asked).
 
-    Built by sequential shortest-path search with already-selected tiles at
-    zero cost, a standard Steiner-tree heuristic.  Deterministic.
+    Sequential shortest paths with already-selected tiles at zero cost, a
+    standard Steiner-tree heuristic, on the board's kept distance maps.
+    Each terminal joins through its option nearest the tree (the first in
+    sorted order on a tie), from the least tree tile at that distance,
+    stepping each time to the first neighbour in N, E, S, W order one
+    tile nearer the option.
     """
     terminals = []
     for qid, typ in [*required, (-1, "X"), (-1, "Z")]:
@@ -443,46 +471,20 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
             inside = [t for t in opts if comp is not None and t in comp]
             tree.add(min(inside) if inside else min(opts))
             continue
-        dist, prev = _bfs_from(board, tree, opts)
         best = None
         for t in sorted(opts):
-            if t in dist and (best is None or dist[t] < dist[best]):
-                best = t
+            dist = board.distances(t)
+            near = min(((dist[s], s) for s in tree if s in dist), default=None)
+            if near is not None and (best is None or near[0] < best[0]):
+                best = (*near, dist)
         if best is None:
             raise NoPathError(f"no routing path to terminal options {opts}")
-        cur = best
-        while cur is not None and cur not in tree:
+        d, cur, dist = best
+        while d:
+            d -= 1
+            cur = next(nb for nb in board._nbrs[cur] if dist.get(nb) == d)
             tree.add(cur)
-            cur = prev[cur]
     return frozenset(tree)
-
-
-def _bfs_from(board: Board, sources, targets=()):
-    """BFS over routing tiles from a source set; deterministic parents.
-
-    Given targets, it stops when the first of them is dequeued: by then
-    every tile as near as that target has its final dist and prev, so
-    the nearest targets and their paths are those of a full flood.
-    """
-    nbrs, occ = board._nbrs, board._at
-    dist = {}
-    prev = {}
-    queue = deque()
-    for s in sorted(sources):
-        dist[s] = 0
-        prev[s] = None
-        queue.append(s)
-    while queue:
-        cur = queue.popleft()
-        if cur in targets:
-            break
-        d = dist[cur] + 1
-        for nb in nbrs[cur]:
-            if nb not in dist and nb not in occ:
-                dist[nb] = d
-                prev[nb] = cur
-                queue.append(nb)
-    return dist, prev
 
 
 # --- fixed-shape boards ---------------------------------------------------

@@ -6,7 +6,8 @@ at random, by up to ten times a draw's usual time.  A setting already
 in the environment is kept.
 
 `--slow` also runs the tests marked `slow`: the full sweeps that hold
-the layout search to its copy-and-flood reference.
+the layout search to its copy-and-flood reference, and the replay of
+the benchmark suite's schedules against the full-flood bus reference.
 """
 
 import os

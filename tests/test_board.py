@@ -26,8 +26,10 @@ from lscompile.layout_search import (
     design_layout,
     layout_score,
 )
-from lscompile.pauli import PauliWord, rotation
-from lscompile.scheduler import enabled_count
+from lscompile import bench
+from lscompile.pauli import PauliWord, parse_op, rotation
+from lscompile.pipeline import CompileOptions, compile_program
+from lscompile.scheduler import enabled_count, required_edges
 
 import copy_flood_reference as ref
 
@@ -89,6 +91,12 @@ class TestBoardBasics:
         assert b.touch_tiles(-1, "X") == [(2, 1)]
         assert b.touch_tiles(-1, "Z") == [(1, 0), (1, 2)]
         assert b.touch_tiles(-1) == [(1, 0), (1, 2), (2, 1)]
+
+    def test_bad_ancilla_orientation_is_refused(self):
+        # an ancilla with no X edge would print as 'Ax', which
+        # parse_layout refuses
+        with pytest.raises(IllegalOpError, match=r"^bad orientation 'x'$"):
+            Board(2, 2, ((0, 0), "x"), (1, 1), {0: ((0, 1), "h")})
 
     def test_copy_is_independent(self):
         b = Board(3, 3, ((2, 0), "h"), (2, 2), {0: ((0, 0), "h")})
@@ -646,6 +654,83 @@ class TestRoutingMatchesFullFlood:
         include_port = data.draw(st.booleans())
         assert (_outcome(bus_patches, b, required, include_port)
                 == _outcome(_ref_bus, b, required, include_port))
+
+    @staticmethod
+    def _routes_match(data, b):
+        pair = st.tuples(st.sampled_from(sorted(b.patches)),
+                         st.sampled_from(["X", "Z"]))
+        for _ in range(2):
+            required = data.draw(st.lists(pair, max_size=4))
+            include_port = data.draw(st.booleans())
+            assert (_outcome(bus_patches, b, required, include_port)
+                    == _outcome(_ref_bus, b, required, include_port))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_maps_are_never_stale(self, data):
+        """Routes on one board object stay those of a full flood through
+        drawn moves, rotations and patches removed and placed again, and
+        a copy's mutations never reach the original's maps."""
+        b = _drawn_board(data)
+        self._routes_match(data, b)
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["move", "rotate", "reinit"]))
+            qid = data.draw(st.sampled_from(sorted(b.patches)))
+            if kind == "reinit":
+                b.remove_patch(qid)
+                free = [t for t in b._nbrs if b.is_routing(t) and t != b.port]
+                b.init_patch(qid, data.draw(st.sampled_from(free)),
+                             data.draw(st.sampled_from(["h", "v"])))
+            else:
+                try:
+                    _mutate(data, b, kinds=(kind,))
+                except IllegalOpError:
+                    pass
+            self._routes_match(data, b)
+        c = b.copy()
+        self._routes_match(data, c)
+        for _ in range(data.draw(st.integers(1, 4))):
+            try:
+                _mutate(data, c)
+            except IllegalOpError:
+                pass
+            if c.patches:
+                self._routes_match(data, c)
+        self._routes_match(data, b)
+
+    def test_rotation_keeps_the_maps_and_a_move_drops_them(self):
+        b = builtin_layout("compact", 4)
+        kept = b.distances((1, 0))
+        b.rotate_patch(0, b.rotation_helper(0))
+        assert b.distances((1, 0)) is kept
+        b.move_patch(2, (1, 3))
+        assert (1, 3) not in b.distances((1, 0))
+        assert kept[(1, 3)] == 3
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("scheduler", ["loose", "spc"])
+    @pytest.mark.parametrize("board", ["standard", "auto"])
+    @pytest.mark.parametrize("name", [name for name, _ in bench.suite()])
+    def test_replayed_schedules_route_as_a_full_flood(self, name, board,
+                                                      scheduler):
+        """Every measure's bus equals the reference on the initial layout
+        with the schedule's moves and rotations replayed in order."""
+        circuit = dict(bench.suite())[name]
+        sched = compile_program(circuit, CompileOptions(
+            scheduler=scheduler, board=board)).schedule
+        b = parse_layout(sched.initial_layout)
+        for ins in sched.instructions:
+            if ins.kind == "measure":
+                op = parse_op(ins.label)
+                assert ins.bus == _ref_bus(b, required_edges(op, sched.qmap),
+                                           op.is_eighth()), ins.label
+                continue
+            (pid,) = ins.patches
+            if ins.kind == "move":
+                b.move_patch(pid, ins.dst)
+            else:
+                b.rotate_patch(pid, ins.helper)
+        assert b.key() == sched.final_board.key()
 
 
 class TestLayoutText:
