@@ -472,7 +472,7 @@ def bus_patches(board: Board, required, include_port: bool = False) -> frozenset
             tree.add(min(inside) if inside else min(opts))
             continue
         best = None
-        for t in sorted(opts):
+        for t in opts:
             dist = board.distances(t)
             near = min(((dist[s], s) for s in tree if s in dist), default=None)
             if near is not None and (best is None or near[0] < best[0]):

@@ -21,6 +21,8 @@ from .board import Board, NoPathError, OP_COSTS, bus_patches
 from .pauli import MEASUREMENT, PauliOp, PauliWord, ROTATION
 from .pdag import build_pdag
 from .scheduler import (
+    DeadlockError,
+    ScheduleError,
     _measure_footprint,
     normalize_angles,
     required_edges,
@@ -227,7 +229,7 @@ def brute_force_optimum(program: PbcProgram, board: Board,
 
     try:
         incumbent = schedule_loose(prog, board, qmap).total_clocks
-    except Exception:
+    except (DeadlockError, ScheduleError):
         incumbent = num_ops * (max(OP_COSTS.values()) + 1) * board.tile_count()
     best = [incumbent]
 

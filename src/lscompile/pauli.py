@@ -39,10 +39,6 @@ class PauliParseError(ValueError):
     """Malformed operator text."""
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
-
-
 def set_bits(mask: int):
     """Indices of the set bits of mask, lowest first."""
     while mask:
@@ -102,7 +98,7 @@ class PauliWord:
         return tuple(set_bits(self.x | self.z))
 
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -118,7 +114,7 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     """True iff the symplectic inner product of a and b is even."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    return (_popcount(a.x & b.z) + _popcount(a.z & b.x)) % 2 == 0
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -153,8 +149,8 @@ def multiply(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:
     # phase bookkeeping for W(x,z) = i^pc(x&z) X^x Z^z:
     # commuting Z^z1 past X^x2 contributes (-1)^pc(z1 & x2)
     ph = (a.phase_exp + b.phase_exp
-          + _popcount(aw.x & aw.z) + _popcount(bw.x & bw.z)
-          + 2 * _popcount(aw.z & bw.x) - _popcount(x3 & z3)) % 4
+          + (aw.x & aw.z).bit_count() + (bw.x & bw.z).bit_count()
+          + 2 * (aw.z & bw.x).bit_count() - (x3 & z3).bit_count()) % 4
     return PhasedPauli(PauliWord(aw.n, x3, z3), ph)
 
 

@@ -76,9 +76,8 @@ def build_pdag(program: PbcProgram) -> PDag:
         for q in op.word.support():
             if q in last_writer:
                 p = last_writer[q]
-                if p != idx:
-                    node.preds.add(p)
-                    nodes[p].succs.add(idx)
+                node.preds.add(p)
+                nodes[p].succs.add(idx)
             last_writer[q] = idx
         nodes.append(node)
     for node in nodes:

@@ -29,7 +29,8 @@ from .board import (
     flipped,
     format_layout,
 )
-from .pauli import MEASUREMENT, PauliOp, format_op, rotation
+from .pauli import (
+    MEASUREMENT, PauliOp, PauliWord, flip_past_pauli, format_op, rotation)
 from .pdag import build_pdag
 from .transpiler import PbcProgram
 from .ysynth import naive_y_decompose
@@ -74,15 +75,12 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
     most one eighth plus one quarter rotation.  Output rotations carry
     only angle numerators 1, 2, 14, 15.
     """
-    # (x, z) masks of the product of the half-pi words so far; as the
-    # symplectic product is bilinear, an operator's sign flips iff it
-    # anticommutes with that product
-    fx = fz = 0
+    # the product of the half-pi words so far: as the symplectic product
+    # is bilinear, an operator's sign flips iff it anticommutes with it
+    frame = PauliWord(program.n, 0, 0)
     out = []
     for op in program.ops:
-        w = op.word
-        if ((fx & w.z).bit_count() + (fz & w.x).bit_count()) & 1:
-            op = op.negated()
+        op, w = flip_past_pauli(frame, op), op.word
         if op.kind == MEASUREMENT:
             out.append(op)
             continue
@@ -90,7 +88,7 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
             continue
         r = op.angle_num % 8
         if r == 4:
-            fx, fz = fx ^ w.x, fz ^ w.z
+            frame = PauliWord(program.n, frame.x ^ w.x, frame.z ^ w.z)
             continue
         out.extend(rotation(w, k) for k in _EMIT[r])
     return PbcProgram(program.n, tuple(out))

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from .pauli import (
-    ROTATION,
     PauliOp,
     PauliParseError,
     PauliWord,
@@ -134,7 +133,7 @@ def absorb_cliffords(program: PbcProgram) -> PbcProgram:
     zs = [measurement(_letter(n, q, "Z")) for q in range(n)]
     out: list = []
     for op in program.ops:
-        if op.kind == ROTATION and op.is_trivial():
+        if op.is_trivial():
             continue
         quarter = op.is_clifford_quarter()
         if not quarter and not op.is_pauli_half():

@@ -155,7 +155,8 @@ def y_synthesize(program: PbcProgram, access=None) -> PbcProgram:
     emitted: dict[int, list] = {}
     for idx, op in enumerate(program.ops):
         ys = _y_indices(op)
-        if not ys or all("Y" in _lookup(access, q) for q in ys):
+        if not ys or access is None or all(
+                "Y" in access.get(q, _FULL_ACCESS) for q in ys):
             out.append(op)
             continue
         if len(ys) % 2 == 1:
@@ -195,49 +196,49 @@ def apply_y_strategy(program: PbcProgram, strategy: str, access=None
     raise ValueError(f"unknown Y strategy {strategy!r}")
 
 
-def _lookup(access, q: int):
-    if access is None:
-        return _FULL_ACCESS
-    return access.get(q, _FULL_ACCESS)
-
-
 # --- merge / cancellation pass --------------------------------------------
 
 def pauli_synthesis(program: PbcProgram) -> PbcProgram:
     """Merge same-word rotation pairs separated only by disjoint-support
-    operators, to a fixpoint.
+    operators, in one left-to-right scan.
 
-    Merged angles are taken mod 2*pi; a zero or pi result deletes the
-    pair, a half-pi result is folded into later operators as a Pauli
-    frame flip when a measurement still follows (otherwise the explicit
-    rotation stays).  Measurements are never merge partners and block
-    merges across overlapping support.
+    An operator's only possible partner is the last kept operator it
+    overlaps, the greatest top of its qubits' stacks of kept positions;
+    the two merge when both are rotations on the same word.  Merged
+    angles are taken mod 2*pi; a zero or pi result deletes the pair and
+    uncovers what lies beneath, a half-pi result is folded into later
+    operators as a Pauli frame flip when a measurement still follows the
+    partner's earliest part (otherwise the explicit rotation stays).
+    Measurements are never merge partners and block merges across
+    overlapping support.
     """
-    ops = [op for op in program.ops
-           if not (op.kind == ROTATION and op.is_trivial())]
-    changed = True
-    while changed:
-        ops, changed = _merge_once(ops)
-    return PbcProgram(program.n, tuple(ops))
-
-
-def _merge_once(ops):
-    for i, a in enumerate(ops):
-        if a.kind != ROTATION:
+    n, ops = program.n, program.ops
+    last_m = max((p for p, op in enumerate(ops) if op.kind == MEASUREMENT),
+                 default=-1)
+    frame = PauliWord(n, 0, 0)
+    kept = []   # (op, input position of its earliest part), None once gone
+    stacks = [[] for _ in range(n)]   # per qubit, indices into kept
+    for p, op in enumerate(ops):
+        op = flip_past_pauli(frame, op)
+        if op.is_trivial():
             continue
-        for j in range(i + 1, len(ops)):
-            b = ops[j]
-            if b.kind == ROTATION and b.word == a.word:
-                k = (a.angle_num + b.angle_num) % 16
-                rest = ops[:i] + ops[i + 1:j] + ops[j + 1:]
-                if k in (0, 8):
-                    return rest, True
-                if k in (4, 12) and any(t.kind == MEASUREMENT
-                                        for t in rest[i:]):
-                    tail = [flip_past_pauli(a.word, t) for t in rest[i:]]
-                    return rest[:i] + tail, True
-                merged = rotation(a.word, k)
-                return ops[:i] + [merged] + ops[i + 1:j] + ops[j + 1:], True
-            if a.word.overlaps(b.word):
-                break
-    return ops, False
+        w, supp = op.word, op.word.support()
+        i = max((stacks[q][-1] for q in supp if stacks[q]), default=-1)
+        if i < 0 or not (kept[i][0].kind == op.kind == ROTATION
+                         and kept[i][0].word == w):
+            for q in supp:
+                stacks[q].append(len(kept))
+            kept.append((op, p))
+            continue
+        a, start = kept[i]
+        k = (a.angle_num + op.angle_num) % 16
+        fold = k in (4, 12) and last_m > start
+        if k in (0, 8) or fold:
+            if fold:
+                frame = PauliWord(n, frame.x ^ w.x, frame.z ^ w.z)
+            kept[i] = None
+            for q in supp:
+                stacks[q].pop()
+        else:
+            kept[i] = (rotation(w, k), start)
+    return PbcProgram(n, tuple(e[0] for e in kept if e))

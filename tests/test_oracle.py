@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
-from lscompile import bench
+from lscompile import bench, oracle
 from lscompile.board import Board
 from lscompile.oracle import (
     MAX_ORACLE_QUBITS,
@@ -19,6 +19,7 @@ from lscompile.oracle import (
 )
 from lscompile.pauli import ROTATION, PauliWord, measurement, rotation
 from lscompile.pipeline import CompileOptions, compile_program
+from lscompile.scheduler import DeadlockError, ScheduleError
 from lscompile.transpiler import (
     SUPPORTED_GATES,
     Gate,
@@ -137,6 +138,34 @@ def test_brute_force_never_beats_known_golden():
     board = builtin_layout("compact", 3)
     loose = schedule_loose(prog, board).total_clocks
     assert brute_force_optimum(prog, board) <= loose
+
+
+@pytest.mark.parametrize("error", [
+    DeadlockError("M ZZ", (0, 1), ""), ScheduleError("stuck")])
+def test_brute_force_survives_a_scheduler_failure(monkeypatch, error):
+    """Without a heuristic incumbent the search starts from a crude bound
+    and still finds the optimum."""
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(oracle, "schedule_loose", failing)
+    board = Board(3, 3, ((2, 1), "h"), (2, 0),
+                  {0: ((0, 0), "h"), 1: ((0, 2), "h")})
+    prog = PbcProgram(2, (measurement(W("ZZ")),))
+    assert brute_force_optimum(prog, board) == 1
+
+
+def test_brute_force_surfaces_other_scheduler_errors(monkeypatch):
+    """A fault that is not a scheduling failure, here a qubit missing from
+    the map, is raised, not hidden behind a looser bound."""
+    def failing(*args):
+        raise KeyError(1)
+
+    monkeypatch.setattr(oracle, "schedule_loose", failing)
+    board = Board(3, 3, ((2, 1), "h"), (2, 0),
+                  {0: ((0, 0), "h"), 1: ((0, 2), "h")})
+    with pytest.raises(KeyError):
+        brute_force_optimum(PbcProgram(2, (measurement(W("ZZ")),)), board)
 
 
 # --- the index-map kernel against the dense reference ----------------------

@@ -1,14 +1,23 @@
 """Y-operator decomposition under access limits and rotation merging."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fixpoint_merge_reference as ref
+from lscompile import bench
+from lscompile.board import builtin_layout
+from lscompile.mapping import access_map, build_mapping
 from lscompile.oracle import (
     distributions_match,
     outcome_distribution,
     program_unitary,
 )
 from lscompile.pauli import PauliWord, measurement, rotation
+from lscompile.pdag import build_pdag
 from lscompile.transpiler import PbcProgram, parse_pbc
 from lscompile.ysynth import (
     Y_STRATEGIES,
@@ -163,6 +172,29 @@ class TestPauliSynthesis:
         # a disjoint operator in between does not block the merge
         ("pi/8 ZI\npi/8 IX\npi/8 ZI\nM ZZ",
          [("r", "ZI", 2), ("r", "IX", 1), ("m", "ZZ", 0)]),
+        # a cancelled pair uncovers the earlier partner beneath it
+        ("pi/8 ZI\npi/8 ZZ\n-pi/8 ZZ\npi/8 ZI\nM XX",
+         [("r", "ZI", 2), ("m", "XX", 0)]),
+        # a measurement on the shared word blocks the merge, though it
+        # commutes with both rotations
+        ("pi/8 ZZ\nM ZZ\n-pi/8 ZZ",
+         [("r", "ZZ", 1), ("m", "ZZ", 0), ("r", "ZZ", 15)]),
+        # a disjoint measurement after the partner is a later measurement
+        ("pi/4 ZI\nM IX\npi/4 ZI",
+         [("m", "IX", 0)]),
+        # one before the partner is not, so the half turn stays
+        ("M IX\npi/4 ZI\npi/4 ZI",
+         [("m", "IX", 0), ("r", "ZI", 4)]),
+        # the partner's earliest merged part decides what comes after it
+        ("pi/8 ZI\nM IX\npi/8 ZI\npi/4 ZI",
+         [("m", "IX", 0)]),
+        # a fold flips each later anticommuting operator, and only those
+        ("pi/4 ZI\npi/4 ZI\npi/8 XI\nM XI\nM ZZ",
+         [("r", "XI", 15), ("m", "XI", 0, -1), ("m", "ZZ", 0)]),
+        # a fold uncovers the earlier partner too, and the flipped
+        # operator then cancels with it
+        ("pi/8 XI\npi/4 ZI\npi/4 ZI\npi/8 XI\nM XX",
+         [("m", "XX", 0, -1)]),
     ]
 
     @pytest.mark.parametrize("text,expected", CASES)
@@ -180,10 +212,59 @@ class TestPauliSynthesis:
                                    outcome_distribution(prog))
 
     def test_random_programs_preserved(self):
-        from lscompile import bench
         for seed in range(6):
             prog = bench.random_program(3, 6, seed=seed)
             out = pauli_synthesis(prog)
             assert len(out.ops) <= len(prog.ops)
             assert distributions_match(outcome_distribution(out),
                                        outcome_distribution(prog))
+
+
+@st.composite
+def merge_programs(draw):
+    """Programs on a small pool of words, so that same-word pairs are
+    dense: every angle, signed measurements in mid-program and at the
+    end, and identity words."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    word = st.lists(st.sampled_from("IIXYZ"), min_size=n, max_size=n).map(
+        lambda letters: W("".join(letters)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(word, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        pool.append(PauliWord.identity(n))
+    words = st.sampled_from(pool)
+    signs = st.sampled_from([1, -1])
+    # numerators -2 and -1 stand for a measurement in mid-program
+    size = draw(st.integers(min_value=0, max_value=40))
+    body = draw(st.lists(st.tuples(words, st.integers(-2, 15)),
+                         min_size=size, max_size=size))
+    ops = [rotation(w, k) if k >= 0 else measurement(w, 2 * k + 3)
+           for w, k in body]
+    ops += draw(st.lists(st.builds(measurement, words, signs), max_size=2))
+    return PbcProgram(n, tuple(ops))
+
+
+@given(merge_programs())
+@settings(max_examples=300, deadline=None)
+def test_one_scan_matches_fixpoint_reference(prog):
+    assert pauli_synthesis(prog) == ref.pauli_synthesis(prog)
+
+
+@pytest.mark.slow
+def test_y_synthesis_scales_near_linearly():
+    """Y synthesis of random_program(n, 10n, 1), mapped by ea on the
+    standard board, fits a log-log slope of at most 1.5 in n (the
+    fixpoint merge's is about 3)."""
+    ns, times = (20, 40, 80), []
+    for n in ns:
+        prog = bench.random_program(n, 10 * n, 1)
+        board = builtin_layout("standard", n)
+        access = access_map(board, build_mapping("ea", board, build_pdag(prog)))
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            y_synthesize(prog, access)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
+    assert slope <= 1.5, times
