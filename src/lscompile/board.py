@@ -18,12 +18,13 @@ that rule; a rotation swaps its boundary labels in place.
 scan that refuses a second ancilla or a repeated patch id at its token,
 and text without an ancilla or a port.
 
-Each board state keeps two records, worked out on first use: its routing
-access (the strict component and which patch edges face it, `_count`
-being the one edge-facing test) and its distance maps (`distances`, the
-one flood, per routing tile asked for).  A tile changing hands drops
-both; a rotation keeps the maps and carries the access forward, as it
-leaves every tile where it was.  A copy gets its own record of the maps.
+Each board state keeps three records, worked out on first use: its
+routing access (the strict component and which patch edges face it,
+`_count` being the one edge-facing test), its distance maps (`distances`,
+the one flood, per routing tile asked for) and its buses (`bus_patches`,
+failures too).  A tile changing hands drops all three; a rotation keeps
+the maps and the buses and carries the access forward, as it leaves
+every tile where it was.  A copy gets its own maps and buses.
 The access after a one-tile change (a placement, a move or a
 reorientation) is worked out from the kept one without a copy or a
 flood, and bus routing reads the kept maps.  Floods walk a neighbour
@@ -80,10 +81,11 @@ class Patch(NamedTuple):
 
 @cache
 def _edges(patch: Patch) -> tuple:
-    """(edge type, outside tile) for the patch's four edges, N, E, S, W."""
+    """(edge type, outside tile) for the patch's four edges, N, W, E, S:
+    by offset, so the outside tiles are in row-major order for touch_tiles."""
     r, c = patch.tile
     return tuple((edge_type(patch.orient, d), (r + dr, c + dc))
-                 for d, (dr, dc) in _DIRS)
+                 for d, (dr, dc) in sorted(_DIRS, key=lambda d: d[1]))
 
 
 def flipped(orient: str) -> str:
@@ -185,6 +187,7 @@ class Board:
         self._acc = None      # access() of the current state, or None
         self._cut = None      # tiles access_with() floods a copy for, or None
         self._dist: dict = {}  # routing tile -> distances() of it
+        self._bus: dict = {}   # bus_patches() key -> bus or failure message
         if ancilla[1] not in (ORIENT_H, ORIENT_V):
             raise IllegalOpError(f"bad orientation {ancilla[1]!r}")
         self._claim(ancilla[0], -1)
@@ -218,6 +221,7 @@ class Board:
         b.patches = dict(self.patches)
         b._at = dict(self._at)
         b._dist = dict(self._dist)
+        b._bus = dict(self._bus)
         return b
 
     def key(self):
@@ -234,7 +238,7 @@ class Board:
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
         self._at[tile] = qid
-        self._acc, self._cut, self._dist = None, None, {}
+        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
@@ -249,7 +253,7 @@ class Board:
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
-        self._acc, self._cut, self._dist = None, None, {}
+        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
 
     # --- patch operations -------------------------------------------------
 
@@ -269,7 +273,7 @@ class Board:
         del self._at[p.tile]
         self._at[dest] = qid
         self.patches[qid] = Patch(dest, p.orient)
-        self._acc, self._cut, self._dist = None, None, {}
+        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
         return frozenset((p.tile, dest))
 
     def rotation_helper(self, qid: int):
@@ -287,9 +291,9 @@ class Board:
         p = self.patches[qid]
         if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
             raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        # the strict component, its cut tiles and the distance maps
-        # stand: no tile changed hands, and the component asks for an
-        # edge of any type on every data patch
+        # no tile changed hands, so the strict component (it asks for an
+        # edge of any type on every patch), its cut tiles, the distance
+        # maps and the buses (keyed by the terminal patches) stand
         if self._acc is not None:
             self._acc = self.access_with(qid, p.tile, flipped(p.orient))
         self.patches[qid] = Patch(p.tile, flipped(p.orient))
@@ -299,11 +303,10 @@ class Board:
 
     def touch_tiles(self, qid: int, typ: str | None = None) -> list:
         """Routing tiles across the edges of type typ (any if None) of
-        patch qid, or of the ancilla for -1."""
+        patch qid, or of the ancilla for -1, in row-major order."""
         p = self.ancilla if qid == -1 else self.patches[qid]
-        # a single tile's four outside tiles are distinct
-        return sorted(out for t, out in _edges(p)
-                      if (typ is None or t == typ) and self.is_routing(out))
+        return [out for t, out in _edges(p)
+                if (typ is None or t == typ) and self.is_routing(out)]
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
@@ -442,9 +445,24 @@ class Board:
 
 def bus_patches(board: Board, required, include_port: bool = False) -> frozenset:
     """Connected routing-tile set touching every required (patch, edge type)
-    boundary plus the ancilla's X and Z edges (and the magic port if asked).
+    boundary plus the ancilla's X and Z edges (and the magic port if asked),
+    routed once per board state: the board keeps the bus, or the failure's
+    message, under the terminal patches as they stand."""
+    key = (tuple((q, t, board.patches.get(q)) for q, t in required),
+           include_port)
+    bus = board._bus.get(key)
+    if bus is None:
+        try:
+            bus = board._bus[key] = _route_bus(board, required, include_port)
+        except NoPathError as e:
+            bus = board._bus[key] = str(e)
+    if isinstance(bus, str):
+        raise NoPathError(bus)
+    return bus
 
-    Sequential shortest paths with already-selected tiles at zero cost, a
+
+def _route_bus(board: Board, required, include_port: bool) -> frozenset:
+    """Sequential shortest paths with already-selected tiles at zero cost, a
     standard Steiner-tree heuristic, on the board's kept distance maps.
     Each terminal joins through its option nearest the tree (the first in
     sorted order on a tie), from the least tree tile at that distance,

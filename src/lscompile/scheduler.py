@@ -182,17 +182,17 @@ class Schedule:
 
 def validate_schedule(schedule: Schedule) -> None:
     """Check tile-time exclusivity and the reported clock count."""
-    busy: dict[tuple, int] = {}
+    booked: dict[int, set] = defaultdict(set)   # slice -> tiles busy in it
     top = 0
     for idx, ins in enumerate(schedule.instructions):
         if ins.start < 1 or ins.duration < 1:
             raise ScheduleError(f"instruction {idx} has a bad time window")
-        for t in ins.tiles:
-            for s in range(ins.start, ins.start + ins.duration):
-                if busy.get((t, s)) is not None:
-                    raise ScheduleError(
-                        f"tile {t} double-booked at slice {s}")
-                busy[(t, s)] = idx
+        for s in range(ins.start, ins.start + ins.duration):
+            tiles = booked[s]
+            if not tiles.isdisjoint(ins.tiles):
+                raise ScheduleError(f"tile {min(tiles & ins.tiles)} "
+                                    f"double-booked at slice {s}")
+            tiles |= ins.tiles
         top = max(top, ins.end)
     if top != schedule.total_clocks:
         raise ScheduleError(
@@ -292,15 +292,11 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
 
     instrs: list[Instruction] = []
     actions = 0   # since the last measurement
-    failed: set = set()  # a route that failed waits for a move or rotation
     while dag:
         for nid in dag.frontier():
-            if nid in failed:
-                continue
             op = dag.nodes[nid].op
             bus = _try_bus(board, qmap, op)
             if bus is None:
-                failed.add(nid)
                 continue
             tiles, patches = _measure_footprint(board, qmap, op, bus)
             start = pack(tiles, OP_COSTS["measure"])
@@ -319,7 +315,6 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
                     format_op(pending),
                     tuple(sorted({qmap[q] for q in pending.word.support()})),
                     format_layout(board))
-            failed.clear()
             kind, pid, arg = action
             if kind == "move":
                 src = board.patches[pid].tile

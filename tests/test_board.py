@@ -639,8 +639,8 @@ def _drawn_board(data):
 def _outcome(route, *args):
     try:
         return route(*args)
-    except NoPathError:
-        return NoPathError
+    except NoPathError as e:
+        return NoPathError, str(e)
 
 
 class TestRoutingMatchesFullFlood:
@@ -706,6 +706,86 @@ class TestRoutingMatchesFullFlood:
         b.move_patch(2, (1, 3))
         assert (1, 3) not in b.distances((1, 0))
         assert kept[(1, 3)] == 3
+
+    @staticmethod
+    def _repeat_routes(b, pool, gone=None):
+        """Each pooled required set not naming patch gone, with and
+        without the port, routed twice on b (the second from the kept
+        buses), always as the full flood routes it."""
+        for required in pool:
+            if any(q == gone for q, _ in required):
+                continue
+            for include_port in (False, True):
+                want = _outcome(_ref_bus, b, required, include_port)
+                for _ in range(2):
+                    assert _outcome(bus_patches, b, required,
+                                    include_port) == want
+
+    def _step(self, data, b, pool):
+        """A drawn move, rotation, or removal and placement again (routing
+        in between) of a patch the pool names, or of any patch."""
+        named = sorted({q for required in pool for q, _ in required})
+        qid = data.draw(st.sampled_from(named or sorted(b.patches))
+                        | st.sampled_from(sorted(b.patches)))
+        kind = data.draw(st.sampled_from(["move", "rotate", "reinit"]))
+        if kind == "move" and b.steps(qid):
+            b.move_patch(qid, data.draw(st.sampled_from(b.steps(qid))))
+        elif kind == "rotate" and b.rotation_helper(qid) is not None:
+            b.rotate_patch(qid, b.rotation_helper(qid))
+        elif kind == "reinit":
+            b.remove_patch(qid)
+            self._repeat_routes(b, pool, gone=qid)
+            free = [t for t in b._nbrs if b.is_routing(t) and t != b.port]
+            b.init_patch(qid, data.draw(st.sampled_from(free)),
+                         data.draw(st.sampled_from(["h", "v"])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_buses_are_never_stale(self, data):
+        """The same required sets, asked again on one board object through
+        drawn moves, rotations and patches removed and placed again, on a
+        copy that is then mutated, and on the original again, always get
+        the full flood's bus or its failure message."""
+        b = _drawn_board(data)
+        pair = st.tuples(st.sampled_from(sorted(b.patches)),
+                         st.sampled_from(["X", "Z"]))
+        pool = data.draw(st.lists(st.lists(pair, max_size=4), min_size=1,
+                                  max_size=3))
+        self._repeat_routes(b, pool)
+        for _ in range(data.draw(st.integers(1, 8))):
+            self._step(data, b, pool)
+            self._repeat_routes(b, pool)
+        c = b.copy()
+        self._repeat_routes(c, pool)
+        for _ in range(data.draw(st.integers(1, 4))):
+            self._step(data, c, pool)
+            self._repeat_routes(c, pool)
+        self._repeat_routes(b, pool)
+
+    def test_a_bus_is_kept_until_a_tile_changes_hands(self):
+        b = builtin_layout("compact", 4)
+        required = [(0, "X"), (1, "Z")]
+        bus = bus_patches(b, required)
+        assert bus_patches(b, required) is bus
+        b.rotate_patch(3, b.rotation_helper(3))    # not a terminal
+        assert bus_patches(b, required) is bus
+        b.rotate_patch(1, b.rotation_helper(1))    # a terminal
+        assert bus_patches(b, required) == bus - {(0, 2)}
+        b.rotate_patch(1, b.rotation_helper(1))
+        assert bus_patches(b, required) is bus
+        b.move_patch(2, (1, 3))
+        assert bus_patches(b, required) is not bus
+
+    def test_a_kept_failure_raises_afresh(self):
+        """Each call raises a new error, so no traceback grows."""
+        b = Board(2, 3, ((1, 1), "h"), (1, 0), ROW_OF_THREE)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NoPathError,
+                               match="^patch 1 has no exposed X-edge$") as e:
+                bus_patches(b, [(1, "X")])
+            raised.append(e.value)
+        assert raised[0] is not raised[1]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("scheduler", ["loose", "spc"])

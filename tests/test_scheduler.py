@@ -14,6 +14,7 @@ from lscompile.pauli import (
 from lscompile.scheduler import (
     _EMIT,
     DeadlockError,
+    Instruction,
     OP_COSTS,
     Schedule,
     ScheduleError,
@@ -247,6 +248,43 @@ class TestValidation:
         bad = dataclasses.replace(sch, total_clocks=0)
         with pytest.raises(ScheduleError):
             validate_schedule(bad)
+
+    @staticmethod
+    def _schedule(*instructions):
+        return Schedule(2, "loose", "", list(instructions),
+                        max(i.end for i in instructions), {}, None)
+
+    def test_names_the_least_tile_and_the_slice_of_a_clash(self):
+        # the rotation holds (0, 0) and (1, 0) in slices 2, 3 and 4; the
+        # measurement takes both, and (2, 2), in slice 3
+        sch = self._schedule(
+            Instruction("rotate", 2, 3, frozenset({(1, 0), (0, 0)}),
+                        frozenset({0}), "rotate P0 at (1, 0)"),
+            Instruction("measure", 3, 1, frozenset({(2, 2), (1, 0), (0, 0)}),
+                        frozenset({0, -1}), "M Z"))
+        with pytest.raises(ScheduleError,
+                           match=r"^tile \(0, 0\) double-booked at slice 3$"):
+            validate_schedule(sch)
+
+    def test_one_tile_in_disjoint_slices_passes(self):
+        validate_schedule(self._schedule(
+            Instruction("move", 1, 1, frozenset({(1, 0), (1, 1)}),
+                        frozenset({0}), "move P0 (1, 0)->(1, 1)"),
+            Instruction("rotate", 2, 3, frozenset({(1, 1), (0, 1)}),
+                        frozenset({0}), "rotate P0 at (1, 1)"),
+            Instruction("measure", 5, 1, frozenset({(1, 1), (2, 1)}),
+                        frozenset({0, -1}), "M Z")))
+
+    @pytest.mark.parametrize("start,duration", [(0, 1), (1, 0)])
+    def test_detects_a_bad_time_window(self, start, duration):
+        sch = self._schedule(
+            Instruction("measure", 1, 1, frozenset({(0, 0)}),
+                        frozenset({0, -1}), "M Z"),
+            Instruction("measure", start, duration, frozenset({(1, 1)}),
+                        frozenset({1, -1}), "M IZ"))
+        with pytest.raises(ScheduleError,
+                           match="^instruction 1 has a bad time window$"):
+            validate_schedule(sch)
 
 
 class TestSerialization:
