@@ -55,6 +55,7 @@ from .scheduler import (
     normalize_angles,
     schedule_loose,
     schedule_spc,
+    scheduled_program,
     validate_schedule,
 )
 from .ler import Calibration, default_calibration, estimate_ler
@@ -86,7 +87,8 @@ __all__ = [
     "access_map", "build_mapping",
     "auto_design", "design_layout", "layout_score", "relocate_pass",
     "DeadlockError", "Instruction", "Schedule", "normalize_angles",
-    "schedule_loose", "schedule_spc", "validate_schedule",
+    "schedule_loose", "schedule_spc", "scheduled_program",
+    "validate_schedule",
     "Calibration", "default_calibration", "estimate_ler",
     "brute_force_optimum", "circuit_distribution", "circuit_unitary",
     "distributions_match", "equivalent_up_to_phase", "outcome_distribution",

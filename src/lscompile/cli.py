@@ -145,7 +145,7 @@ def cmd_compile(args) -> int:
     if args.layout_out:
         _write(args.layout_out, format_layout(result.board))
     print(f"# clocks={result.schedule.total_clocks} "
-          f"ops={len(result.corrected.ops)} "
+          f"ops={len(result.scheduled.ops)} "
           f"mean_bus={result.schedule.mean_bus_tiles():.2f}",
           file=sys.stderr)
     return 0
@@ -197,7 +197,7 @@ def cmd_compare(args) -> int:
         p = estimate_ler(schedule, calib)["p_total"]
         print(f"{name:<16} {sched:<6} {layout:<10} {schedule.total_clocks:>7} "
               f"{schedule.mean_bus_tiles():>6.2f} "
-              f"{len(result.corrected.ops):>5} {p:>12.4e}")
+              f"{len(result.scheduled.ops):>5} {p:>12.4e}")
     return 0
 
 

@@ -24,7 +24,6 @@ from .scheduler import (
     DeadlockError,
     ScheduleError,
     _measure_footprint,
-    normalize_angles,
     required_edges,
     schedule_loose,
 )
@@ -215,20 +214,19 @@ def brute_force_optimum(program: PbcProgram, board: Board,
     """Minimum clock count over exhaustively searched schedules.
 
     Search space: at each slice, start any dependency-ready operator
-    whose canonical bus tiles are free, or any legal patch move/rotation,
-    or advance time.  Buses come from the same deterministic router the
-    heuristic scheduler uses, so the result is the optimum over
-    canonical-bus schedules.
+    whose canonical bus tiles are free, or any legal patch
+    move/rotation, or advance time.  Buses come from the loose
+    scheduler's router, so the result is the optimum over canonical-bus
+    schedules of a program `scheduled_program` made for loose.
     """
     if qmap is None:
         qmap = {q: q for q in range(program.n)}
-    prog = normalize_angles(program)
-    dag = build_pdag(prog)
+    dag = build_pdag(program)
     preds = {nid: frozenset(node.preds) for nid, node in dag.nodes.items()}
-    num_ops = len(prog.ops)
+    num_ops = len(program.ops)
 
     try:
-        incumbent = schedule_loose(prog, board, qmap).total_clocks
+        incumbent = schedule_loose(program, board, qmap).total_clocks
     except (DeadlockError, ScheduleError):
         incumbent = num_ops * (max(OP_COSTS.values()) + 1) * board.tile_count()
     best = [incumbent]
@@ -269,7 +267,7 @@ def brute_force_optimum(program: PbcProgram, board: Board,
                 continue
             if any(p not in op_end or op_end[p] >= t for p in preds[i]):
                 continue
-            op = prog.ops[i]
+            op = program.ops[i]
             try:
                 bus = bus_patches(b, required_edges(op, qmap),
                                   include_port=op.is_eighth())

@@ -2,7 +2,7 @@
 
 Stage order: transpile (gate circuits only), dependency graph, board
 construction, qubit-to-patch mapping, access-driven Y synthesis,
-teleportation-correction insertion, scheduling, validation.
+correction insertion, `scheduled_program`, scheduling, validation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .mapping import (MAPPING_STRATEGIES, MappingError, access_map,
                       build_mapping)
 from .pauli import rotation
 from .pdag import build_pdag
-from .scheduler import SCHEDULERS, Schedule, validate_schedule
+from .scheduler import (SCHEDULERS, Schedule, scheduled_program,
+                        validate_schedule)
 from .transpiler import GateCircuit, PbcProgram, transpile
 from .ysynth import Y_STRATEGIES, apply_y_strategy
 
@@ -61,6 +62,7 @@ class CompileResult:
     program: PbcProgram            # after transpilation
     synthesized: PbcProgram        # after the Y strategy
     corrected: PbcProgram          # after correction insertion
+    scheduled: PbcProgram          # what the schedule's op_index indexes
     board: Board
     qmap: dict
     access: dict
@@ -122,7 +124,8 @@ def compile_program(source, opts: CompileOptions | None = None
         "mapping": opts.mapping,
         "y_strategy": opts.y_strategy,
     }
-    schedule = SCHEDULERS[opts.scheduler](corrected, board, qmap, meta=meta)
+    scheduled = scheduled_program(corrected, opts.scheduler)
+    schedule = SCHEDULERS[opts.scheduler](scheduled, board, qmap, meta=meta)
     validate_schedule(schedule)
-    return CompileResult(program, synthesized, corrected, board, qmap,
-                         access, schedule)
+    return CompileResult(program, synthesized, corrected, scheduled, board,
+                         qmap, access, schedule)

@@ -1,12 +1,13 @@
 """Instruction scheduling onto a tile board.
 
-Two schedulers share one instruction model.  The "loose" scheduler walks
-the dependency graph, runs every currently feasible multipatch
-measurement, and otherwise applies the single patch move or rotation
-that most increases boundary access for the blocked operator, packing
-instructions onto per-tile timelines.  The "spc" scheduler is the serial
-baseline: program order, in-place patch rotations before each operator,
-one operator at a time, no overlap.
+Two schedulers share one instruction model.  Each takes only a scheduled
+program, as `scheduled_program` makes it, Y-free for "spc".  The "loose"
+scheduler walks the dependency graph, runs every currently feasible
+multipatch measurement, and otherwise applies the single patch move or
+rotation that most increases boundary access for the blocked operator,
+packing instructions onto per-tile timelines.  The "spc" scheduler is
+the serial baseline: program order, in-place patch rotations before each
+operator, one operator at a time, no overlap.
 
 Clock slices are 1-based.  Plain Pauli measurements and quarter-angle
 rotations take one slice; eighth-angle rotations additionally route to
@@ -92,6 +93,23 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
             continue
         out.extend(rotation(w, k) for k in _EMIT[r])
     return PbcProgram(program.n, tuple(out))
+
+
+def scheduled_program(program: PbcProgram, scheduler: str) -> PbcProgram:
+    """The program `scheduler` measures, which its op_index indexes."""
+    if scheduler == "spc":
+        program = naive_y_decompose(program)
+    return normalize_angles(program)
+
+
+def _refuse_unscheduled(program: PbcProgram, scheduler: str) -> None:
+    """ValueError at the first operator scheduled_program would rewrite."""
+    for i, op in enumerate(program.ops):
+        w = op.word
+        if (scheduler == "spc" and w.x & w.z) or (op.kind != MEASUREMENT and (
+                op.angle_num not in (1, 2, 14, 15) or w.is_identity())):
+            raise ValueError(f"operator {i} ({format_op(op)}) is not in "
+                             f"scheduled form for {scheduler}")
 
 
 # --- instruction / schedule model -----------------------------------------
@@ -273,14 +291,14 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
 
 def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
                    meta: dict | None = None) -> Schedule:
+    _refuse_unscheduled(program, "loose")
     board = board.copy()
     if qmap is None:
         qmap = {q: q for q in range(program.n)}
     if board.a_component() is None:
         raise ScheduleError("initial board fails strict connectivity")
     initial_layout = format_layout(board)
-    prog = normalize_angles(program)
-    dag = build_pdag(prog)
+    dag = build_pdag(program)
 
     free: dict = defaultdict(lambda: 1)
 
@@ -347,21 +365,21 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
 
 def schedule_spc(program: PbcProgram, board: Board, qmap: dict | None = None,
                  meta: dict | None = None) -> Schedule:
-    """Serial baseline: naive Y removal, program order, no packing.
+    """Serial baseline on a Y-free program: program order, no packing.
 
     Before each operator the involved patches are rotated in place until
     the needed edge types face routing space; then the operator runs
     alone.  Every rotation costs three clocks and nothing overlaps.
     """
+    _refuse_unscheduled(program, "spc")
     board = board.copy()
     if qmap is None:
         qmap = {q: q for q in range(program.n)}
     initial_layout = format_layout(board)
-    prog = normalize_angles(naive_y_decompose(program))
 
     clock = 0
     instrs: list[Instruction] = []
-    for idx, op in enumerate(prog.ops):
+    for idx, op in enumerate(program.ops):
         required = required_edges(op, qmap)
         for pid, t in required:
             if board.touch_tiles(pid, t):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from lscompile import bench
 from lscompile.board import (
     builtin_layout,
     format_layout,
@@ -15,7 +16,7 @@ from lscompile.cli import main
 from lscompile.layout_search import MAX_DESIGN_TILES
 from lscompile.oracle import MAX_ORACLE_QUBITS
 from lscompile.pipeline import make_board
-from lscompile.transpiler import parse_pbc
+from lscompile.transpiler import format_pbc, parse_pbc, transpile
 
 QASM = (
     'OPENQASM 2.0;\n'
@@ -146,6 +147,22 @@ def test_compare_prints_table(qasm_file, capsys):
     text = capsys.readouterr().out
     assert "fast" in text and "base" in text
     assert "clocks" in text and "p_total" in text
+
+
+def test_op_counts_are_the_operators_the_schedule_measures(tmp_path, capsys):
+    """adder_4 has 32 operators after corrections; spc measures 80 after
+    its naive Y removal and angle normalization, loose 32."""
+    src = tmp_path / "adder_4.pbc"
+    src.write_text(format_pbc(transpile(bench.adder_circuit(4))))
+    out = str(tmp_path / "s.json")
+    for sched, ops in (("spc", 80), ("loose", 32)):
+        assert main(["compile", str(src), "--board", "standard",
+                     "--scheduler", sched, "-o", out]) == 0
+        assert f" ops={ops} " in capsys.readouterr().err
+    assert main(["compare", str(src), "--run", "a:spc:standard:ea:o3ls",
+                 "--run", "b:loose:standard"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[5] for row in rows] == ["80", "32"]
 
 
 def test_compare_accepts_layout_file(qasm_file, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
-from lscompile import bench, oracle
+from lscompile import bench, oracle, scheduled_program
 from lscompile.board import Board
 from lscompile.oracle import (
     MAX_ORACLE_QUBITS,
@@ -153,6 +153,18 @@ def test_brute_force_survives_a_scheduler_failure(monkeypatch, error):
                   {0: ((0, 0), "h"), 1: ((0, 2), "h")})
     prog = PbcProgram(2, (measurement(W("ZZ")),))
     assert brute_force_optimum(prog, board) == 1
+
+
+def test_brute_force_passes_on_the_refusal_of_an_unscheduled_program():
+    """A program not in scheduled form is refused by the heuristic with a
+    ValueError, which is no scheduling failure: the search never starts."""
+    board = Board(3, 3, ((2, 1), "h"), (2, 0),
+                  {0: ((0, 0), "h"), 1: ((0, 2), "h")})
+    prog = PbcProgram(2, (rotation(W("ZZ"), 3), measurement(W("ZZ"))))
+    with pytest.raises(ValueError, match=(
+            r"^operator 0 \(3pi/8 ZZ\) is not in scheduled form for loose$")):
+        brute_force_optimum(prog, board)
+    assert brute_force_optimum(scheduled_program(prog, "loose"), board) >= 3
 
 
 def test_brute_force_surfaces_other_scheduler_errors(monkeypatch):

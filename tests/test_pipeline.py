@@ -11,7 +11,7 @@ from lscompile.oracle import (
     distributions_match,
     outcome_distribution,
 )
-from lscompile.pauli import ROTATION
+from lscompile.pauli import ROTATION, format_op
 from lscompile.pipeline import (
     CompileOptions,
     CompileResult,
@@ -19,7 +19,9 @@ from lscompile.pipeline import (
     insert_corrections,
     make_board,
 )
+from lscompile.scheduler import normalize_angles
 from lscompile.transpiler import GateCircuit, PbcProgram, parse_pbc
+from lscompile.ysynth import naive_y_decompose
 from lscompile import bench
 
 
@@ -150,6 +152,27 @@ class TestCompileProgram:
             correction="seeded-random", seed=5))
         assert tuple(r1.corrected.ops) == tuple(r2.corrected.ops)
         assert r1.schedule.total_clocks == r2.schedule.total_clocks
+
+
+@pytest.mark.parametrize("board", ["standard", "auto"])
+@pytest.mark.parametrize("scheduler", ["loose", "spc"])
+def test_every_op_index_names_one_scheduled_operator(scheduler, board):
+    """A schedule measures each operator of `scheduled` once, under its own
+    text, and `scheduled` is the rewrite the benchmark derives on its own
+    from `corrected`."""
+    for name, circuit in bench.suite():
+        res = compile_program(circuit, CompileOptions(scheduler=scheduler,
+                                                      board=board))
+        measures = res.schedule.measure_instructions()
+        # sorted indices equal to the range: each one exactly once
+        assert sorted(i.op_index for i in measures) == list(
+            range(len(res.scheduled.ops))), name
+        for ins in measures:
+            assert format_op(res.scheduled.ops[ins.op_index]) == ins.label
+        corrected = res.corrected
+        if scheduler == "spc":
+            corrected = naive_y_decompose(corrected)
+        assert res.scheduled == normalize_angles(corrected), name
 
 
 @pytest.mark.parametrize("field,error,message", [

@@ -22,6 +22,7 @@ from lscompile.scheduler import (
     required_edges,
     schedule_loose,
     schedule_spc,
+    scheduled_program,
     validate_schedule,
 )
 from lscompile.transpiler import PbcProgram, parse_pbc
@@ -231,6 +232,48 @@ class TestSpcScheduler:
         assert loose.total_clocks <= spc.total_clocks
 
 
+class TestScheduledForm:
+    """Each scheduler refuses what `scheduled_program` would rewrite, with
+    a one-line ValueError naming the operator's index and text."""
+
+    def refusal(self, name, text):
+        prog = parse_pbc(f"M ZZ\n{text}")
+        with pytest.raises(ValueError) as exc_info:
+            scheduler.SCHEDULERS[name](prog, builtin_layout("standard", 2))
+        assert not isinstance(exc_info.value, ScheduleError)
+        assert str(exc_info.value) == (
+            f"operator 1 ({text}) is not in scheduled form for {name}")
+        # the rewrite it names is the one that makes the program acceptable
+        validate_schedule(scheduler.SCHEDULERS[name](
+            scheduled_program(prog, name), builtin_layout("standard", 2)))
+
+    @pytest.mark.parametrize("name", ["loose", "spc"])
+    @pytest.mark.parametrize("text", ["3pi/8 ZZ", "pi/2 XI", "0 ZZ",
+                                      "pi/8 II"],
+                             ids=["3pi/8", "pi/2", "zero", "identity"])
+    def test_refuses_an_angle_normalization_would_rewrite(self, name, text):
+        self.refusal(name, text)
+
+    @pytest.mark.parametrize("text", ["pi/8 YY", "-M ZY"])
+    def test_spc_refuses_a_y_word(self, text):
+        self.refusal("spc", text)
+
+    def test_loose_accepts_y_words_and_signed_measurements(self):
+        prog = parse_pbc("pi/8 YY\n-pi/4 XZ\n-M ZY\nM ZZ")
+        assert scheduled_program(prog, "loose").ops == tuple(prog.ops)
+        sch = schedule_loose(prog, builtin_layout("standard", 2))
+        assert [i.label for i in sch.measure_instructions()] == [
+            "pi/8 YY", "-pi/4 XZ", "-M ZY", "M ZZ"]
+
+    def test_spc_program_is_y_free_and_normalized(self):
+        prog = parse_pbc("3pi/8 YZ\npi/2 XI\n-M ZY")
+        out = scheduled_program(prog, "spc")
+        assert all(not op.word.x & op.word.z for op in out.ops)
+        assert out == normalize_angles(out)
+        assert scheduled_program(prog, "loose") == normalize_angles(prog)
+        assert out != normalize_angles(prog)
+
+
 class TestValidation:
     def test_detects_tile_collision(self):
         prog = parse_pbc("M ZZZZZI", 6)
@@ -315,12 +358,13 @@ def test_deadlock_names_the_operator_patches_and_board():
     program = pipeline.transpile(bench.random_circuit(9, 108, 854223144))
     board = pipeline.make_board("auto", program.n)
     qmap = pipeline.build_mapping("ea", board, pipeline.build_pdag(program))
-    ops = pipeline.insert_corrections(pipeline.apply_y_strategy(
-        program, "o3ls", pipeline.access_map(board, qmap)))
+    ops = scheduled_program(pipeline.insert_corrections(
+        pipeline.apply_y_strategy(program, "o3ls",
+                                  pipeline.access_map(board, qmap))), "loose")
     with pytest.raises(DeadlockError) as exc_info:
         schedule_loose(ops, board, qmap)
     exc = exc_info.value
-    assert exc.op in {format_op(op) for op in normalize_angles(ops).ops}
+    assert exc.op in {format_op(op) for op in ops.ops}
     op = parse_op(exc.op)
     assert exc.patches == tuple(sorted(qmap[q] for q in op.word.support()))
     stuck = parse_layout(exc.board)
