@@ -73,20 +73,25 @@ def adder_circuit(width: int) -> GateCircuit:
     return circ
 
 
-def ising_circuit(n: int, layers: int = 1) -> GateCircuit:
-    """Trotter steps of a transverse-field Ising chain at eighth-turn
-    angles: ZZ couplings via CX-conjugated T, X field via H-conjugated T."""
+def _trotter(n: int, layers: int, pairs) -> GateCircuit:
+    """Ising Trotter steps at eighth-turn angles: a ZZ coupling per pair
+    via CX-conjugated T, then an X field via H-conjugated T."""
     circ = GateCircuit(n)
     for _ in range(layers):
-        for i in range(n - 1):
-            circ.add("cx", i, i + 1)
-            circ.add("t", i + 1)
-            circ.add("cx", i, i + 1)
+        for a, b in pairs:
+            circ.add("cx", a, b)
+            circ.add("t", b)
+            circ.add("cx", a, b)
         for q in range(n):
             circ.add("h", q)
             circ.add("t", q)
             circ.add("h", q)
     return circ
+
+
+def ising_circuit(n: int, layers: int = 1) -> GateCircuit:
+    """Trotter steps of a transverse-field Ising chain."""
+    return _trotter(n, layers, [(i, i + 1) for i in range(n - 1)])
 
 
 def _cs(circ: GateCircuit, a: int, b: int) -> None:
@@ -171,17 +176,7 @@ def star_ising_circuit(n: int, layers: int = 1) -> GateCircuit:
     """Central-spin Trotter steps: qubit 0 couples to every satellite
     through ZZ eighth turns, then a transverse X field hits all qubits.
     The hub alternates between Z-type and X-type access every layer."""
-    circ = GateCircuit(n)
-    for _ in range(layers):
-        for j in range(1, n):
-            circ.add("cx", 0, j)
-            circ.add("t", j)
-            circ.add("cx", 0, j)
-        for q in range(n):
-            circ.add("h", q)
-            circ.add("t", q)
-            circ.add("h", q)
-    return circ
+    return _trotter(n, layers, [(0, j) for j in range(1, n)])
 
 
 def spread_layout(width: int) -> Board:

@@ -18,13 +18,14 @@ that rule; a rotation swaps its boundary labels in place.
 scan that refuses a second ancilla or a repeated patch id at its token,
 and text without an ancilla or a port.
 
-Each board state keeps three records, worked out on first use: its
+Each board state keeps four records, worked out on first use: its
 routing access (the strict component and which patch edges face it,
-`_count` being the one edge-facing test), its distance maps (`distances`,
-the one flood, per routing tile asked for) and its buses (`bus_patches`,
-failures too).  A tile changing hands drops all three; a rotation keeps
-the maps and the buses and carries the access forward, as it leaves
-every tile where it was.  A copy gets its own maps and buses.
+`_count` being the one edge-facing test), the component's cut tiles
+(`_cut`), its distance maps (`distances`, the one flood, per routing
+tile asked for) and its buses (`bus_patches`, failures too).  A tile
+changing hands drops all four; a rotation keeps the cut tiles, maps and
+buses and carries the access forward, as it leaves every tile where it
+was.  A copy gets its own maps and buses.
 The access after a one-tile change (a placement, a move or a
 reorientation) is worked out from the kept one without a copy or a
 flood, and bus routing reads the kept maps.  Floods walk a neighbour

@@ -17,14 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .board import Board, NoPathError, OP_COSTS, bus_patches
+from .board import Board, OP_COSTS
 from .pauli import MEASUREMENT, PauliOp, PauliWord, ROTATION
 from .pdag import build_pdag
 from .scheduler import (
     DeadlockError,
     ScheduleError,
     _measure_footprint,
-    required_edges,
+    _try_bus,
     schedule_loose,
 )
 from .transpiler import Gate, GateCircuit, PbcProgram
@@ -268,10 +268,8 @@ def brute_force_optimum(program: PbcProgram, board: Board,
             if any(p not in op_end or op_end[p] >= t for p in preds[i]):
                 continue
             op = program.ops[i]
-            try:
-                bus = bus_patches(b, required_edges(op, qmap),
-                                  include_port=op.is_eighth())
-            except NoPathError:
+            bus = _try_bus(b, qmap, op)
+            if bus is None:
                 continue
             tiles, _ = _measure_footprint(b, qmap, op, bus)
             if not free(tiles):

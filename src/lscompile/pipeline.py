@@ -118,14 +118,10 @@ def compile_program(source, opts: CompileOptions | None = None
     access = access_map(board, qmap)
     synthesized = apply_y_strategy(program, opts.y_strategy, access)
     corrected = insert_corrections(synthesized, opts.correction, opts.seed)
-    meta = {
-        "seed": opts.seed,
-        "correction": opts.correction,
-        "mapping": opts.mapping,
-        "y_strategy": opts.y_strategy,
-    }
     scheduled = scheduled_program(corrected, opts.scheduler)
-    schedule = SCHEDULERS[opts.scheduler](scheduled, board, qmap, meta=meta)
+    schedule = SCHEDULERS[opts.scheduler](scheduled, board, qmap)
+    schedule.meta = {"seed": opts.seed, "correction": opts.correction,
+                     "mapping": opts.mapping, "y_strategy": opts.y_strategy}
     validate_schedule(schedule)
     return CompileResult(program, synthesized, corrected, scheduled, board,
                          qmap, access, schedule)

@@ -1,13 +1,16 @@
 """Instruction scheduling onto a tile board.
 
-Two schedulers share one instruction model.  Each takes only a scheduled
-program, as `scheduled_program` makes it, Y-free for "spc".  The "loose"
-scheduler walks the dependency graph, runs every currently feasible
-multipatch measurement, and otherwise applies the single patch move or
-rotation that most increases boundary access for the blocked operator,
-packing instructions onto per-tile timelines.  The "spc" scheduler is
-the serial baseline: program order, in-place patch rotations before each
-operator, one operator at a time, no overlap.
+Two schedulers share one instruction model and one builder: `_act` for
+a patch move or rotation, `_measure` for a measurement, each timed by
+the caller's `start_of(tiles, duration)`.  Each scheduler takes only a
+scheduled program, as `scheduled_program` makes it, Y-free for "spc".
+The "loose" scheduler walks the dependency graph, runs every currently
+feasible multipatch measurement, and otherwise applies the single patch
+move or rotation that most increases boundary access for the blocked
+operator, packing instructions onto per-tile timelines.  The "spc"
+scheduler is the serial baseline: program order, in-place patch
+rotations before each operator, one operator at a time, no overlap.
+Neither sets the header's run settings; `compile_program` stamps them.
 
 Clock slices are 1-based.  Plain Pauli measurements and quarter-angle
 rotations take one slice; eighth-angle rotations additionally route to
@@ -56,11 +59,8 @@ class ScheduleError(RuntimeError):
 
 def required_edges(op: PauliOp, qmap: dict) -> list:
     """(patch id, edge type) terminals in qubit order, Y giving X then Z."""
-    out = []
-    for q in op.word.support():
-        for t in LETTER_EDGES[op.word.letter(q)]:
-            out.append((qmap[q], t))
-    return out
+    return [(qmap[q], t) for q in op.word.support()
+            for t in LETTER_EDGES[op.word.letter(q)]]
 
 
 # --- angle normalization --------------------------------------------------
@@ -74,7 +74,7 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
     Multiples of pi drop as global phase, half-pi rotations fold into the
     remaining operators as a Pauli frame flip, and the rest split into at
     most one eighth plus one quarter rotation.  Output rotations carry
-    only angle numerators 1, 2, 14, 15.
+    only the angle numerators `_EMIT` gives.
     """
     # the product of the half-pi words so far: as the symplectic product
     # is bilinear, an operator's sign flips iff it anticommutes with it
@@ -104,10 +104,11 @@ def scheduled_program(program: PbcProgram, scheduler: str) -> PbcProgram:
 
 def _refuse_unscheduled(program: PbcProgram, scheduler: str) -> None:
     """ValueError at the first operator scheduled_program would rewrite."""
+    emitted = {k for ks in _EMIT.values() for k in ks}
     for i, op in enumerate(program.ops):
         w = op.word
         if (scheduler == "spc" and w.x & w.z) or (op.kind != MEASUREMENT and (
-                op.angle_num not in (1, 2, 14, 15) or w.is_identity())):
+                op.angle_num not in emitted or w.is_identity())):
             raise ValueError(f"operator {i} ({format_op(op)}) is not in "
                              f"scheduled form for {scheduler}")
 
@@ -145,12 +146,9 @@ class Instruction:
             d["op_index"] = self.op_index
         if self.bus is not None:
             d["bus"] = sorted(list(t) for t in self.bus)
-        if self.src is not None:
-            d["src"] = list(self.src)
-        if self.dst is not None:
-            d["dst"] = list(self.dst)
-        if self.helper is not None:
-            d["helper"] = list(self.helper)
+        for name in ("src", "dst", "helper"):
+            if getattr(self, name) is not None:
+                d[name] = list(getattr(self, name))
         return d
 
 
@@ -244,6 +242,29 @@ def _measure_footprint(board: Board, qmap: dict, op: PauliOp, bus):
             frozenset([*pids, -1]))
 
 
+def _measure(board: Board, qmap: dict, op: PauliOp, bus, index: int,
+             start_of) -> Instruction:
+    """Operator `index`, op, measured over bus, timed by start_of."""
+    tiles, patches = _measure_footprint(board, qmap, op, bus)
+    dur = OP_COSTS["measure"]
+    return Instruction("measure", start_of(tiles, dur), dur, tiles, patches,
+                       format_op(op), op_index=index, bus=bus)
+
+
+def _act(board: Board, kind: str, pid: int, arg, start_of) -> Instruction:
+    """Move patch pid onto arg or rotate it with helper arg, on board."""
+    tile = board.patches[pid].tile
+    if kind == "move":
+        tiles = board.move_patch(pid, arg)
+        label, ends = f"move P{pid} {tile}->{arg}", {"src": tile, "dst": arg}
+    else:
+        tiles = board.rotate_patch(pid, arg)
+        label, ends = f"rotate P{pid} at {tile}", {"helper": arg}
+    dur = OP_COSTS[kind]
+    return Instruction(kind, start_of(tiles, dur), dur, tiles,
+                       frozenset({pid}), label, **ends)
+
+
 # --- loose scheduler ------------------------------------------------------
 
 def _candidate_actions(board: Board, qmap: dict, op: PauliOp):
@@ -289,8 +310,8 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
     return best
 
 
-def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
-                   meta: dict | None = None) -> Schedule:
+def schedule_loose(program: PbcProgram, board: Board,
+                   qmap: dict | None = None) -> Schedule:
     _refuse_unscheduled(program, "loose")
     board = board.copy()
     if qmap is None:
@@ -316,11 +337,7 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
             bus = _try_bus(board, qmap, op)
             if bus is None:
                 continue
-            tiles, patches = _measure_footprint(board, qmap, op, bus)
-            start = pack(tiles, OP_COSTS["measure"])
-            instrs.append(Instruction(
-                "measure", start, OP_COSTS["measure"], tiles, patches,
-                format_op(op), op_index=nid, bus=bus))
+            instrs.append(_measure(board, qmap, op, bus, nid, pack))
             dag.pop_node(nid)
             actions = 0
             break
@@ -333,21 +350,7 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
                     format_op(pending),
                     tuple(sorted({qmap[q] for q in pending.word.support()})),
                     format_layout(board))
-            kind, pid, arg = action
-            if kind == "move":
-                src = board.patches[pid].tile
-                fp = board.move_patch(pid, arg)
-                start = pack(fp, OP_COSTS["move"])
-                instrs.append(Instruction(
-                    "move", start, OP_COSTS["move"], fp, frozenset({pid}),
-                    f"move P{pid} {src}->{arg}", src=src, dst=arg))
-            else:
-                tile = board.patches[pid].tile
-                fp = board.rotate_patch(pid, arg)
-                start = pack(fp, OP_COSTS["rotate"])
-                instrs.append(Instruction(
-                    "rotate", start, OP_COSTS["rotate"], fp, frozenset({pid}),
-                    f"rotate P{pid} at {tile}", helper=arg))
+            instrs.append(_act(board, *action, pack))
             # each action strictly raises the pending operator's enabled
             # count, which cannot pass its weight
             actions += 1
@@ -358,13 +361,13 @@ def schedule_loose(program: PbcProgram, board: Board, qmap: dict | None = None,
 
     total = max((i.end for i in instrs), default=0)
     return Schedule(program.n, "loose", initial_layout, instrs, total,
-                    dict(qmap), board, dict(meta or {}))
+                    dict(qmap), board)
 
 
 # --- serial baseline ------------------------------------------------------
 
-def schedule_spc(program: PbcProgram, board: Board, qmap: dict | None = None,
-                 meta: dict | None = None) -> Schedule:
+def schedule_spc(program: PbcProgram, board: Board,
+                 qmap: dict | None = None) -> Schedule:
     """Serial baseline on a Y-free program: program order, no packing.
 
     Before each operator the involved patches are rotated in place until
@@ -377,8 +380,11 @@ def schedule_spc(program: PbcProgram, board: Board, qmap: dict | None = None,
         qmap = {q: q for q in range(program.n)}
     initial_layout = format_layout(board)
 
-    clock = 0
     instrs: list[Instruction] = []
+
+    def serial(tiles, dur):   # right after the last instruction
+        return instrs[-1].end + 1 if instrs else 1
+
     for idx, op in enumerate(program.ops):
         required = required_edges(op, qmap)
         for pid, t in required:
@@ -388,25 +394,16 @@ def schedule_spc(program: PbcProgram, board: Board, qmap: dict | None = None,
             if helper is None:
                 raise ScheduleError(
                     f"patch {pid} has no free neighbor to rotate with")
-            tile = board.patches[pid].tile
-            fp = board.rotate_patch(pid, helper)
-            instrs.append(Instruction(
-                "rotate", clock + 1, OP_COSTS["rotate"], fp,
-                frozenset({pid}), f"rotate P{pid} at {tile}",
-                helper=helper))
-            clock += OP_COSTS["rotate"]
+            instrs.append(_act(board, "rotate", pid, helper, serial))
             if not board.touch_tiles(pid, t):
                 raise ScheduleError(
                     f"patch {pid} cannot expose a {t}-edge")
         bus = bus_patches(board, required, include_port=op.is_eighth())
-        tiles, patches = _measure_footprint(board, qmap, op, bus)
-        instrs.append(Instruction(
-            "measure", clock + 1, OP_COSTS["measure"], tiles, patches,
-            format_op(op), op_index=idx, bus=bus))
-        clock += OP_COSTS["measure"]
+        instrs.append(_measure(board, qmap, op, bus, idx, serial))
 
-    return Schedule(program.n, "spc", initial_layout, instrs, clock,
-                    dict(qmap), board, dict(meta or {}))
+    total = instrs[-1].end if instrs else 0
+    return Schedule(program.n, "spc", initial_layout, instrs, total,
+                    dict(qmap), board)
 
 
 SCHEDULERS = {"loose": schedule_loose, "spc": schedule_spc}

@@ -76,7 +76,10 @@ class PbcProgram:
     """Ordered Pauli operators; rotations first in pipeline output, then measurements."""
 
     n: int
-    ops: list = field(default_factory=list)
+    ops: tuple = ()
+
+    def __post_init__(self):
+        self.ops = tuple(self.ops)
 
 
 def _letter(n: int, q: int, letter: str) -> PauliWord:

@@ -153,6 +153,15 @@ class TestCompileProgram:
         assert tuple(r1.corrected.ops) == tuple(r2.corrected.ops)
         assert r1.schedule.total_clocks == r2.schedule.total_clocks
 
+    def test_the_pipeline_stamps_its_run_settings(self):
+        res = compile_program(bench.ising_circuit(3, 1), CompileOptions(
+            correction="seeded-random", seed=5))
+        header = res.schedule.to_dict()["header"]
+        assert (header["seed"], header["correction"]) == (5, "seeded-random")
+        assert res.schedule.meta == {
+            "seed": 5, "correction": "seeded-random", "mapping": "ea",
+            "y_strategy": "o3ls"}
+
 
 @pytest.mark.parametrize("board", ["standard", "auto"])
 @pytest.mark.parametrize("scheduler", ["loose", "spc"])

@@ -26,7 +26,7 @@ from lscompile.scheduler import (
     validate_schedule,
 )
 from lscompile.transpiler import PbcProgram, parse_pbc
-from lscompile import bench, scheduler
+from lscompile import CompileOptions, bench, compile_program, scheduler
 from test_transpiler import pbc_programs
 
 import copy_flood_reference as ref
@@ -85,6 +85,10 @@ class TestNormalizeAngles:
     def test_frame_flip_skips_commuting_readout(self):
         prog = PbcProgram(1, (rotation(W("Z"), 4), measurement(W("Z"))))
         assert triples(normalize_angles(prog)) == [("m", "Z", 0, 1)]
+
+    def test_a_normalized_program_comes_back_equal(self):
+        prog = parse_pbc("pi/8 ZZ\n-pi/4 XI\nM ZZ")
+        assert normalize_angles(prog) == prog
 
     def test_output_angles_restricted(self):
         prog = bench.random_program(3, 8, seed=5)
@@ -338,6 +342,32 @@ class TestSerialization:
         assert set(d) == {"header", "slices", "total_clocks"}
         assert d["total_clocks"] == 4
         assert d["header"]["scheduler"] == "loose"
+
+    def test_instruction_keys_and_labels(self):
+        # `lscompile compile` writes these dicts as they are; the
+        # fingerprints hash them with sorted keys, so pin the order here
+        sch = compile_program(bench.ising_circuit(5, 1),
+                              CompileOptions(board="compact")).schedule
+        first = {}
+        for ins in sch.instructions:
+            first.setdefault(ins.kind, ins)
+            if ins.kind == "move":
+                (pid,) = ins.patches
+                assert ins.label == f"move P{pid} {ins.src}->{ins.dst}"
+            elif ins.kind == "rotate":
+                (pid,), (tile,) = ins.patches, ins.tiles - {ins.helper}
+                assert ins.label == f"rotate P{pid} at {tile}"
+        common = ["kind", "label", "start", "duration", "patches", "tiles"]
+        assert list(first["measure"].to_dict()) == common + ["op_index", "bus"]
+        assert list(first["move"].to_dict()) == common + ["src", "dst"]
+        assert list(first["rotate"].to_dict()) == common + ["helper"]
+        assert first["move"].label == "move P3 (2, 4)->(1, 4)"
+        assert first["rotate"].label == "rotate P2 at (2, 3)"
+
+    def test_header_names_no_run_settings_of_its_own(self):
+        sch = schedule_loose(parse_pbc("M ZZ", 2), builtin_layout("compact", 2))
+        header = sch.to_dict()["header"]
+        assert header["seed"] is None and header["correction"] is None
 
     def test_measure_instructions_and_slices(self):
         prog = parse_pbc("M ZZZZZI", 6)

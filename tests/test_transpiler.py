@@ -209,6 +209,11 @@ class TestTextFormats:
         assert parse_pbc(rendered) == prog
         assert prog.n == 2
 
+    def test_pbc_programs_compare_by_their_operators(self):
+        ops = parse_pbc("pi/8 ZZ\nM IZ").ops
+        assert isinstance(ops, tuple)
+        assert PbcProgram(2, list(ops)) == PbcProgram(2, ops)
+
     def test_pbc_infers_width_from_first_line(self):
         prog = parse_pbc("pi/8 XYZ")
         assert prog.n == 3
