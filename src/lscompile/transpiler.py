@@ -3,7 +3,9 @@
 Every gate becomes a short list of Pauli rotations; one left-to-right scan
 carrying the Clifford frame then absorbs the +/- pi/4 and pi/2 rotations
 into the later operators, leaving only +/- pi/8 rotations and (possibly
-transformed) measurements.  `_ONE_QUBIT_ROTATIONS` is the one statement
+transformed) measurements.  The frame is held as integer bit masks and
+signs, like a stabilizer tableau, and the scan builds a PauliOp only for
+each operator it keeps.  `_ONE_QUBIT_ROTATIONS` is the one statement
 of the one-qubit gates and their rotations: `SUPPORTED_GATES`,
 `decompose_gate` and the OpenQASM parser read it.
 """
@@ -104,50 +106,64 @@ def decompose_gate(gate: Gate, n: int) -> list:
             for letter, k in _ONE_QUBIT_ROTATIONS[name]]
 
 
-def _through_frame(xs: list, zs: list, op: PauliOp) -> PauliOp:
-    """op with its word W = i^pc(x&z) X^x Z^z replaced by the product
-    i^e X^x Z^z of the frame images of its letters, X letters first, and
-    the product's sign folded into the angle or measurement sign."""
-    w = op.word
-    e = (w.x & w.z).bit_count()
+def _through_frame(xs: list, zs: list, word: tuple) -> tuple:
+    """The frame image of the signed word (x, z, negated), where
+    W(x, z) = i^pc(x&z) X^x Z^z: the product i^e X^x Z^z of the images
+    of its letters, X letters first, as an (x, z, negated) triple."""
+    wx, wz, neg = word
+    e = (wx & wz).bit_count() + 2 * neg
     x = z = 0
-    for images, mask in ((xs, w.x), (zs, w.z)):
+    for images, mask in ((xs, wx), (zs, wz)):
         for q in set_bits(mask):
-            g = images[q]
-            gx, gz = g.word.x, g.word.z
-            e += (gx & gz).bit_count() + 1 - g.sign + 2 * (z & gx).bit_count()
+            gx, gz, gneg = images[q]
+            e += (gx & gz).bit_count() + 2 * gneg + 2 * (z & gx).bit_count()
             x ^= gx
             z ^= gz
-    out = PauliOp(PauliWord(w.n, x, z), op.kind, op.angle_num, op.sign)
-    return out if (e - (x & z).bit_count()) % 4 == 0 else out.negated()
+    return x, z, (e - (x & z).bit_count()) % 4 == 2
 
 
 def absorb_cliffords(program: PbcProgram) -> PbcProgram:
     """Push +/- pi/4 and pi/2 rotations rightward and drop them at the boundary.
 
     One left-to-right scan keeps the frame F, the composite of the Cliffords
-    so far, as signed images of X_q and Z_q, and maps each kept operator
-    through it once.  A pi/4 rotation C on word P sets each image whose
-    generator anticommutes with P to conjugate_past(F(C), image), since
-    F . conj_C = conj_F(C) . F; a pi/2 rotation negates it.  Idempotent.
+    so far, as the images of X_q and Z_q, each an integer (x, z, negated)
+    triple, and maps each kept operator through it once; only the kept
+    operators become PauliOp objects.  A pi/4 or pi/2 rotation C on word P
+    sets the image of each generator g that anticommutes with P to
+    F(conj_C(g)), which is conj_F(C)(F(g)) because F is an automorphism.
+    conj_C(g) is conjugate_past(C, g) for a pi/4 rotation, and -g for a
+    pi/2 one, which flips the image's sign.  Each distinct (C, g) is worked
+    out once per call; nothing is kept between calls.  Idempotent.
     """
     n = program.n
-    xs = [measurement(_letter(n, q, "X")) for q in range(n)]
-    zs = [measurement(_letter(n, q, "Z")) for q in range(n)]
+    xs = [(1 << q, 0, False) for q in range(n)]
+    zs = [(0, 1 << q, False) for q in range(n)]
+    moves: dict = {}    # (x, z, k) of C -> [(images, q, conj_C(g))]
     out: list = []
     for op in program.ops:
         if op.is_trivial():
             continue
+        w = op.word
         quarter = op.is_clifford_quarter()
         if not quarter and not op.is_pauli_half():
-            out.append(_through_frame(xs, zs, op))
+            x, z, neg = _through_frame(xs, zs, (w.x, w.z, False))
+            image = PauliOp(PauliWord(n, x, z), op.kind, op.angle_num, op.sign)
+            out.append(image.negated() if neg else image)
             continue
-        clifford = quarter and _through_frame(xs, zs, op)
-        # X_q anticommutes with P where P has Z on q, Z_q where it has X
-        for images, mask in ((xs, op.word.z), (zs, op.word.x)):
-            for q in set_bits(mask):
-                images[q] = (conjugate_past(clifford, images[q]) if quarter
-                             else images[q].negated())
+        key = (w.x, w.z, op.angle_num)
+        move = moves.get(key)
+        if move is None:
+            move = moves[key] = []
+            # X_q anticommutes with P where P has Z on q, Z_q where it has X
+            for images, mask, letter in ((xs, w.z, "X"), (zs, w.x, "Z")):
+                for q in set_bits(mask):
+                    g = measurement(_letter(n, q, letter))
+                    g = conjugate_past(op, g) if quarter else g.negated()
+                    move.append((images, q, (g.word.x, g.word.z, g.sign < 0)))
+        # every new image is read off the frame as it was before op
+        new = [_through_frame(xs, zs, g) for _, _, g in move]
+        for (images, q, _), image in zip(move, new):
+            images[q] = image
     return PbcProgram(n, out)
 
 

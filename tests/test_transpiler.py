@@ -15,6 +15,7 @@ from lscompile.oracle import (
 from lscompile.pauli import (
     ROTATION,
     PauliWord,
+    commutes,
     conjugate_past,
     flip_past_pauli,
     measurement,
@@ -136,8 +137,8 @@ def absorb_right_to_left(program):
 
 
 @st.composite
-def pbc_programs(draw, max_qubits=6):
-    n = draw(st.integers(min_value=1, max_value=max_qubits))
+def pbc_programs(draw, max_qubits=6, min_qubits=1):
+    n = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
     words = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(
         lambda letters: W("".join(letters)))
     ops = st.one_of(
@@ -146,11 +147,47 @@ def pbc_programs(draw, max_qubits=6):
     return PbcProgram(n, draw(st.lists(ops, max_size=30)))
 
 
+UNITARY_GATES = [g for g in SUPPORTED_GATES if g != "measure"]
+
+
+@st.composite
+def wide_circuits(draw):
+    """Every supported gate at least once, on a few qubits of a wide
+    register, then a final layer of measurements."""
+    n = draw(st.integers(min_value=60, max_value=80))
+    pool = st.sampled_from(draw(st.lists(
+        st.integers(0, n - 1), min_size=2, max_size=6, unique=True)))
+    names = draw(st.permutations(UNITARY_GATES)) + draw(
+        st.lists(st.sampled_from(UNITARY_GATES), max_size=30))
+    circ = GateCircuit(n)
+    for name in names:
+        if name == "cx":
+            circ.add(name, *draw(st.lists(pool, min_size=2, max_size=2,
+                                          unique=True)))
+        else:
+            circ.add(name, draw(pool))
+    for q in draw(st.lists(pool, min_size=1, max_size=3, unique=True)):
+        circ.add("measure", q)
+    return circ
+
+
 class TestLinearAbsorption:
     @given(pbc_programs())
     @settings(max_examples=60, deadline=None)
     def test_matches_right_to_left_reference(self, prog):
         assert absorb_cliffords(prog) == absorb_right_to_left(prog)
+
+    # widths past one 64-bit word, where the frame's masks grow past it
+    @given(pbc_programs(min_qubits=60, max_qubits=80))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_programs_match_reference(self, prog):
+        assert absorb_cliffords(prog) == absorb_right_to_left(prog)
+
+    @given(wide_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_wide_circuits_match_reference(self, circ):
+        ops = [op for g in circ.gates for op in decompose_gate(g, circ.n)]
+        assert transpile(circ) == absorb_right_to_left(PbcProgram(circ.n, ops))
 
     @staticmethod
     def _conjugations(monkeypatch, width):
@@ -172,6 +209,28 @@ class TestLinearAbsorption:
         wide = self._conjugations(monkeypatch, 40)
         assert 0 < wide <= 4 * quarters
         assert wide < 2.5 * self._conjugations(monkeypatch, 20)
+
+    def test_each_conjugation_is_computed_once_per_call(self, monkeypatch):
+        pairs = []
+
+        def recording(clifford, target):
+            pairs.append((clifford, target))
+            return conjugate_past(clifford, target)
+
+        monkeypatch.setattr(transpiler, "conjugate_past", recording)
+        circ = bench.adder_circuit(20)
+        quarters = {op for g in circ.gates for op in decompose_gate(g, circ.n)
+                    if op.is_clifford_quarter()}
+        transpile(circ)
+        assert pairs and len(set(pairs)) == len(pairs)
+        for clifford, generator in pairs:
+            assert clifford in quarters
+            assert generator.word.weight() == 1
+            assert not commutes(clifford.word, generator.word)
+        # nothing is kept between calls: a second call works them out again
+        once = list(pairs)
+        transpile(circ)
+        assert pairs == once + once
 
 
 class TestTranspile:
