@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 _LETTER_BY_BITS = ("I", "X", "Z", "Y")  # index = x_bit + 2 * z_bit
 _BITS_BY_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+# the letters of four qubits, index = x nibble + 16 * z nibble
+_LETTERS_BY_NIBBLES = tuple(
+    "".join(_LETTER_BY_BITS[(x >> q & 1) + 2 * (z >> q & 1)] for q in range(4))
+    for z in range(16) for x in range(16))
 
 # canonical angle spellings for k mod 16 (numerator of pi/8)
 _ANGLE_TOKENS = {
@@ -92,7 +96,9 @@ class PauliWord:
         return _LETTER_BY_BITS[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)]
 
     def to_string(self) -> str:
-        return "".join(self.letter(q) for q in range(self.n))
+        x, z, n = self.x, self.z, self.n
+        return "".join([_LETTERS_BY_NIBBLES[(x >> q & 15) + 16 * (z >> q & 15)]
+                        for q in range(0, n, 4)])[:n]
 
     def support(self) -> tuple:
         return tuple(set_bits(self.x | self.z))

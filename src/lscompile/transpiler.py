@@ -1,13 +1,18 @@
 """Lowering of Clifford+T gate circuits to Pauli-product-rotation programs.
 
-Every gate becomes a short list of Pauli rotations; one left-to-right scan
-carrying the Clifford frame then absorbs the +/- pi/4 and pi/2 rotations
-into the later operators, leaving only +/- pi/8 rotations and (possibly
-transformed) measurements.  The frame is held as integer bit masks and
-signs, like a stabilizer tableau, and the scan builds a PauliOp only for
-each operator it keeps.  `_ONE_QUBIT_ROTATIONS` is the one statement
-of the one-qubit gates and their rotations: `SUPPORTED_GATES`,
-`decompose_gate` and the OpenQASM parser read it.
+`transpile` scans the gates once and carries the Clifford frame, the
+images of X_q and Z_q under the Cliffords so far, held as integer bit
+masks and signs like a stabilizer tableau.  A Clifford gate replaces
+only the images of the generators on its own qubits; an eighth turn or a
+measurement is kept on the image of Z_q, and only those become PauliOp
+objects.  The result is +/- pi/8 rotations and (possibly transformed)
+measurements.  `decompose_gate` states each gate as Pauli rotations, and
+`absorb_cliffords` pushes the +/- pi/4 and pi/2 rotations of any program
+into its later operators on the same frame; `transpile` reads each gate
+name's action off them once per call, and `verify` and the tests check
+gates against `decompose_gate`.  `_ONE_QUBIT_ROTATIONS` is the one
+statement of the one-qubit gates and their rotations: `SUPPORTED_GATES`,
+`decompose_gate`, `transpile` and the OpenQASM parser read it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import re
 from dataclasses import dataclass, field
 
 from .pauli import (
+    MEASUREMENT,
+    ROTATION,
     PauliOp,
     PauliParseError,
     PauliWord,
@@ -106,20 +113,46 @@ def decompose_gate(gate: Gate, n: int) -> list:
             for letter, k in _ONE_QUBIT_ROTATIONS[name]]
 
 
-def _through_frame(xs: list, zs: list, word: tuple) -> tuple:
-    """The frame image of the signed word (x, z, negated), where
-    W(x, z) = i^pc(x&z) X^x Z^z: the product i^e X^x Z^z of the images
-    of its letters, X letters first, as an (x, z, negated) triple."""
-    wx, wz, neg = word
-    e = (wx & wz).bit_count() + 2 * neg
+def _letters(word: tuple) -> tuple:
+    """The signed word (x, z, negated) as (e, letters): i^e times the
+    product of its letters, X_q as (0, q) then Z_q as (1, q), since
+    W(x, z) = i^pc(x&z) X^x Z^z."""
+    x, z, neg = word
+    return ((x & z).bit_count() + 2 * neg,
+            [(0, q) for q in set_bits(x)] + [(1, q) for q in set_bits(z)])
+
+
+def _image(frame: tuple, e: int, letters: list) -> tuple:
+    """i^e times the product of the frame images of letters, in order, as
+    an (x, z, negated) triple; frame is the images of (X_q, Z_q) lists."""
     x = z = 0
-    for images, mask in ((xs, wx), (zs, wz)):
-        for q in set_bits(mask):
-            gx, gz, gneg = images[q]
-            e += (gx & gz).bit_count() + 2 * gneg + 2 * (z & gx).bit_count()
-            x ^= gx
-            z ^= gz
+    for f, q in letters:
+        gx, gz, gneg = frame[f][q]
+        e += (gx & gz).bit_count() + 2 * gneg + 2 * (z & gx).bit_count()
+        x ^= gx
+        z ^= gz
     return x, z, (e - (x & z).bit_count()) % 4 == 2
+
+
+def _identity_frame(n: int) -> tuple:
+    return ([(1 << q, 0, False) for q in range(n)],
+            [(0, 1 << q, False) for q in range(n)])
+
+
+def _update(frame: tuple, move: list) -> None:
+    """Set the image of each generator (f, q) in move, entries (f, q, e,
+    letters), to the image of i^e letters read off the frame as it was."""
+    new = [_image(frame, e, letters) for _, _, e, letters in move]
+    for (f, q, _, _), image in zip(move, new):
+        frame[f][q] = image
+
+
+def _kept(n: int, image: tuple, kind: str, k: int = 0,
+          sign: int = 1) -> PauliOp:
+    """The operator (kind, k pi/8 or sign) on the signed word image."""
+    x, z, neg = image
+    op = PauliOp(PauliWord(n, x, z), kind, k, sign)
+    return op.negated() if neg else op
 
 
 def absorb_cliffords(program: PbcProgram) -> PbcProgram:
@@ -136,9 +169,8 @@ def absorb_cliffords(program: PbcProgram) -> PbcProgram:
     out once per call; nothing is kept between calls.  Idempotent.
     """
     n = program.n
-    xs = [(1 << q, 0, False) for q in range(n)]
-    zs = [(0, 1 << q, False) for q in range(n)]
-    moves: dict = {}    # (x, z, k) of C -> [(images, q, conj_C(g))]
+    frame = _identity_frame(n)
+    moves: dict = {}    # (x, z, k) of C -> [(f, q, conj_C(g) as e, letters)]
     out: list = []
     for op in program.ops:
         if op.is_trivial():
@@ -146,46 +178,84 @@ def absorb_cliffords(program: PbcProgram) -> PbcProgram:
         w = op.word
         quarter = op.is_clifford_quarter()
         if not quarter and not op.is_pauli_half():
-            x, z, neg = _through_frame(xs, zs, (w.x, w.z, False))
-            image = PauliOp(PauliWord(n, x, z), op.kind, op.angle_num, op.sign)
-            out.append(image.negated() if neg else image)
+            image = _image(frame, *_letters((w.x, w.z, False)))
+            out.append(_kept(n, image, op.kind, op.angle_num, op.sign))
             continue
         key = (w.x, w.z, op.angle_num)
         move = moves.get(key)
         if move is None:
             move = moves[key] = []
             # X_q anticommutes with P where P has Z on q, Z_q where it has X
-            for images, mask, letter in ((xs, w.z, "X"), (zs, w.x, "Z")):
+            for f, mask in ((0, w.z), (1, w.x)):
                 for q in set_bits(mask):
-                    g = measurement(_letter(n, q, letter))
+                    g = measurement(_letter(n, q, "XZ"[f]))
                     g = conjugate_past(op, g) if quarter else g.negated()
-                    move.append((images, q, (g.word.x, g.word.z, g.sign < 0)))
-        # every new image is read off the frame as it was before op
-        new = [_through_frame(xs, zs, g) for _, _, g in move]
-        for (images, q, _), image in zip(move, new):
-            images[q] = image
+                    move.append((f, q, *_letters(
+                        (g.word.x, g.word.z, g.sign < 0))))
+        _update(frame, move)
     return PbcProgram(n, out)
 
 
+# the gates transpile keeps, each on the image of Z_q: measurements, and
+# the one-qubit gates that are one odd turn about Z
+_KEPT_ON_Z = {"measure": (MEASUREMENT, 0), **{
+    name: (ROTATION, k)
+    for name, ((letter, k), *rest) in _ONE_QUBIT_ROTATIONS.items()
+    if letter == "Z" and k % 2 and not rest}}
+
+
+def _gate_move(gate: Gate, n: int, firsts: dict) -> list:
+    """A Clifford gate's move: each generator g on its qubits that the
+    gate's conjugation A changes, with A(g).  A is read once per name, at
+    the first gate of that name, by absorbing its decomposition followed by
+    reads of its generators, and taken onto each later gate's qubits."""
+    if gate.name not in firsts:
+        gens = [(f, q) for q in gate.qubits for f in (0, 1)]
+        reads = [measurement(_letter(n, q, "XZ"[f])) for f, q in gens]
+        images = absorb_cliffords(
+            PbcProgram(n, decompose_gate(gate, n) + reads)).ops
+        firsts[gate.name] = gate.qubits, [
+            (g, _letters((a.word.x, a.word.z, a.sign < 0)))
+            for g, a, read in zip(gens, images, reads) if a != read]
+    src, images = firsts[gate.name]
+    at = dict(zip(src, gate.qubits))
+    return [(f, at[q], e, [(h, at[p]) for h, p in letters])
+            for (f, q), (e, letters) in images]
+
+
 def transpile(circuit: GateCircuit) -> PbcProgram:
-    """Gate decomposition followed by Clifford absorption.
+    """Clifford+T gates to eighth turns and measurements, Cliffords absorbed.
 
     Measurements must form the final layer; if the circuit has none, a
     Z measurement is appended on every qubit so absorption has a boundary.
+    One scan over the gates carries absorb_cliffords' frame: a Clifford
+    gate sets the images of the generators on its qubits, and an eighth
+    turn or a measurement on qubit q is kept on the image of Z_q.  The
+    output equals absorb_cliffords of the gates' decompositions.
     """
+    n = circuit.n
     seen_measure = False
     for g in circuit.gates:
         if g.name == "measure":
             seen_measure = True
         elif seen_measure:
             raise CircuitParseError("gates after measurement are not supported")
-    ops: list = []
-    for g in circuit.gates:
-        ops.extend(decompose_gate(g, circuit.n))
-    if not seen_measure:
-        for q in range(circuit.n):
-            ops.append(measurement(_letter(circuit.n, q, "Z")))
-    return absorb_cliffords(PbcProgram(circuit.n, ops))
+    gates = circuit.gates if seen_measure else [
+        *circuit.gates, *(Gate("measure", (q,)) for q in range(n))]
+    frame = _identity_frame(n)
+    firsts: dict = {}   # gate name -> (its first qubits, its changed images)
+    moves: dict = {}    # gate -> its frame update on its own qubits
+    out: list = []
+    for gate in gates:
+        kept = _KEPT_ON_Z.get(gate.name)
+        if kept:
+            out.append(_kept(n, frame[1][gate.qubits[0]], *kept))
+            continue
+        move = moves.get(gate)
+        if move is None:
+            move = moves[gate] = _gate_move(gate, n, firsts)
+        _update(frame, move)
+    return PbcProgram(n, out)
 
 
 # --- native PBC text format ---------------------------------------------

@@ -54,6 +54,15 @@ class TestPauliWord:
         assert w.support() == tuple(q for q in range(n)
                                     if (x >> q) & 1 or (z >> q) & 1)
 
+    # widths that end inside a four-qubit chunk, and past 64 bits
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1))))
+    def test_string_is_the_letters_in_qubit_order(self, nxz):
+        w = PauliWord(*nxz)
+        assert w.to_string() == "".join(w.letter(q) for q in range(w.n))
+        assert W(w.to_string()) == w
+
     def test_identity(self):
         w = PauliWord.identity(3)
         assert w.is_identity()

@@ -171,6 +171,43 @@ def wide_circuits(draw):
     return circ
 
 
+@st.composite
+def small_circuits(draw):
+    """Every supported gate that fits, in random order, on 1-12 qubits, then
+    no measurement, a final layer of them, or one qubit measured twice."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    qubit = st.integers(0, n - 1)
+    fits = [g for g in UNITARY_GATES if n > 1 or g != "cx"]
+    names = draw(st.permutations(fits)) + draw(
+        st.lists(st.sampled_from(fits), max_size=40))
+    circ = GateCircuit(n)
+    for name in names:
+        if name == "cx":
+            circ.add(name, *draw(st.lists(qubit, min_size=2, max_size=2,
+                                          unique=True)))
+        else:
+            circ.add(name, draw(qubit))
+    readout = draw(st.sampled_from(["none", "layer", "twice"]))
+    if readout == "layer":
+        for q in draw(st.lists(qubit, min_size=1, max_size=n, unique=True)):
+            circ.add("measure", q)
+    elif readout == "twice":
+        q = draw(qubit)
+        circ.add("measure", q)
+        circ.add("measure", q)
+    return circ
+
+
+def decomposed(circ):
+    """The gates' rotations, then transpile's default Z read-out if the
+    circuit measures nothing."""
+    ops = [op for g in circ.gates for op in decompose_gate(g, circ.n)]
+    if not any(g.name == "measure" for g in circ.gates):
+        ops += [measurement(PauliWord.from_letters(circ.n, {q: "Z"}))
+                for q in range(circ.n)]
+    return PbcProgram(circ.n, ops)
+
+
 class TestLinearAbsorption:
     @given(pbc_programs())
     @settings(max_examples=60, deadline=None)
@@ -231,6 +268,21 @@ class TestLinearAbsorption:
         once = list(pairs)
         transpile(circ)
         assert pairs == once + once
+
+
+class TestGateFrame:
+    """transpile updates the frame per gate, without decomposing it."""
+
+    @given(small_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_right_to_left_reference(self, circ):
+        assert transpile(circ) == absorb_right_to_left(decomposed(circ))
+
+    def test_conjugations_do_not_grow_with_the_circuit(self, monkeypatch):
+        # each gate name is conjugated once per call, whatever its qubits
+        conjugations = TestLinearAbsorption._conjugations
+        wide = conjugations(monkeypatch, 40)
+        assert 0 < wide <= conjugations(monkeypatch, 4)
 
 
 class TestTranspile:
