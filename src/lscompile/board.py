@@ -22,10 +22,12 @@ Each board state keeps four records, worked out on first use: its
 routing access (the strict component and which patch edges face it,
 `_count` being the one edge-facing test), the component's cut tiles
 (`_cut`), its distance maps (`distances`, the one flood, per routing
-tile asked for) and its buses (`bus_patches`, failures too).  A tile
-changing hands drops all four; a rotation keeps the cut tiles, maps and
-buses and carries the access forward, as it leaves every tile where it
-was.  A copy gets its own maps and buses.
+tile asked for) and its buses (`bus_patches`, failures too).
+`_new_state` starts all four afresh when a tile changes hands; a
+rotation keeps them, carrying the access forward.  Under its key (source
+tile; terminal patches as they stand) a map or bus depends only on which
+tiles are occupied, so a copy shares its state's records until a tile
+change binds it fresh ones.
 The access after a one-tile change (a placement, a move or a
 reorientation) is worked out from the kept one without a copy or a
 flood, and bus routing reads the kept maps.  Floods walk a neighbour
@@ -185,13 +187,8 @@ class Board:
         self.port = None      # set last, once every tile is claimed
         self._nbrs = _neighbour_table(rows, cols)
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
-        self._acc = None      # access() of the current state, or None
-        self._cut = None      # tiles access_with() floods a copy for, or None
-        self._dist: dict = {}  # routing tile -> distances() of it
-        self._bus: dict = {}   # bus_patches() key -> bus or failure message
-        if ancilla[1] not in (ORIENT_H, ORIENT_V):
-            raise IllegalOpError(f"bad orientation {ancilla[1]!r}")
-        self._claim(ancilla[0], -1)
+        self._new_state()
+        self._claim(ancilla[0], -1, ancilla[1])
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):
             self.init_patch(q, *patches[q])
@@ -202,8 +199,7 @@ class Board:
     # --- basic geometry ---------------------------------------------------
 
     def in_bounds(self, tile) -> bool:
-        r, c = tile
-        return 0 <= r < self.rows and 0 <= c < self.cols
+        return tile in self._nbrs
 
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
@@ -221,8 +217,6 @@ class Board:
         b.__dict__.update(self.__dict__)
         b.patches = dict(self.patches)
         b._at = dict(self._at)
-        b._dist = dict(self._dist)
-        b._bus = dict(self._bus)
         return b
 
     def key(self):
@@ -231,7 +225,15 @@ class Board:
 
     # --- placement --------------------------------------------------------
 
-    def _claim(self, tile, qid: int):
+    def _new_state(self) -> None:
+        """Bind fresh records for a new state; shared ones are never cleared."""
+        self._acc = self._cut = None   # access(), tiles access_with() floods for
+        self._dist: dict = {}  # routing tile -> distances() of it
+        self._bus: dict = {}   # bus_patches() key -> bus or failure message
+
+    def _claim(self, tile, qid: int, orient: str):
+        if orient not in (ORIENT_H, ORIENT_V):
+            raise IllegalOpError(f"bad orientation {orient!r}")
         if not self.in_bounds(tile):
             raise IllegalOpError(f"tile {tile} out of bounds")
         if tile in self._at:
@@ -239,7 +241,7 @@ class Board:
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
         self._at[tile] = qid
-        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
+        self._new_state()
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
@@ -247,14 +249,12 @@ class Board:
             raise IllegalOpError(f"patch id must be non-negative, got {qid}")
         if qid in self.patches:
             raise IllegalOpError(f"patch {qid} already exists")
-        if orient not in (ORIENT_H, ORIENT_V):
-            raise IllegalOpError(f"bad orientation {orient!r}")
-        self._claim(tile, qid)
+        self._claim(tile, qid, orient)
         self.patches[qid] = Patch(tile, orient)
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
-        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
+        self._new_state()
 
     # --- patch operations -------------------------------------------------
 
@@ -274,7 +274,7 @@ class Board:
         del self._at[p.tile]
         self._at[dest] = qid
         self.patches[qid] = Patch(dest, p.orient)
-        self._acc, self._cut, self._dist, self._bus = None, None, {}, {}
+        self._new_state()
         return frozenset((p.tile, dest))
 
     def rotation_helper(self, qid: int):
@@ -292,9 +292,8 @@ class Board:
         p = self.patches[qid]
         if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
             raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        # no tile changed hands, so the strict component (it asks for an
-        # edge of any type on every patch), its cut tiles, the distance
-        # maps and the buses (keyed by the terminal patches) stand
+        # no tile changed hands, and the strict component asks for an edge
+        # of any type on every patch, so the records stand
         if self._acc is not None:
             self._acc = self.access_with(qid, p.tile, flipped(p.orient))
         self.patches[qid] = Patch(p.tile, flipped(p.orient))

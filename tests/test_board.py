@@ -26,7 +26,7 @@ from lscompile.layout_search import (
     design_layout,
     layout_score,
 )
-from lscompile import bench
+from lscompile import bench, board as board_module
 from lscompile.pauli import PauliWord, parse_op, rotation
 from lscompile.pipeline import CompileOptions, compile_program
 from lscompile.scheduler import enabled_count, required_edges
@@ -775,6 +775,35 @@ class TestRoutingMatchesFullFlood:
         assert bus_patches(b, required) is bus
         b.move_patch(2, (1, 3))
         assert bus_patches(b, required) is not bus
+
+    @pytest.mark.parametrize("mover", [0, 1], ids=["original", "copy"])
+    def test_a_copy_shares_records_until_a_tile_changes_hands(
+            self, mover, monkeypatch):
+        """A bus the copy routed after a rotation is read back by the
+        original after the same rotation; once either board moves a patch,
+        both answer as their own layout read afresh."""
+        b = builtin_layout("compact", 4)
+        c = b.copy()
+        c.rotate_patch(1, c.rotation_helper(1))
+        required = [(0, "X"), (1, "Z")]
+        bus = bus_patches(c, required)
+        b.rotate_patch(1, b.rotation_helper(1))
+        with monkeypatch.context() as m:
+            m.setattr(board_module, "_route_bus", None)
+            assert bus_patches(b, required) is bus
+        (b, c)[mover].move_patch(2, (1, 3))
+        pool = [required, [(2, "X")], [(3, "Z"), (0, "Z")], [(2, "Z")]]
+        for board in (b, c):
+            fresh = parse_layout(format_layout(board))
+            assert board.access() == fresh.access()
+            for tile in fresh._nbrs:
+                if fresh.is_routing(tile):
+                    assert board.distances(tile) == fresh.distances(tile)
+            for req in pool:
+                for include_port in (False, True):
+                    assert (_outcome(bus_patches, board, req, include_port)
+                            == _outcome(bus_patches, fresh, req,
+                                        include_port))
 
     def test_a_kept_failure_raises_afresh(self):
         """Each call raises a new error, so no traceback grows."""

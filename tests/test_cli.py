@@ -1,7 +1,9 @@
 """Command line entry points, driven through main() with temp files."""
 
+import io
 import json
 import time
+from xml.etree import ElementTree
 
 import pytest
 
@@ -114,6 +116,55 @@ def test_compile_layout_file_round_trip(qasm_file, tmp_path):
     assert main(["compile", qasm_file, "--board", "@" + str(layout_out),
                  "-o", str(out)]) == 0
     assert json.loads(out.read_text())["total_clocks"] >= 1
+
+
+def test_compile_svg_draws_one_rect_per_instruction(qasm_file, tmp_path):
+    out, svg = tmp_path / "schedule.json", tmp_path / "schedule.svg"
+    assert main(["compile", qasm_file, "-o", str(out),
+                 "--svg", str(svg)]) == 0
+    slices = json.loads(out.read_text())["slices"]
+    rects = ElementTree.parse(svg).getroot().iter(
+        "{http://www.w3.org/2000/svg}rect")
+    assert len(list(rects)) == sum(len(s["instructions"]) for s in slices)
+
+
+def test_compile_layout_out_round_trips(qasm_file, tmp_path):
+    out, layout = tmp_path / "schedule.json", tmp_path / "board.layout"
+    assert main(["compile", qasm_file, "--board", "standard", "-o", str(out),
+                 "--layout-out", str(layout)]) == 0
+    text = layout.read_text()
+    assert format_layout(parse_layout(text)) == text
+    assert text == json.loads(out.read_text())["header"]["board"]
+
+
+def test_compile_reads_stdin_and_writes_stdout(qasm_file, tmp_path,
+                                               monkeypatch, capsys):
+    out = tmp_path / "schedule.json"
+    assert main(["compile", qasm_file, "-o", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(QASM))
+    assert main(["compile", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_finite_alpha_e_designs_the_board(tmp_path):
+    out = tmp_path / "board.layout"
+    assert main(["layout", "--qubits", "2", "--board", "auto",
+                 "--alpha-e", "0.5", "-o", str(out)]) == 0
+    assert out.read_text() == format_layout(make_board("auto", 2, 0.5))
+    assert out.read_text() != format_layout(make_board("auto", 2))
+
+
+def test_identity_mapping_leaves_spare_patches_free(tmp_path):
+    """Two qubits on a board of four patches compile under identity."""
+    src, layout = tmp_path / "two.pbc", tmp_path / "four.layout"
+    src.write_text("pi/8 XZ\nM ZZ\n")
+    layout.write_text(format_layout(builtin_layout("standard", 4)))
+    out = tmp_path / "schedule.json"
+    assert main(["compile", str(src), "--board", "@" + str(layout),
+                 "--mapping", "identity", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["header"]["mapping"] == {
+        "0": 0, "1": 1}
 
 
 def test_estimate_reports_p_total(qasm_file, tmp_path):

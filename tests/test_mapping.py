@@ -39,6 +39,14 @@ def test_identity_mapping_needs_matching_ids():
         identity_mapping(b, 7)
 
 
+def test_identity_mapping_needs_only_ids_up_to_n():
+    b = builtin_layout("standard", 4)
+    assert identity_mapping(b, 2) == {0: 0, 1: 1}
+    b.remove_patch(0)
+    with pytest.raises(MappingError):
+        identity_mapping(b, 2)
+
+
 def test_ea_mapping_is_permutation():
     b = irregular_demo()
     qmap = ea_mapping(b, build_pdag(demand_program()))

@@ -22,6 +22,7 @@ from lscompile.transpiler import PbcProgram, parse_pbc
 from lscompile.ysynth import (
     Y_STRATEGIES,
     apply_y_strategy,
+    choose_bipartition,
     decompose_op,
     naive_y_decompose,
     pauli_synthesis,
@@ -121,6 +122,18 @@ class TestYSynthesize:
         base = outcome_distribution(fam)
         assert distributions_match(outcome_distribution(merged), base)
         assert distributions_match(outcome_distribution(naive), base)
+
+    def test_split_cancels_a_preceding_z_quarter_turn(self):
+        """The pi/4 on qubit 1 is a candidate group; splitting it off
+        lets its conjugator cancel in the merge."""
+        prog = parse_pbc("pi/4 IZII\npi/8 YYYY\nM ZZZZ")
+        assert choose_bipartition((0, 1, 2, 3), 1, prog, build_pdag(prog),
+                                  {}) == ((1,), (0, 2, 3))
+        merged = y_synthesize(prog, {q: XZ_ONLY for q in range(4)})
+        naive = naive_y_decompose(prog)
+        assert (len(merged.ops), len(naive.ops)) == (5, 7)
+        assert distributions_match(outcome_distribution(merged),
+                                   outcome_distribution(naive))
 
 
 class TestNaive:
