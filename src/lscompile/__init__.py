@@ -30,7 +30,7 @@ from .transpiler import (
     parse_qasm,
     transpile,
 )
-from .pdag import PDag, build_pdag, rotation_demand, to_dot
+from .pdag import PDag, build_pdag, rotation_demand
 from .ysynth import (
     choose_bipartition,
     decompose_op,
@@ -47,7 +47,7 @@ from .board import (
     parse_layout,
 )
 from .mapping import access_map, build_mapping
-from .layout_search import auto_design, design_layout, layout_score, relocate_pass
+from .layout_search import auto_design, design_layout, layout_score
 from .scheduler import (
     DeadlockError,
     Instruction,
@@ -60,7 +60,6 @@ from .scheduler import (
 )
 from .ler import Calibration, default_calibration, estimate_ler
 from .oracle import (
-    brute_force_optimum,
     circuit_distribution,
     circuit_unitary,
     distributions_match,
@@ -79,20 +78,19 @@ __all__ = [
     "rotation",
     "Gate", "GateCircuit", "PbcProgram", "absorb_cliffords", "decompose_gate",
     "format_pbc", "parse_pbc", "parse_qasm", "transpile",
-    "PDag", "build_pdag", "rotation_demand", "to_dot",
+    "PDag", "build_pdag", "rotation_demand",
     "choose_bipartition", "decompose_op", "naive_y_decompose",
     "pauli_synthesis", "y_synthesize",
     "Board", "builtin_layout", "bus_patches", "format_layout",
     "irregular_demo", "parse_layout",
     "access_map", "build_mapping",
-    "auto_design", "design_layout", "layout_score", "relocate_pass",
+    "auto_design", "design_layout", "layout_score",
     "DeadlockError", "Instruction", "Schedule", "normalize_angles",
     "schedule_loose", "schedule_spc", "scheduled_program",
     "validate_schedule",
     "Calibration", "default_calibration", "estimate_ler",
-    "brute_force_optimum", "circuit_distribution", "circuit_unitary",
-    "distributions_match", "equivalent_up_to_phase", "outcome_distribution",
-    "program_unitary",
+    "circuit_distribution", "circuit_unitary", "distributions_match",
+    "equivalent_up_to_phase", "outcome_distribution", "program_unitary",
     "CompileOptions", "CompileResult", "compile_program",
     "insert_corrections",
     "bench",

@@ -66,14 +66,9 @@ def _access_score(acc: Access, alpha_e: float) -> float:
     return acc.nx + acc.nz - alpha_e * acc.density
 
 
-def relocate_pass(board: Board, alpha_e: float = ALPHA_E) -> Board:
-    """One sweep of strict-improvement one-step moves and reorientations."""
-    _relocate(board, layout_score(board, alpha_e), alpha_e)
-    return board
-
-
 def _relocate(board: Board, current: float, alpha_e: float) -> float:
-    """relocate_pass from the board's score; returns the final score."""
+    """One sweep of strict-improvement one-step moves and reorientations,
+    starting from `current`, the board's score; returns the final score."""
     for qid in sorted(board.patches):
         patch = board.patches[qid]
         options = [(patch.tile, flipped(patch.orient))] + [
@@ -109,7 +104,9 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Boa
     for qid in range(n):
         options = [(tile, orient) for tile in sorted(board.a_component())
                    if tile != board.port for orient in (ORIENT_H, ORIENT_V)]
-        best = _best(board, qid, options, 0.0, alpha_e)
+        # any placement keeping the port connected will do, however low
+        # its score: alpha_e >= 1 keeps every score at or below zero
+        best = _best(board, qid, options, -math.inf, alpha_e)
         if best is None:
             raise LayoutDesignError(
                 f"no legal position for patch {qid} on {rows}x{cols}")
@@ -139,11 +136,11 @@ def auto_design(n: int, max_tiles: int | None = None, alpha_e: float = ALPHA_E
     dims = [(r, c) for r in range(2, budget + 1)
             for c in range(r, budget // r + 1) if r * c >= n + 2]
     dims.sort(key=lambda rc: (-(rc[0] * rc[1]), rc[1] - rc[0], rc[0]))
-    reason = ""
+    reason = ""   # why the largest grid failed
     for r, c in dims:
         try:
             return design_layout(n, r, c, alpha_e)
         except LayoutDesignError as e:
-            reason = f": {e}"
+            reason = reason or f": {e}"
     raise LayoutDesignError(
         f"no grid within {budget} tiles fits {n} patches{reason}")

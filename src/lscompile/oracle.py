@@ -1,4 +1,4 @@
-"""Independent reference semantics and a brute-force schedule optimum.
+"""Independent reference semantics.
 
 State-vector simulation for up to MAX_ORACLE_QUBITS qubits: unitaries
 for rotation sequences and gate circuits, and exact outcome
@@ -6,9 +6,7 @@ distributions for measurement-bearing programs, with every surviving
 measurement branch kept as one column of a state array.  A Pauli word
 acts as an index map and a sign, as in Aaronson and Gottesman
 (quant-ph/0406196) and Stim (arXiv:2103.02202), so no operator is ever
-built as a matrix.  Also an exhaustive branch-and-bound scheduler for
-tiny boards, used to measure the optimality gap of the heuristic
-scheduler.
+built as a matrix.
 """
 
 from __future__ import annotations
@@ -17,16 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .board import Board, OP_COSTS
 from .pauli import MEASUREMENT, PauliOp, PauliWord, ROTATION
-from .pdag import build_pdag
-from .scheduler import (
-    DeadlockError,
-    ScheduleError,
-    _measure_footprint,
-    _try_bus,
-    schedule_loose,
-)
 from .transpiler import Gate, GateCircuit, PbcProgram
 
 MAX_ORACLE_QUBITS = 10
@@ -205,103 +194,3 @@ def circuit_distribution(circuit: GateCircuit) -> dict:
 def distributions_match(a: dict, b: dict, tol: float = 1e-9) -> bool:
     keys = set(a) | set(b)
     return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in keys)
-
-
-# --- brute-force scheduling optimum ---------------------------------------
-
-def brute_force_optimum(program: PbcProgram, board: Board,
-                        qmap: dict | None = None) -> int:
-    """Minimum clock count over exhaustively searched schedules.
-
-    Search space: at each slice, start any dependency-ready operator
-    whose canonical bus tiles are free, or any legal patch
-    move/rotation, or advance time.  Buses come from the loose
-    scheduler's router, so the result is the optimum over canonical-bus
-    schedules of a program `scheduled_program` made for loose.
-    """
-    if qmap is None:
-        qmap = {q: q for q in range(program.n)}
-    dag = build_pdag(program)
-    preds = {nid: frozenset(node.preds) for nid, node in dag.nodes.items()}
-    num_ops = len(program.ops)
-
-    try:
-        incumbent = schedule_loose(program, board, qmap).total_clocks
-    except (DeadlockError, ScheduleError):
-        incumbent = num_ops * (max(OP_COSTS.values()) + 1) * board.tile_count()
-    best = [incumbent]
-
-    seen: dict = {}
-
-    def rel_key(t, busy, op_end, b):
-        busy_rel = tuple(sorted((tile, e - t) for tile, e in busy.items()
-                                if e >= t))
-        ops_rel = tuple(sorted((i, e - t) for i, e in op_end.items()
-                               if e >= t))
-        done = frozenset(i for i, e in op_end.items() if e < t)
-        return (b.key(), busy_rel, ops_rel, done)
-
-    def lower_bound(t, op_end):
-        remaining = num_ops - len(op_end)
-        return t - 1 + remaining
-
-    def dfs(t, busy, op_end, b, makespan):
-        if len(op_end) == num_ops:
-            best[0] = min(best[0], makespan)
-            return
-        if lower_bound(t, op_end) >= best[0]:
-            return
-        key = rel_key(t, busy, op_end, b)
-        slack = makespan - t
-        bucket = seen.setdefault(key, [])
-        if any(pt <= t and ps <= slack for pt, ps in bucket):
-            return
-        bucket.append((t, slack))
-
-        def free(tiles):
-            return all(busy.get(tile, 0) < t for tile in tiles)
-
-        # start a ready measurement
-        for i in range(num_ops):
-            if i in op_end:
-                continue
-            if any(p not in op_end or op_end[p] >= t for p in preds[i]):
-                continue
-            op = program.ops[i]
-            bus = _try_bus(b, qmap, op)
-            if bus is None:
-                continue
-            tiles, _ = _measure_footprint(b, qmap, op, bus)
-            if not free(tiles):
-                continue
-            nb_busy = dict(busy)
-            for tile in tiles:
-                nb_busy[tile] = t
-            nb_end = dict(op_end)
-            nb_end[i] = t
-            dfs(t, nb_busy, nb_end, b, max(makespan, t))
-
-        # start a patch move or rotation
-        for pid in sorted(b.patches):
-            home = b.patches[pid].tile
-            if not free([home]):
-                continue
-            helpers = [h for h in b.neighbors(home) if b.is_routing(h)]
-            for kind, arg in ([("move", d) for d in b.steps(pid)]
-                              + [("rotate", h) for h in helpers]):
-                if not free([arg]):
-                    continue
-                nb = b.copy()
-                step = nb.move_patch if kind == "move" else nb.rotate_patch
-                fp = step(pid, arg)
-                end = t + OP_COSTS[kind] - 1
-                nb_busy = dict(busy)
-                for tile in fp:
-                    nb_busy[tile] = end
-                dfs(t, nb_busy, dict(op_end), nb, max(makespan, end))
-
-        # advance time
-        dfs(t + 1, busy, op_end, b, makespan)
-
-    dfs(1, {}, {}, board.copy(), 0)
-    return best[0]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pauli import PauliOp, format_op
+from .pauli import PauliOp
 from .transpiler import PbcProgram
 
 
@@ -19,9 +19,6 @@ class PDagNode:
     op: PauliOp
     preds: set = field(default_factory=set)
     succs: set = field(default_factory=set)
-
-    def is_measurement(self) -> bool:
-        return self.op.is_measurement()
 
 
 class PDag:
@@ -61,10 +58,6 @@ class PDag:
                     self._ready.add(s)
         return node
 
-    def edges(self) -> list:
-        return sorted((i, j) for i, n in self.nodes.items() for j in n.succs
-                      if j in self.nodes)
-
 
 def build_pdag(program: PbcProgram) -> PDag:
     """O(n * l) construction with a per-qubit last-writer pointer."""
@@ -101,17 +94,3 @@ def rotation_demand(dag: PDag) -> dict:
     for q, seq in per_qubit.items():
         demand[q] = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
     return demand
-
-
-def to_dot(dag: PDag) -> str:
-    """DOT export for debugging."""
-    lines = ["digraph pdag {", "  rankdir=TB;"]
-    for nid in sorted(dag.nodes):
-        node = dag.nodes[nid]
-        shape = "box" if node.is_measurement() else "ellipse"
-        label = f"{nid}: {format_op(node.op)}"
-        lines.append(f'  n{nid} [label="{label}", shape={shape}];')
-    for i, j in dag.edges():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

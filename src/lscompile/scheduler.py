@@ -235,17 +235,14 @@ def _try_bus(board: Board, qmap: dict, op: PauliOp):
         return None
 
 
-def _measure_footprint(board: Board, qmap: dict, op: PauliOp, bus):
-    pids = [qmap[q] for q in op.word.support()]
-    tiles = [board.patches[p].tile for p in pids]
-    return (frozenset(bus).union(tiles, [board.ancilla.tile]),
-            frozenset([*pids, -1]))
-
-
 def _measure(board: Board, qmap: dict, op: PauliOp, bus, index: int,
              start_of) -> Instruction:
-    """Operator `index`, op, measured over bus, timed by start_of."""
-    tiles, patches = _measure_footprint(board, qmap, op, bus)
+    """Operator `index`, op, measured over bus, timed by start_of: the
+    bus, the operator's patch tiles and the ancilla tile are busy."""
+    pids = [qmap[q] for q in op.word.support()]
+    tiles = frozenset(bus).union([board.patches[p].tile for p in pids],
+                                 [board.ancilla.tile])
+    patches = frozenset([*pids, -1])
     dur = OP_COSTS["measure"]
     return Instruction("measure", start_of(tiles, dur), dur, tiles, patches,
                        format_op(op), op_index=index, bus=bus)

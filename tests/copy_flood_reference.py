@@ -3,8 +3,8 @@
 Every candidate is scored on a copy of the board, changed and flooded
 afresh, and a patch reaches the component when a tile across one of
 its edges lies in it: no kept access or count is read.  The tests hold
-`design_layout`, `relocate_pass` and `scheduler._pick_action` equal to
-these.
+`design_layout`, relocation sweeps included, and `scheduler._pick_action`
+equal to these.
 """
 
 from lscompile.board import (
@@ -94,8 +94,6 @@ def design_layout(n, rows, cols, alpha_e=0.2):
                 if comp is None or trial.port not in comp:
                     continue
                 score = layout_score(trial, alpha_e)
-                if score <= 0:
-                    continue
                 key = (-score, _density(trial), tile,
                        0 if orient == ORIENT_H else 1)
                 if best_key is None or key < best_key:

@@ -16,7 +16,6 @@ from lscompile import bench
 from lscompile.board import Board, builtin_layout, irregular_demo
 from lscompile.ler import Calibration, default_calibration, estimate_ler
 from lscompile.oracle import (
-    brute_force_optimum,
     circuit_distribution,
     circuit_unitary,
     distributions_match,
@@ -35,6 +34,7 @@ from lscompile.transpiler import (
     transpile,
 )
 from lscompile.ysynth import naive_y_decompose, y_synthesize
+from brute_force_reference import brute_force_optimum
 
 
 def test_transpile_and_y_synthesis_preserve_semantics_on_200_circuits():

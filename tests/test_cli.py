@@ -155,6 +155,13 @@ def test_finite_alpha_e_designs_the_board(tmp_path):
     assert out.read_text() != format_layout(make_board("auto", 2))
 
 
+def test_auto_board_designs_at_alpha_e_one(tmp_path):
+    out = tmp_path / "board.layout"
+    assert main(["layout", "--qubits", "2", "--board", "auto",
+                 "--alpha-e", "1", "-o", str(out)]) == 0
+    assert out.read_text() == format_layout(make_board("auto", 2, 1.0))
+
+
 def test_identity_mapping_leaves_spare_patches_free(tmp_path):
     """Two qubits on a board of four patches compile under identity."""
     src, layout = tmp_path / "two.pbc", tmp_path / "four.layout"

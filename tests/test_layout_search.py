@@ -5,13 +5,15 @@ import pytest
 from lscompile import layout_search
 from lscompile.board import Board, builtin_layout, format_layout
 from lscompile.layout_search import (
+    ALPHA_E,
     LayoutDesignError,
+    _relocate,
     auto_design,
     design_layout,
     layout_score,
-    relocate_pass,
     standard_tile_budget,
 )
+from lscompile.pipeline import make_board
 
 import copy_flood_reference as ref
 
@@ -65,7 +67,8 @@ class TestDesign:
     def test_relocate_never_worsens(self):
         b = design_layout(6, rows=6, cols=6)
         before = layout_score(b)
-        after = layout_score(relocate_pass(b))
+        _relocate(b, before, ALPHA_E)
+        after = layout_score(b)
         assert after >= before
 
 
@@ -99,6 +102,26 @@ class TestBudget:
                            "^no grid within 6 tiles fits 3 patches: .+"):
             auto_design(3, max_tiles=6)
 
+    def test_auto_design_names_why_the_largest_grid_failed(self):
+        # 9 tiles admit the 3x3, 2x4 and 2x3 grids, tried in that order
+        with pytest.raises(LayoutDesignError) as largest:
+            design_layout(4, 3, 3)
+        with pytest.raises(LayoutDesignError) as err:
+            auto_design(4, max_tiles=9)
+        assert str(err.value) == \
+            f"no grid within 9 tiles fits 4 patches: {largest.value}"
+
+    @pytest.mark.parametrize("alpha_e", [1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_auto_design_at_a_heavy_density_weight(self, n, alpha_e):
+        """A placement is refused only when it disconnects the board, so
+        a density weight that keeps every score at or below zero still
+        designs."""
+        b = make_board("auto", n, alpha_e)
+        assert len(b.patches) == n
+        assert b.tile_count() <= standard_tile_budget(n)
+        assert b.a_component() is not None and b.port in b.a_component()
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_auto_design_scales(self, n):
         b = auto_design(n)
@@ -128,6 +151,12 @@ class TestMatchesCopyAndFlood:
         n = 1 + (5 * rows + 7 * cols) % 10
         assert _designed(design_layout, n, rows, cols) == _designed(
             ref.design_layout, n, rows, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (3, 4), (4, 7), (5, 5)])
+    def test_design_at_a_heavy_density_weight(self, rows, cols):
+        n = rows * cols // 3
+        assert format_layout(design_layout(n, rows, cols, 1.5)) == \
+            format_layout(ref.design_layout(n, rows, cols, 1.5))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_auto_design(self, n, monkeypatch):

@@ -1,15 +1,18 @@
-"""State-vector oracle: unitaries, distributions, brute-force clocks."""
+"""State-vector oracle: unitaries, distributions; brute-force clocks."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brute_force_reference
 import dense_reference as dense
 from lscompile import bench, oracle, scheduled_program
 from lscompile.board import Board
 from lscompile.oracle import (
     MAX_ORACLE_QUBITS,
-    brute_force_optimum,
     circuit_distribution,
     circuit_unitary,
     distributions_match,
@@ -29,6 +32,7 @@ from lscompile.transpiler import (
     transpile,
 )
 from lscompile.ysynth import y_synthesize
+from brute_force_reference import brute_force_optimum
 from dense_reference import gate_matrix, rotation_matrix, word_matrix
 from test_transpiler import pbc_programs
 
@@ -121,6 +125,25 @@ def test_qubit_cap_enforced():
         program_unitary(big)
 
 
+def test_oracle_imports_nothing_it_checks():
+    """The oracle reads only the Pauli algebra and the IR types, so no
+    compiler stage it checks is part of the check."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert names.isdisjoint({"scheduler", "board", "pdag", "ysynth",
+                             "mapping", "layout_search", "pipeline"})
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert package == {"pauli", "transpiler"}
+
+
 def test_brute_force_single_measurement():
     board = Board(3, 3, ((2, 1), "h"), (2, 0),
                   {0: ((0, 0), "h"), 1: ((0, 2), "h")})
@@ -148,7 +171,7 @@ def test_brute_force_survives_a_scheduler_failure(monkeypatch, error):
     def failing(*args):
         raise error
 
-    monkeypatch.setattr(oracle, "schedule_loose", failing)
+    monkeypatch.setattr(brute_force_reference, "schedule_loose", failing)
     board = Board(3, 3, ((2, 1), "h"), (2, 0),
                   {0: ((0, 0), "h"), 1: ((0, 2), "h")})
     prog = PbcProgram(2, (measurement(W("ZZ")),))
@@ -173,7 +196,7 @@ def test_brute_force_surfaces_other_scheduler_errors(monkeypatch):
     def failing(*args):
         raise KeyError(1)
 
-    monkeypatch.setattr(oracle, "schedule_loose", failing)
+    monkeypatch.setattr(brute_force_reference, "schedule_loose", failing)
     board = Board(3, 3, ((2, 1), "h"), (2, 0),
                   {0: ((0, 0), "h"), 1: ((0, 2), "h")})
     with pytest.raises(KeyError):
