@@ -8,12 +8,11 @@ measurement is kept on the image of Z_q, and only those become PauliOp
 objects.  The result is +/- pi/8 rotations and (possibly transformed)
 measurements.  `decompose_gate` states each gate as Pauli rotations, and
 `absorb_cliffords` pushes the +/- pi/4 and pi/2 rotations of any program
-into its later operators on the same frame; each Clifford gate name's
-action is read off them once, at import (`_GATE_ACTIONS`), and `verify`
-and the tests check gates against `decompose_gate`.
-`_ONE_QUBIT_ROTATIONS` is the one statement of the one-qubit gates and
-their rotations: `SUPPORTED_GATES`, `decompose_gate`, `transpile` and the
-OpenQASM parser read it.
+into its later operators on the same frame; `transpile` reads each gate
+name's action off them once per call, and `verify` and the tests check
+gates against `decompose_gate`.  `_ONE_QUBIT_ROTATIONS` is the one
+statement of the one-qubit gates and their rotations: `SUPPORTED_GATES`,
+`decompose_gate`, `transpile` and the OpenQASM parser read it.
 """
 
 from __future__ import annotations
@@ -205,34 +204,23 @@ _KEPT_ON_Z = {"measure": (MEASUREMENT, 0), **{
     if letter == "Z" and k % 2 and not rest}}
 
 
-def _gate_actions() -> dict:
-    """Each Clifford gate name's conjugation A: the generators g on its
-    qubits that A changes, with A(g), as (f, i, e, letters) entries that
-    number the gate's qubits by place i.  Read off one absorb_cliffords
-    call, each name's gate on qubits of its own followed by a read of
-    every generator, so each (Clifford, generator) pair is conjugated at
-    most once."""
-    gates, n = [], 0
-    for name in SUPPORTED_GATES:
-        if name not in _KEPT_ON_Z:
-            width = 2 if name == "cx" else 1
-            gates.append(Gate(name, tuple(range(n, n + width))))
-            n += width
-    gens = [(g, f, q) for g in gates for q in g.qubits for f in (0, 1)]
-    reads = [measurement(_letter(n, q, "XZ"[f])) for _, f, q in gens]
-    images = absorb_cliffords(PbcProgram(n, [
-        op for g in gates for op in decompose_gate(g, n)] + reads)).ops
-    table: dict = {g.name: [] for g in gates}
-    for (g, f, q), a, read in zip(gens, images, reads):
-        if a != read:
-            base = g.qubits[0]
-            e, letters = _letters((a.word.x, a.word.z, a.sign < 0))
-            table[g.name].append(
-                (f, q - base, e, [(h, p - base) for h, p in letters]))
-    return table
-
-
-_GATE_ACTIONS = _gate_actions()   # worked out once, at import
+def _gate_move(gate: Gate, n: int, firsts: dict) -> list:
+    """A Clifford gate's move: each generator g on its qubits that the
+    gate's conjugation A changes, with A(g).  A is read once per name, at
+    the first gate of that name, by absorbing its decomposition followed by
+    reads of its generators, and taken onto each later gate's qubits."""
+    if gate.name not in firsts:
+        gens = [(f, q) for q in gate.qubits for f in (0, 1)]
+        reads = [measurement(_letter(n, q, "XZ"[f])) for f, q in gens]
+        images = absorb_cliffords(
+            PbcProgram(n, decompose_gate(gate, n) + reads)).ops
+        firsts[gate.name] = gate.qubits, [
+            (g, _letters((a.word.x, a.word.z, a.sign < 0)))
+            for g, a, read in zip(gens, images, reads) if a != read]
+    src, images = firsts[gate.name]
+    at = dict(zip(src, gate.qubits))
+    return [(f, at[q], e, [(h, at[p]) for h, p in letters])
+            for (f, q), (e, letters) in images]
 
 
 def transpile(circuit: GateCircuit) -> PbcProgram:
@@ -255,7 +243,8 @@ def transpile(circuit: GateCircuit) -> PbcProgram:
     gates = circuit.gates if seen_measure else [
         *circuit.gates, *(Gate("measure", (q,)) for q in range(n))]
     frame = _identity_frame(n)
-    moves: dict = {}    # gate -> its action taken onto its own qubits
+    firsts: dict = {}   # gate name -> (its first qubits, its changed images)
+    moves: dict = {}    # gate -> its frame update on its own qubits
     out: list = []
     for gate in gates:
         kept = _KEPT_ON_Z.get(gate.name)
@@ -264,10 +253,7 @@ def transpile(circuit: GateCircuit) -> PbcProgram:
             continue
         move = moves.get(gate)
         if move is None:
-            on = gate.qubits
-            move = moves[gate] = [
-                (f, on[q], e, [(h, on[p]) for h, p in letters])
-                for f, q, e, letters in _GATE_ACTIONS[gate.name]]
+            move = moves[gate] = _gate_move(gate, n, firsts)
         _update(frame, move)
     return PbcProgram(n, out)
 

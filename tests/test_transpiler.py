@@ -227,8 +227,7 @@ class TestLinearAbsorption:
         assert transpile(circ) == absorb_right_to_left(PbcProgram(circ.n, ops))
 
     @staticmethod
-    def _conjugations(monkeypatch, run, *args):
-        """conjugate_past calls made by run(*args)."""
+    def _conjugations(monkeypatch, width):
         calls = []
 
         def counting(clifford, target):
@@ -237,23 +236,18 @@ class TestLinearAbsorption:
 
         # perfbench/spans.py counts calls at this same lookup site
         monkeypatch.setattr(transpiler, "conjugate_past", counting)
-        run(*args)
+        transpile(bench.adder_circuit(width))
         return len(calls)
 
     def test_conjugations_grow_linearly(self, monkeypatch):
         circ = bench.adder_circuit(40)
         quarters = sum(op.is_clifford_quarter() for g in circ.gates
                        for op in decompose_gate(g, circ.n))
-        wide = self._conjugations(monkeypatch, absorb_cliffords,
-                                  decomposed(circ))
+        wide = self._conjugations(monkeypatch, 40)
         assert 0 < wide <= 4 * quarters
-        assert wide < 2.5 * self._conjugations(
-            monkeypatch, absorb_cliffords, decomposed(bench.adder_circuit(20)))
+        assert wide < 2.5 * self._conjugations(monkeypatch, 20)
 
     def test_each_conjugation_is_computed_once_per_call(self, monkeypatch):
-        """transpile conjugates nothing: it reads each gate name's action
-        off a table built once, at import, and building that table
-        conjugates each (Clifford, generator) pair at most once."""
         pairs = []
 
         def recording(clifford, target):
@@ -261,14 +255,19 @@ class TestLinearAbsorption:
             return conjugate_past(clifford, target)
 
         monkeypatch.setattr(transpiler, "conjugate_past", recording)
-        transpile(bench.adder_circuit(20))
-        assert pairs == []
-        assert transpiler._gate_actions() == transpiler._GATE_ACTIONS
+        circ = bench.adder_circuit(20)
+        quarters = {op for g in circ.gates for op in decompose_gate(g, circ.n)
+                    if op.is_clifford_quarter()}
+        transpile(circ)
         assert pairs and len(set(pairs)) == len(pairs)
         for clifford, generator in pairs:
-            assert clifford.is_clifford_quarter()
+            assert clifford in quarters
             assert generator.word.weight() == 1
             assert not commutes(clifford.word, generator.word)
+        # nothing is kept between calls: a second call works them out again
+        once = list(pairs)
+        transpile(circ)
+        assert pairs == once + once
 
 
 class TestGateFrame:
@@ -280,12 +279,10 @@ class TestGateFrame:
         assert transpile(circ) == absorb_right_to_left(decomposed(circ))
 
     def test_conjugations_do_not_grow_with_the_circuit(self, monkeypatch):
-        # each gate name's action is read off a table built at import, so
-        # no call conjugates anything, whatever its width
+        # each gate name is conjugated once per call, whatever its qubits
         conjugations = TestLinearAbsorption._conjugations
-        for width in (4, 40):
-            circ = bench.adder_circuit(width)
-            assert conjugations(monkeypatch, transpile, circ) == 0
+        wide = conjugations(monkeypatch, 40)
+        assert 0 < wide <= conjugations(monkeypatch, 4)
 
 
 class TestTranspile:
