@@ -305,8 +305,9 @@ class Board:
         """Routing tiles across the edges of type typ (any if None) of
         patch qid, or of the ancilla for -1, in row-major order."""
         p = self.ancilla if qid == -1 else self.patches[qid]
-        return [out for t, out in _edges(p)
-                if (typ is None or t == typ) and self.is_routing(out)]
+        nbrs, at = self._nbrs, self._at
+        return [out for t, out in _edges(p) if (typ is None or t == typ)
+                and out in nbrs and out not in at]
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
@@ -481,8 +482,9 @@ def _route_bus(board: Board, required, include_port: bool) -> frozenset:
 
     tree: set = set()
     comp = board.a_component()
+    nbrs = board._nbrs
     for opts in terminals:
-        if tree & set(opts):
+        if not tree.isdisjoint(opts):
             continue
         if not tree:
             # seed inside the main routing component, else any option
@@ -492,15 +494,22 @@ def _route_bus(board: Board, required, include_port: bool) -> frozenset:
         best = None
         for t in opts:
             dist = board.distances(t)
-            near = min(((dist[s], s) for s in tree if s in dist), default=None)
-            if near is not None and (best is None or near[0] < best[0]):
-                best = (*near, dist)
+            near = None   # the least tree tile at the least distance d
+            for s in tree:
+                ds = dist.get(s)
+                if ds is not None and (near is None or ds < d
+                                       or ds == d and s < near):
+                    d, near = ds, s
+            if near is not None and (best is None or d < best[0]):
+                best = d, near, dist
         if best is None:
             raise NoPathError(f"no routing path to terminal options {opts}")
         d, cur, dist = best
         while d:
             d -= 1
-            cur = next(nb for nb in board._nbrs[cur] if dist.get(nb) == d)
+            for cur in nbrs[cur]:
+                if dist.get(cur) == d:
+                    break
             tree.add(cur)
     return frozenset(tree)
 

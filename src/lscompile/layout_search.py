@@ -43,17 +43,19 @@ def _density(board: Board) -> int:
     return sum(len(board.touch_tiles(q)) for q in board.patches)
 
 
-def _best(board: Board, qid: int, options, floor: float, alpha_e: float):
+def _best(board: Board, qid: int, options, floor: float | None,
+          alpha_e: float):
     """(key, tile, orient) of the best option for patch qid scoring above
-    floor with the port in the component, or None.  The key ranks higher
-    scores first, then denser boards, then row-major tiles, "h" first."""
+    floor (at any score if floor is None) with the port in the component,
+    or None.  The key ranks higher scores first, then denser boards, then
+    row-major tiles, "h" first."""
     best = None
     for tile, orient in options:
         acc = board.access_with(qid, tile, orient)
         if acc.comp is None or board.port not in acc.comp:
             continue
         score = _access_score(acc, alpha_e)
-        if score <= floor:
+        if floor is not None and score <= floor:
             continue
         key = (-score, acc.density, tile, 0 if orient == ORIENT_H else 1)
         if best is None or key < best[0]:
@@ -105,8 +107,9 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Boa
         options = [(tile, orient) for tile in sorted(board.a_component())
                    if tile != board.port for orient in (ORIENT_H, ORIENT_V)]
         # any placement keeping the port connected will do, however low
-        # its score: alpha_e >= 1 keeps every score at or below zero
-        best = _best(board, qid, options, -math.inf, alpha_e)
+        # its score: alpha_e >= 1 keeps every score at or below zero, and
+        # alpha_e * density may overflow to a score of -inf
+        best = _best(board, qid, options, None, alpha_e)
         if best is None:
             raise LayoutDesignError(
                 f"no legal position for patch {qid} on {rows}x{cols}")

@@ -7,9 +7,11 @@ scheduled program, as `scheduled_program` makes it, Y-free for "spc".
 The "loose" scheduler walks the dependency graph, runs every currently
 feasible multipatch measurement, and otherwise applies the single patch
 move or rotation that most increases boundary access for the blocked
-operator, packing instructions onto per-tile timelines.  The "spc"
-scheduler is the serial baseline: program order, in-place patch
-rotations before each operator, one operator at a time, no overlap.
+operator, packing instructions onto per-tile timelines.  An operator
+that failed to route is not asked again until a move or rotation changes
+the board.  The "spc" scheduler is the serial baseline: program order,
+in-place patch rotations before each operator, one operator at a time,
+no overlap.
 Neither sets the header's run settings; `compile_program` stamps them.
 
 Clock slices are 1-based.  Plain Pauli measurements and quarter-angle
@@ -328,11 +330,15 @@ def schedule_loose(program: PbcProgram, board: Board,
 
     instrs: list[Instruction] = []
     actions = 0   # since the last measurement
+    blocked = set()   # frontier ids that failed to route since the last action
     while dag:
         for nid in dag.frontier():
+            if nid in blocked:
+                continue
             op = dag.nodes[nid].op
             bus = _try_bus(board, qmap, op)
             if bus is None:
+                blocked.add(nid)
                 continue
             instrs.append(_measure(board, qmap, op, bus, nid, pack))
             dag.pop_node(nid)
@@ -348,6 +354,7 @@ def schedule_loose(program: PbcProgram, board: Board,
                     tuple(sorted({qmap[q] for q in pending.word.support()})),
                     format_layout(board))
             instrs.append(_act(board, *action, pack))
+            blocked.clear()
             # each action strictly raises the pending operator's enabled
             # count, which cannot pass its weight
             actions += 1

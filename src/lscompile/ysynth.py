@@ -150,7 +150,7 @@ def y_synthesize(program: PbcProgram, access=None) -> PbcProgram:
     even counts an odd/odd bipartition chosen against the dependency
     neighborhood.  A merge pass afterwards cancels adjacent conjugators.
     """
-    dag = build_pdag(program)
+    dag = None   # built for the first even Y count
     out = []
     emitted: dict[int, list] = {}
     for idx, op in enumerate(program.ops):
@@ -162,6 +162,8 @@ def y_synthesize(program: PbcProgram, access=None) -> PbcProgram:
         if len(ys) % 2 == 1:
             b1, b2 = ys, ()
         else:
+            if dag is None:
+                dag = build_pdag(program)
             b1, b2 = choose_bipartition(ys, idx, program, dag, emitted)
         emitted[idx] = [b1] + ([b2] if b2 else [])
         out.extend(decompose_op(op, b1, b2))

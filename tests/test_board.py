@@ -3,7 +3,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lscompile.board import (
     Board,
@@ -324,10 +324,9 @@ DELTA_CASES = {
 }
 
 
-def _start_board(data):
-    style = data.draw(st.sampled_from(["compact", "standard", "sparse",
-                                       "irregular", "designed", "scattered",
-                                       "named"]))
+def _start_board(data, styles=("compact", "standard", "sparse", "irregular",
+                               "designed", "scattered", "named")):
+    style = data.draw(st.sampled_from(styles))
     if style == "irregular":
         return irregular_demo()
     if style == "named":
@@ -621,13 +620,12 @@ def _ref_bus(board, required, include_port=False):
 
 
 def _drawn_board(data):
-    """A builtin or demo board after a few drawn moves and rotations."""
-    style = data.draw(st.sampled_from(["compact", "standard", "sparse",
-                                       "irregular"]))
-    if style == "irregular":
-        b = irregular_demo()
-    else:
-        b = builtin_layout(style, data.draw(st.integers(1, 9)))
+    """A builtin, demo, designed or scattered board with patches, after a
+    few drawn moves and rotations: designed and scattered boards bring
+    pockets, cut tiles and ancilla edges in two components."""
+    b = _start_board(data, ("compact", "standard", "sparse", "irregular",
+                            "designed", "scattered"))
+    assume(b.patches)
     for _ in range(data.draw(st.integers(0, 8))):
         try:
             _mutate(data, b, kinds=("move", "rotate"))

@@ -1,5 +1,7 @@
 """Automatic board design: scoring, relocation, budgeted search."""
 
+import math
+
 import pytest
 
 from lscompile import layout_search
@@ -121,6 +123,18 @@ class TestBudget:
         assert len(b.patches) == n
         assert b.tile_count() <= standard_tile_budget(n)
         assert b.a_component() is not None and b.port in b.a_component()
+
+    @pytest.mark.parametrize("spec,n", [("4x4", 3), ("auto", 2),
+                                        ("auto", 8)])
+    def test_an_overflowing_density_weight_still_designs(self, spec, n):
+        """At alpha_e = 1e308, alpha_e * density overflows and every
+        placement scores -inf; a placement is still refused only when it
+        disconnects the board.  At 1e307 the density term already drowns
+        the access points, and the design is the same."""
+        b = make_board(spec, n, 1e308)
+        assert layout_score(b, 1e308) == -math.inf
+        assert b.a_component() is not None and b.port in b.a_component()
+        assert format_layout(b) == format_layout(make_board(spec, n, 1e307))
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_auto_design_scales(self, n):

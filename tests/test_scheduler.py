@@ -221,6 +221,41 @@ class TestLooseScheduler:
             [op for op in prog.ops if op.is_measurement()])
 
 
+@pytest.mark.parametrize("circuit,board", [
+    (bench.adder_circuit(12), "standard"),
+    (bench.random_circuit(8, 160, 8000), "compact"),
+], ids=["adder_12", "random_8"])
+def test_a_blocked_operator_is_asked_once_per_board(circuit, board,
+                                                    monkeypatch):
+    """Between two actions schedule_loose asks each frontier node for a
+    bus at most once: a measurement leaves the board as it is, so a
+    failed route stays failed until a move or rotation."""
+    dags, asked, repeats = [], set(), []
+    build, try_bus, act = (scheduler.build_pdag, scheduler._try_bus,
+                           scheduler._act)
+
+    def ask(board, qmap, op):
+        # by node, not by word: two frontier nodes may share a word
+        nid = next(nid for nid, node in dags[-1].nodes.items()
+                   if node.op is op)
+        if nid in asked:
+            repeats.append(nid)
+        asked.add(nid)
+        return try_bus(board, qmap, op)
+
+    def acted(*args):
+        asked.clear()
+        return act(*args)
+
+    monkeypatch.setattr(scheduler, "build_pdag",
+                        lambda program: dags.append(build(program)) or dags[-1])
+    monkeypatch.setattr(scheduler, "_try_bus", ask)
+    monkeypatch.setattr(scheduler, "_act", acted)
+    sch = compile_program(circuit, CompileOptions(board=board)).schedule
+    assert any(i.kind != "measure" for i in sch.instructions)
+    assert repeats == []
+
+
 class TestSpcScheduler:
     def test_golden_ten_clocks(self):
         prog = parse_pbc("M ZZZZZI", 6)

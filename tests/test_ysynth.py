@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixpoint_merge_reference as ref
-from lscompile import bench
+from lscompile import bench, ysynth
 from lscompile.board import builtin_layout
 from lscompile.mapping import access_map, build_mapping
 from lscompile.oracle import (
@@ -134,6 +134,23 @@ class TestYSynthesize:
         assert (len(merged.ops), len(naive.ops)) == (5, 7)
         assert distributions_match(outcome_distribution(merged),
                                    outcome_distribution(naive))
+
+    @pytest.mark.parametrize("text,access,builds", [
+        ("pi/8 YY\nM ZZ", None, 0),
+        ("pi/8 YY\nM ZZ", {0: XZ_ONLY}, 1),
+        ("pi/8 YZI\npi/8 YYY\nM ZZZ", {q: XZ_ONLY for q in range(3)}, 0),
+        ("pi/8 YYII\npi/4 YYYY\nM ZZZZ", {q: XZ_ONLY for q in range(4)}, 1),
+    ], ids=["served", "even", "odd-only", "two-even"])
+    def test_dependency_graph_built_only_for_a_bipartition(
+            self, text, access, builds, monkeypatch):
+        """Only an even Y count asks the dependency graph, and one graph
+        serves every such operator."""
+        calls = []
+        monkeypatch.setattr(ysynth, "build_pdag", lambda p: calls.append(p)
+                            or build_pdag(p))
+        prog = parse_pbc(text)
+        y_synthesize(prog, access)
+        assert len(calls) == builds
 
 
 class TestNaive:
