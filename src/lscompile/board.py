@@ -22,7 +22,7 @@ Each board state keeps four records, worked out on first use: its
 routing access (the strict component and which patch edges face it,
 `_count` being the one edge-facing test), the component's cut tiles
 (`_cut`), its distance maps (`distances`, the one flood, per routing
-tile asked for) and its buses (`bus_patches`, failures too).
+tile asked for) and its buses (`bus_patches`, successes only).
 `_new_state` starts all four afresh when a tile changes hands; a
 rotation keeps them, carrying the access forward.  Under its key (source
 tile; terminal patches as they stand) a map or bus depends only on which
@@ -229,7 +229,7 @@ class Board:
         """Bind fresh records for a new state; shared ones are never cleared."""
         self._acc = self._cut = None   # access(), tiles access_with() floods for
         self._dist: dict = {}  # routing tile -> distances() of it
-        self._bus: dict = {}   # bus_patches() key -> bus or failure message
+        self._bus: dict = {}   # bus_patches() key -> routed bus
 
     def _claim(self, tile, qid: int, orient: str):
         if orient not in (ORIENT_H, ORIENT_V):
@@ -447,18 +447,14 @@ class Board:
 def bus_patches(board: Board, required, include_port: bool = False) -> frozenset:
     """Connected routing-tile set touching every required (patch, edge type)
     boundary plus the ancilla's X and Z edges (and the magic port if asked),
-    routed once per board state: the board keeps the bus, or the failure's
-    message, under the terminal patches as they stand."""
+    routed once per board state: the board keeps each bus under the
+    terminal patches as they stand.  A failure raises `NoPathError` and is
+    not kept; a new ask routes afresh."""
     key = (tuple((q, t, board.patches.get(q)) for q, t in required),
            include_port)
     bus = board._bus.get(key)
     if bus is None:
-        try:
-            bus = board._bus[key] = _route_bus(board, required, include_port)
-        except NoPathError as e:
-            bus = board._bus[key] = str(e)
-    if isinstance(bus, str):
-        raise NoPathError(bus)
+        bus = board._bus[key] = _route_bus(board, required, include_port)
     return bus
 
 

@@ -48,13 +48,16 @@ def _best(board: Board, qid: int, options, floor: float | None,
     """(key, tile, orient) of the best option for patch qid scoring above
     floor (at any score if floor is None) with the port in the component,
     or None.  The key ranks higher scores first, then denser boards, then
-    row-major tiles, "h" first."""
+    row-major tiles, "h" first.  A score of +inf raises ValueError."""
     best = None
     for tile, orient in options:
         acc = board.access_with(qid, tile, orient)
         if acc.comp is None or board.port not in acc.comp:
             continue
         score = _access_score(acc, alpha_e)
+        if score == math.inf:   # only a negative weight gets here
+            raise ValueError(f"alpha_e = {alpha_e} overflows the layout "
+                             f"score to +inf")
         if floor is not None and score <= floor:
             continue
         key = (-score, acc.density, tile, 0 if orient == ORIENT_H else 1)

@@ -63,17 +63,14 @@ def build_pdag(program: PbcProgram) -> PDag:
     """O(n * l) construction with a per-qubit last-writer pointer."""
     dag = PDag(program.n)
     last_writer: dict[int, int] = {}
-    nodes = []
     for idx, op in enumerate(program.ops):
         node = PDagNode(id=idx, op=op)
         for q in op.word.support():
             if q in last_writer:
                 p = last_writer[q]
                 node.preds.add(p)
-                nodes[p].succs.add(idx)
+                dag.nodes[p].succs.add(idx)
             last_writer[q] = idx
-        nodes.append(node)
-    for node in nodes:
         dag.add_node(node)
     return dag
 

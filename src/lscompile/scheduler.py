@@ -268,7 +268,7 @@ def _act(board: Board, kind: str, pid: int, arg, start_of) -> Instruction:
 
 def _candidate_actions(board: Board, qmap: dict, op: PauliOp):
     """Moves to the patch's steps() then a rotation, per involved patch."""
-    for q in sorted(set(op.word.support())):
+    for q in op.word.support():
         pid = qmap[q]
         for dest in board.steps(pid):
             yield ("move", pid, dest)

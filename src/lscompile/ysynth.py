@@ -23,6 +23,7 @@ from .pauli import (
     measurement,
     multiply,
     rotation,
+    set_bits,
 )
 from .pdag import PDag, build_pdag
 from .transpiler import PbcProgram
@@ -40,8 +41,7 @@ def _z_group_word(n: int, group) -> PauliWord:
 
 
 def _y_indices(op: PauliOp) -> tuple:
-    w = op.word
-    return tuple(q for q in w.support() if w.letter(q) == "Y")
+    return tuple(set_bits(op.word.x & op.word.z))
 
 
 def decompose_op(op: PauliOp, b1, b2=()) -> list:
@@ -90,49 +90,29 @@ def choose_bipartition(y_indices, node_id: int, program: PbcProgram,
                        dag: PDag, emitted_groups: dict):
     """Pick an odd/odd split of an even Y index set.
 
-    Candidate groups come from dependency neighbors: predecessor pure-Z
-    quarter rotations with odd support inside the Y set, groups already
-    emitted for decomposed predecessors, and odd Y overlaps with
-    successors.  The split maximizing the number of such neighbor matches
-    wins; ties prefer the smaller then lexicographically first group.
+    Predecessors offer groups: pure-Z quarter rotations' supports and the
+    groups emitted for decomposed predecessors.  A group scores one per
+    equal offer and one per successor whose Y set holds it with an odd or
+    empty remainder.  Candidates are the offers, the successor Y overlaps
+    and the lowest index that are odd proper subsets of the Y set.  The
+    best summed score wins; ties prefer the smaller, then first, group.
     """
     yset = frozenset(y_indices)
     node = dag.nodes[node_id]
-    n = program.n
-
-    cands = set()
+    offers = []
     for pid in node.preds:
         pop = program.ops[pid]
         if pop.is_clifford_quarter() and pop.word.x == 0:
-            supp = frozenset(pop.word.support())
-            if supp and supp < yset and len(supp) % 2 == 1:
-                cands.add(supp)
-        for g in emitted_groups.get(pid, ()):
-            gf = frozenset(g)
-            if gf < yset and len(gf) % 2 == 1:
-                cands.add(gf)
-    for sid in node.succs:
-        sw = program.ops[sid].word
-        ov = frozenset(q for q in yset if sw.letter(q) == "Y")
-        if ov and ov < yset and len(ov) % 2 == 1:
-            cands.add(ov)
-    cands.add(frozenset({min(yset)}))
+            offers.append(frozenset(pop.word.support()))
+        offers.extend(frozenset(g) for g in emitted_groups.get(pid, ()))
+    succ_ys = [frozenset(_y_indices(program.ops[sid])) for sid in node.succs]
+    cands = {g for g in [*offers, *(yset & sy for sy in succ_ys),
+                         frozenset({min(yset)})]
+             if g and g < yset and len(g) % 2 == 1}
 
     def group_score(g: frozenset) -> int:
-        gw = _z_group_word(n, sorted(g))
-        sc = 0
-        for pid in node.preds:
-            pop = program.ops[pid]
-            if pop.is_clifford_quarter() and pop.word == gw:
-                sc += 1
-            if any(frozenset(eg) == g for eg in emitted_groups.get(pid, ())):
-                sc += 1
-        for sid in node.succs:
-            sw = program.ops[sid].word
-            sy = frozenset(q for q in sw.support() if sw.letter(q) == "Y")
-            if g <= sy and (g == sy or len(sy - g) % 2 == 1):
-                sc += 1
-        return sc
+        return offers.count(g) + sum(
+            g <= sy and (g == sy or len(sy - g) % 2 == 1) for sy in succ_ys)
 
     def rank(g: frozenset):
         return (-(group_score(g) + group_score(yset - g)),

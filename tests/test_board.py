@@ -814,6 +814,15 @@ class TestRoutingMatchesFullFlood:
             raised.append(e.value)
         assert raised[0] is not raised[1]
 
+    def test_a_failed_route_is_not_kept(self):
+        """Only routed buses enter the board's record; a failure leaves
+        it as it was."""
+        b = builtin_layout("compact", 4)
+        bus = bus_patches(b, [(0, "X")])
+        with pytest.raises(NoPathError, match="^patch 0 has no exposed Z"):
+            bus_patches(b, [(0, "Z")])
+        assert list(b._bus.values()) == [bus]
+
     @pytest.mark.slow
     @pytest.mark.parametrize("scheduler", ["loose", "spc"])
     @pytest.mark.parametrize("board", ["standard", "auto"])

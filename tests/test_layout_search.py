@@ -136,6 +136,15 @@ class TestBudget:
         assert b.a_component() is not None and b.port in b.a_component()
         assert format_layout(b) == format_layout(make_board(spec, n, 1e307))
 
+    def test_an_overflowing_negative_density_weight_is_refused(self):
+        """At alpha_e = -1e308 every placement scores +inf, which would
+        rank boards by density alone; at -1e307 the scores stay finite
+        and the denser-is-better design stands."""
+        with pytest.raises(ValueError, match="alpha_e"):
+            make_board("4x4", 3, -1e308)
+        rows = format_layout(make_board("4x4", 3, -1e307)).splitlines()
+        assert rows[:3] == ["Ah . . Q2h", ". Q0h . .", ". . Q1h ."]
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_auto_design_scales(self, n):
         b = auto_design(n)

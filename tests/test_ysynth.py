@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bipartition_reference
 import fixpoint_merge_reference as ref
 from lscompile import bench, ysynth
 from lscompile.board import builtin_layout
@@ -278,6 +279,49 @@ def merge_programs(draw):
 @settings(max_examples=300, deadline=None)
 def test_one_scan_matches_fixpoint_reference(prog):
     assert pauli_synthesis(prog) == ref.pauli_synthesis(prog)
+
+
+@st.composite
+def y_programs(draw):
+    """Y-heavy rotations and measurements among pure-Z quarter turns,
+    with an access map that serves Y on some qubits, lacks it on others
+    and leaves the rest unlisted."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    y_heavy = st.lists(st.sampled_from("YYYXZI"), min_size=n, max_size=n).map(
+        lambda letters: W("".join(letters)))
+    z_only = st.integers(1, (1 << n) - 1).map(lambda z: PauliWord(n, 0, z))
+    op = st.one_of(
+        st.builds(rotation, y_heavy, st.integers(0, 15)),
+        st.builds(measurement, y_heavy, st.sampled_from([1, -1])),
+        st.builds(rotation, z_only, st.sampled_from([2, 14])))
+    ops = draw(st.lists(op, min_size=1, max_size=24))
+    access = {q: draw(st.sampled_from([XZ_ONLY, {"X", "Y", "Z"}]))
+              for q in range(n) if draw(st.booleans())}
+    return PbcProgram(n, tuple(ops)), access
+
+
+@given(y_programs())
+@settings(max_examples=300, deadline=None)
+def test_bipartition_matches_reference(case):
+    """Every split y_synthesize asks for is the one the two-pass
+    reference picks."""
+    prog, access = case
+
+    def both(*args):
+        got = choose_bipartition(*args)
+        assert got == bipartition_reference.choose_bipartition(*args)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ysynth, "choose_bipartition", both)
+        y_synthesize(prog, access)
+
+
+@given(st.text("IXYZ", min_size=1, max_size=70))
+def test_y_indices_read_off_the_masks(letters):
+    w = W(letters)
+    assert ysynth._y_indices(rotation(w, 1)) == tuple(
+        q for q in w.support() if w.letter(q) == "Y")
 
 
 @pytest.mark.slow
