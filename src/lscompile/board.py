@@ -20,19 +20,21 @@ and text without an ancilla or a port.
 
 Each board state keeps four records, worked out on first use: its
 routing access (the strict component and which patch edges face it,
-`_count` being the one edge-facing test), the component's cut tiles
-(`_cut`), its distance maps (`distances`, the one flood, per routing
-tile asked for) and its buses (`bus_patches`, successes only).
-`_new_state` starts all four afresh when a tile changes hands; a
-rotation keeps them, carrying the access forward.  Under its key (source
-tile; terminal patches as they stand) a map or bus depends only on which
+`_count` being the one edge-facing test), the component's cut tiles and
+the discovery ranges of the pieces each splits off (`_cut`), its
+distance maps (`distances`, the one flood, per routing tile asked for)
+and its buses (`bus_patches`, successes only).  `_new_state` starts all
+four afresh when a tile changes hands.  Under its key (source tile;
+terminal patches as they stand) a map or bus depends only on which
 tiles are occupied, so a copy shares its state's records until a tile
-change binds it fresh ones.
-The access after a one-tile change (a placement, a move or a
-reorientation) is worked out from the kept one without a copy or a
-flood, and bus routing reads the kept maps.  Floods walk a neighbour
-table built once per board shape; patch edges come from a table keyed
-by the immutable patch.
+change binds it fresh ones.  `Board.delta` is the one statement of what
+a one-tile change (a placement, a move or a reorientation) does to the
+access, in both orientations, read off the kept access and cut tiles;
+`Board.place` makes such a change and carries the access through it.
+Two cases still flood a changed copy: a freed tile beside routing space
+outside the component, and ancilla X-edge tiles outside one component.
+Floods walk a neighbour table built once per board shape; patch edges
+come from a table keyed by the immutable patch.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from collections.abc import Callable
 from functools import cache
 from typing import NamedTuple
 
@@ -102,18 +105,13 @@ class Access(NamedTuple):
     (X edges facing comp, Z edges facing comp, routing tiles touched);
     nx and nz count the patches with an X, resp. Z, edge on comp, and
     density sums the routing tiles touched.  A board's own access is
-    exact.  One that access_with() answers without a component keeps
-    only the touched tiles and density up to date.
+    exact, and so is one a Delta gives.
     """
     comp: frozenset | None
     counts: dict
     nx: int
     nz: int
     density: int
-
-    def reaches(self, qid: int, typ: str) -> bool:
-        """Whether patch qid has a typ edge on the strict component."""
-        return self.comp is not None and self.counts[qid][typ == "Z"] > 0
 
 
 def _count(patch: Patch, comp, nbrs, occ) -> tuple:
@@ -130,14 +128,57 @@ def _count(patch: Patch, comp, nbrs, occ) -> tuple:
     return x, z, touch
 
 
-def _cut_tiles(comp: frozenset, nbrs: dict) -> frozenset:
-    """Tiles whose removal splits comp: its articulation points, from one
-    iterative depth-first search (Hopcroft and Tarjan, CACM 1973)."""
+class Delta(NamedTuple):
+    """What putting patch qid on one tile does to the access (Board.delta).
+
+    comp builds the new strict component when called, or is None; port
+    says whether that holds the port.  counts maps the other patches the
+    change reaches to their new counts, and nx, nz and density total all
+    patches but qid, whose counts in "h" are own; "v" swaps X and Z.
+    """
+    qid: int
+    base: Access
+    comp: Callable[[], frozenset] | None
+    port: bool
+    counts: dict
+    nx: int
+    nz: int
+    density: int
+    own: tuple
+
+    def count(self, orient: str) -> tuple:
+        """qid's Access.counts entry in orient."""
+        x, z, touch = self.own
+        return (x, z, touch) if orient == ORIENT_H else (z, x, touch)
+
+    def totals(self, orient: str) -> tuple:
+        """(nx, nz, density) of the changed board with qid in orient."""
+        x, z, touch = self.count(orient)
+        return self.nx + (x > 0), self.nz + (z > 0), self.density + touch
+
+    def access(self, orient: str) -> Access:
+        """The changed board's exact access, with qid in orient."""
+        counts = {**self.base.counts, **self.counts,
+                  self.qid: self.count(orient)}
+        nx, nz, density = self.totals(orient)
+        if self.comp is None:
+            return Access(None, {q: (0, 0, c[2]) for q, c in counts.items()},
+                          0, 0, density)
+        return Access(self.comp(), counts, nx, nz, density)
+
+
+def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
+    """(order, cut) of one iterative depth-first search of comp: its
+    tiles in discovery order, and for each tile whose removal splits
+    comp (its articulation points; Hopcroft and Tarjan, CACM 1973) the
+    discovery ranges of the subtrees that removal splits off.  Each
+    range is one piece of comp less that tile, and the rest, if any, is
+    one more."""
     root = min(comp)
     disc = {root: 0}
     low = {root: 0}
-    cut = set()
-    root_children = 0
+    order = [root]
+    cut: dict = {}
     stack = [(root, None, iter(nbrs[root]))]
     while stack:
         v, parent, it = stack[-1]
@@ -145,23 +186,24 @@ def _cut_tiles(comp: frozenset, nbrs: dict) -> frozenset:
             if w not in comp:
                 continue
             if w not in disc:
-                disc[w] = low[w] = len(disc)
+                disc[w] = low[w] = len(order)
+                order.append(w)
                 stack.append((w, v, iter(nbrs[w])))
                 break
             if w != parent and disc[w] < low[v]:
                 low[v] = disc[w]
         else:
             stack.pop()
-            if parent == root:
-                root_children += 1
-            elif parent is not None:
+            if parent is not None:
                 if low[v] < low[parent]:
                     low[parent] = low[v]
                 if low[v] >= disc[parent]:
-                    cut.add(parent)
-    if root_children > 1:
-        cut.add(root)
-    return frozenset(cut)
+                    cut.setdefault(parent, []).append(
+                        range(disc[v], len(order)))
+    # the root splits comp only when it has two subtrees or more
+    if len(cut.get(root, ())) < 2:
+        cut.pop(root, None)
+    return order, cut
 
 
 @cache
@@ -188,7 +230,8 @@ class Board:
         self._nbrs = _neighbour_table(rows, cols)
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
         self._new_state()
-        self._claim(ancilla[0], -1, ancilla[1])
+        self._check(*ancilla)
+        self._at[ancilla[0]] = -1
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):
             self.init_patch(q, *patches[q])
@@ -227,11 +270,12 @@ class Board:
 
     def _new_state(self) -> None:
         """Bind fresh records for a new state; shared ones are never cleared."""
-        self._acc = self._cut = None   # access(), tiles access_with() floods for
+        self._acc = self._cut = None   # access(); _cut_tiles(), or False
         self._dist: dict = {}  # routing tile -> distances() of it
         self._bus: dict = {}   # bus_patches() key -> routed bus
 
-    def _claim(self, tile, qid: int, orient: str):
+    def _check(self, tile, orient: str) -> None:
+        """Refuse a bad orientation or a tile that cannot be claimed."""
         if orient not in (ORIENT_H, ORIENT_V):
             raise IllegalOpError(f"bad orientation {orient!r}")
         if not self.in_bounds(tile):
@@ -240,8 +284,6 @@ class Board:
             raise IllegalOpError(f"tile {tile} already occupied")
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
-        self._at[tile] = qid
-        self._new_state()
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
@@ -249,8 +291,26 @@ class Board:
             raise IllegalOpError(f"patch id must be non-negative, got {qid}")
         if qid in self.patches:
             raise IllegalOpError(f"patch {qid} already exists")
-        self._claim(tile, qid, orient)
+        self.place(qid, tile, orient)
+
+    def place(self, qid: int, tile, orient: str) -> None:
+        """Put patch qid, new or not, on tile in orient, the change that
+        delta(qid, tile) scores.  A new state starts when a tile changes
+        hands; a kept access is carried through, read off the delta."""
+        old = self.patches.get(qid)
+        moved = old is None or old.tile != tile
+        if moved:
+            self._check(tile, orient)
+        delta = self._acc is not None and not self._floods(
+            None if old is None else old.tile, tile) and self.delta(qid, tile)
+        if moved:
+            if old is not None:
+                del self._at[old.tile]
+            self._at[tile] = qid
+            self._new_state()
         self.patches[qid] = Patch(tile, orient)
+        if delta:
+            self._acc = delta.access(orient)
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
@@ -271,10 +331,7 @@ class Board:
         p = self.patches[qid]
         if dest not in self.steps(qid):
             raise IllegalOpError(f"{dest} is not a free step from {p.tile}")
-        del self._at[p.tile]
-        self._at[dest] = qid
-        self.patches[qid] = Patch(dest, p.orient)
-        self._new_state()
+        self.place(qid, dest, p.orient)
         return frozenset((p.tile, dest))
 
     def rotation_helper(self, qid: int):
@@ -292,11 +349,7 @@ class Board:
         p = self.patches[qid]
         if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
             raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
-        # no tile changed hands, and the strict component asks for an edge
-        # of any type on every patch, so the records stand
-        if self._acc is not None:
-            self._acc = self.access_with(qid, p.tile, flipped(p.orient))
-        self.patches[qid] = Patch(p.tile, flipped(p.orient))
+        self.place(qid, p.tile, flipped(p.orient))
         return frozenset([p.tile, helper])
 
     # --- edges and exposure -----------------------------------------------
@@ -372,74 +425,110 @@ class Board:
 
     # --- one-tile changes -------------------------------------------------
 
-    def access_with(self, qid: int, tile, orient: str) -> Access:
-        """The access of this board with patch qid on tile in orient.
-
-        That is a placement when qid is new, a reorientation when tile
-        is qid's own, and otherwise a move to tile, which must be a free
-        routing tile other than the port.  The board is left unchanged.
-        The strict component loses tile and gains the freed tile if that
-        borders it, and only the patches next to a tile that changed
-        hands are counted again.  Where that need not hold (tile is a
-        cut tile of the component, the freed tile touches routing space
-        outside it, or the ancilla's X-edge tiles lie in two components)
-        the answer is a changed copy's own access().
-        """
-        base = self.access()
-        at, nbrs, comp = self._at, self._nbrs, base.comp
-        old = self.patches.get(qid)
-        src = old.tile if old is not None else None
-        occ, changed = at, {qid}
-        if src != tile:
-            if not self._delta_holds(src, tile):
-                trial = self.copy()
-                if old is not None:
-                    trial.remove_patch(qid)
-                trial.init_patch(qid, tile, orient)
-                return trial.access()
-            freed = () if src is None else (src,)
-            occ = (at.keys() | {tile}).difference(freed)
-            if tile in comp:
-                comp = comp - {tile}
-            if freed and any(u in comp for u in nbrs[src]):
-                comp = comp | {src}
-            # the ancilla faced the component on both edge types, and
-            # can only have lost that through tile
-            if tile in nbrs[self.ancilla.tile] and 0 in _count(
-                    self.ancilla, comp, nbrs, occ)[:2]:
-                comp = None
-            changed.update(at[v] for u in (tile, *freed) for v in nbrs[u]
-                           if v in at)
-            changed.discard(-1)
-        counts = dict(base.counts)
-        nx, nz, density = base.nx, base.nz, base.density
-        faced = True
-        for q in changed:
-            before = counts.get(q)
-            if before is not None:
-                nx -= before[0] > 0
-                nz -= before[1] > 0
-                density -= before[2]
-            p = Patch(tile, orient) if q == qid else self.patches[q]
-            c = counts[q] = _count(p, comp or _NONE, nbrs, occ)
-            nx += c[0] > 0
-            nz += c[1] > 0
-            density += c[2]
-            faced = faced and c[0] + c[1] > 0
-        return Access(comp if faced else None, counts, nx, nz, density)
-
-    def _delta_holds(self, src, tile) -> bool:
-        """Whether taking tile, and freeing src unless it is None, leaves
-        the kept component less tile, plus src where that borders it."""
-        nbrs, comp = self._nbrs, self._acc.comp
+    def _floods(self, src, tile) -> bool:
+        """Whether delta() floods a changed copy to free src (None for no
+        tile) and take tile: the freed tile touches routing space outside
+        the kept component, or the ancilla's X-edge tiles lie outside one
+        component.  A reorientation never floods."""
+        if src == tile:
+            return False
+        comp, nbrs = self._acc.comp, self._nbrs
         if self._cut is None:
-            # with no component, or with the ancilla's X-edge tiles in two
-            # components, no tile can be taken without a flood
             one = comp is not None and all(
                 x in comp for x in self.touch_tiles(-1, "X"))
-            self._cut = _cut_tiles(comp, nbrs) if one else frozenset(nbrs)
-        return tile not in self._cut and (src is None or all(
-            u == tile or u in self._at or u in comp for u in nbrs[src]))
+            self._cut = one and _cut_tiles(comp, nbrs)
+        return not self._cut or src is not None and any(
+            u != tile and u not in self._at and u not in comp
+            for u in nbrs[src])
+
+    def delta(self, qid: int, tile) -> Delta:
+        """What putting patch qid on tile does to the access, in either
+        orientation: a placement when qid is new, a reorientation when
+        tile is qid's own, and otherwise a move to tile, a free routing
+        tile other than the port.  The board is left unchanged.
+
+        Only the patches beside the taken and the freed tile are counted
+        again, against the kept component less tile.  A cut tile splits
+        that into the pieces its discovery ranges give (`_cut_tiles`),
+        the freed tile joins the pieces it borders, a_component's rule
+        picks one, and every patch is counted again.  Where that need
+        not hold (`_floods`), a changed copy floods afresh.
+        """
+        base = self.access()
+        comp, nbrs, at = base.comp, self._nbrs, self._at
+        old = self.patches.get(qid)
+        src = None if old is None else old.tile
+        known = base if src == tile else None   # comp as it will stand
+        if self._floods(src, tile):
+            trial = self.copy()
+            trial._new_state()
+            trial.place(qid, tile, ORIENT_H)
+            known = trial.access()
+        if known is not None:
+            x, z, touch = own = known.counts[qid]
+            # a reorientation changes no other patch's counts
+            counts = {} if known is base else {
+                q: c for q, c in known.counts.items() if q != qid}
+            if known is base and old.orient == ORIENT_V:
+                own = (z, x, touch)   # a reorientation swaps X and Z
+            comp = known.comp
+            return Delta(qid, base, None if comp is None else lambda: comp,
+                         comp is not None and self.port in comp, counts,
+                         known.nx - (x > 0), known.nz - (z > 0),
+                         known.density - touch, own)
+        order, cut = self._cut
+        joined = src is not None and any(
+            u != tile and u in comp for u in nbrs[src])
+        anc = self.ancilla
+        pieces = [comp]   # the candidates, least tile first
+        if tile in cut:
+            pieces = [frozenset(order[r.start:r.stop]) for r in cut[tile]]
+            pieces.append(comp.difference((tile,), *pieces))
+            if joined:   # the freed tile joins the pieces it borders
+                near = [p for p in pieces if not p.isdisjoint(nbrs[src])]
+                pieces = [p for p in pieces if p.isdisjoint(nbrs[src])]
+                pieces.append(frozenset((src,)).union(*near))
+                joined = False
+            pieces = sorted((p for p in pieces if any(
+                u in p for typ, u in _edges(anc) if typ == "X")), key=min)
+
+        def count(p):   # p's counts entry against piece
+            x = z = touch = 0
+            for typ, u in _edges(p):
+                if u in piece and u != tile or u == src and joined:
+                    if typ == "X":
+                        x += 1
+                    else:
+                        z += 1
+                if u in nbrs and u != tile and (u not in at or u == src):
+                    touch += 1
+            return x, z, touch
+
+        changed = (self.patches.keys() if tile in cut else {
+            at[v] for u in (tile, src) if u is not None
+            for v in nbrs[u] if v in at}) - {qid, -1}
+        # the first piece holding an X-edge tile of the ancilla that faces
+        # its Z edge and an edge of every patch; the ancilla can lose an
+        # edge only through a cut or tile.  With none, only touch counts
+        for piece in [*pieces, _NONE]:
+            joined = joined and piece is not _NONE
+            x, z, _ = count(anc) if tile in cut or tile in nbrs[anc.tile] \
+                else (1, 1, 0)
+            own = count(Patch(tile, ORIENT_H))
+            counts = {q: count(self.patches[q]) for q in changed}
+            if piece is _NONE or x and z and own[0] + own[1] and all(
+                    c[0] + c[1] for c in counts.values()):
+                break
+        nx, nz, density = base.nx, base.nz, base.density
+        # the totals less qid's own counts, with the changed ones
+        for q, c in [*counts.items(), (qid, (0, 0, 0))]:
+            b = base.counts.get(q, (0, 0, 0))
+            nx += (c[0] > 0) - (b[0] > 0)
+            nz += (c[1] > 0) - (b[1] > 0)
+            density += c[2] - b[2]
+        return Delta(qid, base, None if piece is _NONE else (
+            lambda: piece.difference((tile,)).union((src,) if joined else ())),
+            self.port in piece, counts, nx, nz, density, own)
 
 
 # --- bus routing ----------------------------------------------------------

@@ -6,24 +6,25 @@ component and one for every patch whose Z-edges do, minus a density
 penalty per exposed boundary edge, all gated by strict connectivity.
 After each placement a relocation sweep lets earlier patches take
 one-step moves or reorientations that strictly improve the score.
-Every candidate differs from the board by one tile, so it is scored
-from a one-tile delta of the board's kept access (`Board.access_with`)
-rather than from a copy of the board and a fresh flood; `layout_score`
-is the full reference.
+Every candidate differs from the board by one tile, so both its
+orientations are scored from one delta of the board's kept access
+(`Board.delta`), and the chosen one is applied with that access carried
+through (`Board.place`); `layout_score` is the full reference.
 """
 
 from __future__ import annotations
 
 import math
 
-from .board import (Access, Board, ORIENT_H, ORIENT_V, Patch, builtin_layout,
-                    flipped)
+from .board import Board, ORIENT_H, ORIENT_V, Patch, builtin_layout, flipped
 
-# design time grows with the square of the tile count: on a 2-core VM a
-# 64x64 grid takes about 2.5 s for four patches, 128x128 over 40 s
+# design time grows about linearly with the tile count: on a 2-core VM a
+# 64x64 grid takes about 0.3 s for four patches, 128x128 about 1.3 s
 MAX_DESIGN_TILES = 4096
 
 ALPHA_E = 0.2   # default weight of the density penalty in the layout score
+
+BOTH = (ORIENT_H, ORIENT_V)
 
 
 class LayoutDesignError(RuntimeError):
@@ -47,28 +48,32 @@ def _best(board: Board, qid: int, options, floor: float | None,
           alpha_e: float):
     """(key, tile, orient) of the best option for patch qid scoring above
     floor (at any score if floor is None) with the port in the component,
-    or None.  The key ranks higher scores first, then denser boards, then
-    row-major tiles, "h" first.  A score of +inf raises ValueError."""
+    or None.  options pairs each tile with the orientations to try there,
+    all scored from the tile's one delta.  The key ranks higher scores
+    first, then denser boards, then row-major tiles, "h" first.  A score
+    of +inf raises ValueError."""
     best = None
-    for tile, orient in options:
-        acc = board.access_with(qid, tile, orient)
-        if acc.comp is None or board.port not in acc.comp:
+    for tile, orients in options:
+        delta = board.delta(qid, tile)
+        if delta.comp is None or not delta.port:
             continue
-        score = _access_score(acc, alpha_e)
-        if score == math.inf:   # only a negative weight gets here
-            raise ValueError(f"alpha_e = {alpha_e} overflows the layout "
-                             f"score to +inf")
-        if floor is not None and score <= floor:
-            continue
-        key = (-score, acc.density, tile, 0 if orient == ORIENT_H else 1)
-        if best is None or key < best[0]:
-            best = (key, tile, orient)
+        for orient in orients:
+            nx, nz, density = delta.totals(orient)
+            score = _access_score(nx, nz, density, alpha_e)
+            if score == math.inf:   # only a negative weight gets here
+                raise ValueError(f"alpha_e = {alpha_e} overflows the "
+                                 f"layout score to +inf")
+            if floor is not None and score <= floor:
+                continue
+            key = (-score, density, tile, 0 if orient == ORIENT_H else 1)
+            if best is None or key < best[0]:
+                best = (key, tile, orient)
     return best
 
 
-def _access_score(acc: Access, alpha_e: float) -> float:
-    """layout_score of a connected board, read off its access."""
-    return acc.nx + acc.nz - alpha_e * acc.density
+def _access_score(nx: int, nz: int, density: int, alpha_e: float) -> float:
+    """layout_score of a connected board, read off its access totals."""
+    return nx + nz - alpha_e * density
 
 
 def _relocate(board: Board, current: float, alpha_e: float) -> float:
@@ -76,12 +81,11 @@ def _relocate(board: Board, current: float, alpha_e: float) -> float:
     starting from `current`, the board's score; returns the final score."""
     for qid in sorted(board.patches):
         patch = board.patches[qid]
-        options = [(patch.tile, flipped(patch.orient))] + [
-            (nb, o) for nb in board.steps(qid) for o in (ORIENT_H, ORIENT_V)]
+        options = [(patch.tile, (flipped(patch.orient),))] + [
+            (nb, BOTH) for nb in board.steps(qid)]
         best = _best(board, qid, options, current, alpha_e)
         if best is not None:
-            board.remove_patch(qid)
-            board.init_patch(qid, best[1], best[2])
+            board.place(qid, best[1], best[2])
             current = -best[0][0]
     return current
 
@@ -93,30 +97,31 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Boa
     tile, which must stay inside the connected routing component.  Each
     patch goes to the in-component tile and orientation maximizing the
     layout score, ties broken toward denser boards then row-major order
-    with "h" first.
+    with "h" first.  Errors name the grid as `--board WxH` does.
     """
     if not math.isfinite(alpha_e):
         raise ValueError(f"alpha_e must be finite, got {alpha_e}")
     if rows < 2 or cols < 2:
-        raise LayoutDesignError("board too small to design on")
+        raise LayoutDesignError(
+            f"a {cols}x{rows} board is too small to design on")
     if rows * cols > MAX_DESIGN_TILES:
-        raise LayoutDesignError(f"a {rows}x{cols} board is over the "
+        raise LayoutDesignError(f"a {cols}x{rows} board is over the "
                                 f"{MAX_DESIGN_TILES}-tile design limit")
     board = Board(rows, cols, Patch((0, 0), ORIENT_H), (rows - 1, cols - 1),
                   {})
 
     score = 0.0
     for qid in range(n):
-        options = [(tile, orient) for tile in sorted(board.a_component())
-                   if tile != board.port for orient in (ORIENT_H, ORIENT_V)]
+        options = [(tile, BOTH) for tile in sorted(board.a_component())
+                   if tile != board.port]
         # any placement keeping the port connected will do, however low
         # its score: alpha_e >= 1 keeps every score at or below zero, and
         # alpha_e * density may overflow to a score of -inf
         best = _best(board, qid, options, None, alpha_e)
         if best is None:
             raise LayoutDesignError(
-                f"no legal position for patch {qid} on {rows}x{cols}")
-        board.init_patch(qid, best[1], best[2])
+                f"no legal position for patch {qid} on {cols}x{rows}")
+        board.place(qid, best[1], best[2])
         score = _relocate(board, -best[0][0], alpha_e)
     if score != layout_score(board, alpha_e):
         raise AssertionError("delta scores drifted from the full score")

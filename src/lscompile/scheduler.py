@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .board import (
     LETTER_EDGES,
-    Access,
     Board,
     NoPathError,
     OP_COSTS,
@@ -219,16 +218,6 @@ def validate_schedule(schedule: Schedule) -> None:
 
 # --- shared helpers -------------------------------------------------------
 
-def enabled_count(acc: Access, qmap: dict, op: PauliOp) -> int:
-    """Qubits of op whose every required edge type reaches the strict
-    routing component of a board with access acc; -1 when it has none."""
-    if acc.comp is None:
-        return -1
-    return sum(all(acc.reaches(qmap[q], t)
-                   for t in LETTER_EDGES[op.word.letter(q)])
-               for q in op.word.support())
-
-
 def _try_bus(board: Board, qmap: dict, op: PauliOp):
     try:
         return bus_patches(board, required_edges(op, qmap),
@@ -284,22 +273,32 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
     patch id, then generation order.  Actions breaking strict
     connectivity are dropped, as are ones cutting off the magic port
     while an eighth rotation waits.  Each action is scored from the
-    one-tile delta of the board's kept access.
+    one-tile delta of the board's kept access: the enabled count moves
+    only with the operator's patches whose counts the delta changed.
     """
-    base = enabled_count(board.access(), qmap, op)
+    acc = board.access()
+    # patch id -> the counts entries (X 0, Z 1) its letter needs; a qubit
+    # is enabled when each of them faces the component, and with no
+    # component the count is -1
+    need = {qmap[q]: tuple(t == "Z" for t in LETTER_EDGES[op.word.letter(q)])
+            for q in op.word.support()}
+    have = {q: all(acc.counts[q][i] for i in ix) for q, ix in need.items()}
+    enabled = sum(have.values())
+    base = enabled if acc.comp is not None else -1
     best = None
     best_key = None
     for kind, pid, arg in _candidate_actions(board, qmap, op):
         p = board.patches[pid]
-        if kind == "move":
-            acc = board.access_with(pid, arg, p.orient)
-        else:
-            acc = board.access_with(pid, p.tile, flipped(p.orient))
-        if acc.comp is None:
+        tile, orient = ((arg, p.orient) if kind == "move"
+                        else (p.tile, flipped(p.orient)))
+        delta = board.delta(pid, tile)
+        if delta.comp is None:
             continue
-        if op.is_eighth() and board.port not in acc.comp:
+        if op.is_eighth() and not delta.port:
             continue
-        reward = enabled_count(acc, qmap, op)
+        reward = enabled + sum(
+            all(c[i] for i in need[q]) - have[q] for q, c in
+            [*delta.counts.items(), (pid, delta.count(orient))] if q in need)
         if reward <= base:
             continue
         key = (-reward, OP_COSTS[kind], pid)

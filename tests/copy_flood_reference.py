@@ -75,7 +75,8 @@ def relocate_pass(board, alpha_e=0.2):
 
 def design_layout(n, rows, cols, alpha_e=0.2):
     if rows < 2 or cols < 2:
-        raise LayoutDesignError("board too small to design on")
+        raise LayoutDesignError(
+            f"a {cols}x{rows} board is too small to design on")
     board = Board(rows, cols, ((0, 0), ORIENT_H), (rows - 1, cols - 1), {})
 
     for qid in range(n):
@@ -101,7 +102,7 @@ def design_layout(n, rows, cols, alpha_e=0.2):
                     best_key = key
         if best is None:
             raise LayoutDesignError(
-                f"no legal position for patch {qid} on {rows}x{cols}")
+                f"no legal position for patch {qid} on {cols}x{rows}")
         board.init_patch(qid, best[0], best[1])
         relocate_pass(board, alpha_e)
     return board

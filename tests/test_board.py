@@ -27,9 +27,9 @@ from lscompile.layout_search import (
     layout_score,
 )
 from lscompile import bench, board as board_module
-from lscompile.pauli import PauliWord, parse_op, rotation
+from lscompile.pauli import PauliWord, parse_op
 from lscompile.pipeline import CompileOptions, compile_program
-from lscompile.scheduler import enabled_count, required_edges
+from lscompile.scheduler import required_edges
 
 import copy_flood_reference as ref
 
@@ -183,14 +183,19 @@ class TestRoutingComponents:
         # ancilla's X and Z edges and an edge of both patches
         assert b.a_component() == {(0, 1), (0, 2), (1, 2)}
         acc = b.access()
-        assert acc.reaches(0, "Z") and not acc.reaches(0, "X")
-        assert acc.reaches(1, "X") and not acc.reaches(1, "Z")
+        assert _reaches(acc, 0, "Z") and not _reaches(acc, 0, "X")
+        assert _reaches(acc, 1, "X") and not _reaches(acc, 1, "Z")
 
     def test_split_board_has_no_working_region(self):
         b = Board(3, 3, ((0, 1), "h"), (2, 0), {
             0: ((1, 0), "h"), 1: ((1, 1), "h"), 2: ((1, 2), "h")})
         # the free tiles beside the ancilla are cut off from the bottom row
         assert b.a_component() is None
+
+
+def _reaches(acc, qid, typ):
+    """Whether patch qid has a typ edge on the access's strict component."""
+    return acc.comp is not None and acc.counts[qid][typ == "Z"] > 0
 
 
 def _fresh_access(board):
@@ -266,11 +271,11 @@ class TestKeptComponent:
         assert acc.counts[0] == (1, 2, 3) and acc == _fresh_access(board)
 
 
-def _check_access_with(board, qid, tile, orient):
-    """access_with() agrees with the slow path, a copy with patch qid on
-    tile in orient flooded afresh, and leaves the board alone."""
+def _check_delta(board, qid, tile, orient):
+    """delta()'s access agrees with the slow path, a copy with patch qid
+    on tile in orient flooded afresh, and leaves the board alone."""
     layout, comp = format_layout(board), board.a_component()
-    acc = board.access_with(qid, tile, orient)
+    acc = board.delta(qid, tile).access(orient)
     assert (format_layout(board), board.a_component()) == (layout, comp)
     trial = board.copy()
     if qid in trial.patches:
@@ -281,30 +286,33 @@ def _check_access_with(board, qid, tile, orient):
     assert (trial.port in (acc.comp or ())) == (
         trial.port in (fresh.a_component() or ()))
     assert acc.density == _density(trial) == _density(fresh)
-    score = 0.0 if acc.comp is None else _access_score(acc, 0.2)
+    score = 0.0 if acc.comp is None else _access_score(
+        acc.nx, acc.nz, acc.density, 0.2)
     assert score == layout_score(trial) == layout_score(fresh)
     pids = sorted(trial.patches)
     for q in pids:
         for typ in ("X", "Z"):
-            assert acc.reaches(q, typ) == ref.reaches(fresh, q, typ)
-    qmap = dict(enumerate(pids))
-    for letter in "XZY":
-        op = rotation(PauliWord.from_letters(len(pids), dict.fromkeys(
-            range(len(pids)), letter)), 1)
-        assert enabled_count(acc, qmap, op) == ref.enabled_count(fresh, qmap,
-                                                                  op)
+            assert _reaches(acc, q, typ) == ref.reaches(fresh, q, typ)
+    # exact, counts and totals too, with a component or without
+    assert acc == fresh.access()
 
 
 # (layout, patch id, tile, orient, whether a flooded copy answers)
 DELTA_CASES = {
-    # (0, 1) is a cut tile: (0, 0) is cut off and the board splits
+    # (0, 1) is a cut tile: (0, 0) is cut off and the board splits; the
+    # pieces are read off the cut tile's discovery ranges
     "cut-tile-disconnects": ("M . .\n. Q0h .\nAh . .\n", 1, (0, 1),
-                             "h", True),
+                             "h", False),
     # (0, 1) is a cut tile, but only an unused corner falls away; that
     # corner stays an X-edge tile of the ancilla, so the ancilla's
-    # X-edge tiles then lie in two components
+    # X-edge tiles then lie in two pieces, and the rule picks one
     "cut-tile-keeps-port": (". . . M Q0h\nAh . . . .\n. . . . .\n", 1,
-                            (0, 1), "h", True),
+                            (0, 1), "h", False),
+    # (2, 2) is a cut tile splitting off {(1, 0), (2, 0), (2, 1)}; both
+    # pieces hold an X- and a Z-edge tile of the ancilla and face both
+    # patches, and the one holding the row-major-first tile wins
+    "cut-tile-ties-two-pieces": ("Q0v . . .\n. Av . M\n. . . .\n", 1,
+                                 (2, 2), "h", False),
     # freeing (0, 1) joins it to {(0, 0), (1, 0)}, a second component
     "freed-tile-meets-second-component": (
         ". Q1h . . .\n. Ah . . M\nQ0h . . . .\n", 1, (0, 2), "h", True),
@@ -355,8 +363,8 @@ def _start_board(data, styles=("compact", "standard", "sparse", "irregular",
 
 
 class TestAccessDelta:
-    """Board.access_with() against the slow path: a changed copy of the
-    board, flooded afresh."""
+    """Board.delta() against the slow path: a changed copy of the board,
+    flooded afresh."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -388,7 +396,7 @@ class TestAccessDelta:
             qid = data.draw(st.sampled_from(sorted(board.patches)))
             tile, orient = board.patches[qid].tile, flipped(
                 board.patches[qid].orient)
-        _check_access_with(board, qid, tile, orient)
+        _check_delta(board, qid, tile, orient)
 
     @pytest.mark.parametrize("name", sorted(DELTA_CASES))
     def test_named_change(self, name, monkeypatch):
@@ -399,7 +407,7 @@ class TestAccessDelta:
         real_copy = Board.copy
         monkeypatch.setattr(Board, "copy",
                             lambda b: copies.append(b) or real_copy(b))
-        _check_access_with(board, qid, tile, orient)
+        _check_delta(board, qid, tile, orient)
         # the check itself makes one copy
         assert len(copies) == 1 + floods
 
@@ -412,11 +420,33 @@ class TestCutTiles:
         comp = board.a_component()
         if comp is None:
             return
-        cut = _cut_tiles(comp, board._nbrs)
+        _, cut = _cut_tiles(comp, board._nbrs)
         for t in sorted(comp):
             rest = comp - {t}
             seen = _ref_bfs_within(rest, min(rest)) if rest else set()
             assert (t in cut) == (seen != rest)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_discovery_ranges_are_the_pieces(self, data):
+        """Each discovery range kept for a cut tile is exactly one
+        component of the component less that tile, and the ranges plus
+        the rest of it partition it."""
+        board = _start_board(data)
+        comp = board.a_component()
+        if comp is None:
+            return
+        order, cut = _cut_tiles(comp, board._nbrs)
+        assert sorted(order) == sorted(comp)
+        for t, ranges in cut.items():
+            left = comp - {t}
+            pieces = [set(order[r.start:r.stop]) for r in ranges]
+            for piece in pieces:
+                assert _ref_bfs_within(left, min(piece)) == piece
+            rest = left.difference(*pieces)
+            assert sum(map(len, pieces)) + len(rest) == len(left)
+            if rest:
+                assert _ref_bfs_within(left, min(rest)) == rest
 
 
 def _ref_bfs_within(tiles, start):

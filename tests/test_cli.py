@@ -98,6 +98,20 @@ def test_auto_budget_above_the_design_limit_designs_at_the_limit(tmp_path):
     assert parse_layout(out.read_text()).tile_count() == MAX_DESIGN_TILES
 
 
+@pytest.mark.parametrize("board,message", [
+    ("2x3", "no legal position for patch 1 on 2x3"),
+    ("100x50", "a 100x50 board is over the 4096-tile design limit"),
+    ("1x5", "a 1x5 board is too small to design on"),
+])
+def test_design_errors_name_the_grid_as_board_spells_it(board, message,
+                                                        capsys):
+    """--board WxH is W columns by H rows, and the error says WxH."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["layout", "--qubits", "3", "--board", board])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"lscompile: error: {message}\n"
+
+
 def test_compile_emits_schedule_json(qasm_file, tmp_path):
     out = tmp_path / "schedule.json"
     assert main(["compile", qasm_file, "--board", "compact",

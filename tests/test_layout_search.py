@@ -1,7 +1,9 @@
 """Automatic board design: scoring, relocation, budgeted search."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
 from lscompile import layout_search
@@ -204,6 +206,38 @@ class TestMatchesCopyAndFlood:
     def test_designs_check_their_final_score(self, monkeypatch):
         # a delta that drifted from the full score is caught, not shipped
         monkeypatch.setattr(layout_search, "_access_score",
-                            lambda acc, alpha_e: acc.nx + acc.nz)
+                            lambda nx, nz, density, alpha_e: nx + nz)
         with pytest.raises(AssertionError, match="drifted"):
             design_layout(3, 3, 3)
+
+
+class TestDesignCost:
+    """Every candidate is scored and applied through one-tile deltas of
+    the kept access: designing copies no board."""
+
+    def test_designs_make_no_board_copy(self, monkeypatch):
+        copies = []
+        real_copy = Board.copy
+        monkeypatch.setattr(Board, "copy",
+                            lambda b: copies.append(b) or real_copy(b))
+        for n in range(2, 12):
+            auto_design(n)
+        design_layout(4, 48, 48)
+        assert copies == []
+
+    @pytest.mark.slow
+    def test_design_scales_near_linearly(self):
+        """design_layout(4, k, k) for k = 32, 48, 64 fits a log-log slope
+        of at most 1.4 in the tile count (copying the component per
+        candidate gave about 2)."""
+        tiles, times = [], []
+        for k in (32, 48, 64):
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                design_layout(4, k, k)
+                best = min(best, time.perf_counter() - t0)
+            tiles.append(k * k)
+            times.append(best)
+        slope = np.polyfit(np.log(tiles), np.log(times), 1)[0]
+        assert slope <= 1.4, times
