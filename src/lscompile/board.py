@@ -18,23 +18,23 @@ that rule; a rotation swaps its boundary labels in place.
 scan that refuses a second ancilla or a repeated patch id at its token,
 and text without an ancilla or a port.
 
-Each board state keeps four records, worked out on first use: its
-routing access (the strict component and which patch edges face it,
-`_count` being the one edge-facing test), the component's cut tiles and
-the discovery ranges of the pieces each splits off (`_cut`), its
-distance maps (`distances`, the one flood, per routing tile asked for)
-and its buses (`bus_patches`, successes only).  `_new_state` starts all
-four afresh when a tile changes hands.  Under its key (source tile;
-terminal patches as they stand) a map or bus depends only on which
-tiles are occupied, so a copy shares its state's records until a tile
-change binds it fresh ones.  `Board.delta` is the one statement of what
-a one-tile change (a placement, a move or a reorientation) does to the
-access, in both orientations, read off the kept access and cut tiles;
-`Board.place` makes such a change and carries the access through it.
-Two cases still flood a changed copy: a freed tile beside routing space
-outside the component, and ancilla X-edge tiles outside one component.
-Floods walk a neighbour table built once per board shape; patch edges
-come from a table keyed by the immutable patch.
+Each board state keeps what it works out on first use: its routing
+access (the strict component and which patch edges face it), the
+component's cut tiles and the discovery ranges of the pieces each
+splits off (`_cut`), its distance maps (`distances`) and its buses
+(`bus_patches`, successes only); `_new_state` starts them afresh when
+a tile changes hands.  Under its key (source tile; terminal patches as
+they stand) a map or bus depends only on which tiles are occupied, so
+a copy shares its state's records until a tile change binds it fresh
+ones.  `_flood` is the one breadth-first search, and `Board._choose`
+the one rule, with the one edge count, that picks the strict component.
+`Board.delta` is the one statement of what a one-tile change (a
+placement, a move or a reorientation) does to the access, in both
+orientations, read off the kept access and cut tiles, or off a flood
+with the change in place; it copies no board.  `Board.place` makes
+such a change and carries the access through it.  Floods walk a
+neighbour table built once per board shape; patch edges come from a
+table keyed by the immutable patch.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def flipped(orient: str) -> str:
 
 
 class Access(NamedTuple):
-    """Routing access of one board state, the one record a board keeps.
+    """Routing access of one board state.
 
     comp is the strict component, or None.  counts maps each patch id to
     (X edges facing comp, Z edges facing comp, routing tiles touched);
@@ -112,20 +112,6 @@ class Access(NamedTuple):
     nx: int
     nz: int
     density: int
-
-
-def _count(patch: Patch, comp, nbrs, occ) -> tuple:
-    """The patch's Access.counts entry, given comp and the occupied tiles."""
-    x = z = touch = 0
-    for typ, out in _edges(patch):
-        if out in comp:
-            if typ == "X":
-                x += 1
-            else:
-                z += 1
-        if out in nbrs and out not in occ:
-            touch += 1
-    return x, z, touch
 
 
 class Delta(NamedTuple):
@@ -204,6 +190,25 @@ def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
     if len(cut.get(root, ())) < 2:
         cut.pop(root, None)
     return order, cut
+
+
+def _flood(start, nbrs: dict, occ, tile=None, src=None) -> dict:
+    """Breadth-first distance from the free tile start to each free tile
+    it reaches through the neighbour table nbrs, the occupied tiles being
+    occ with tile taken and src freed."""
+    if tile is not None:
+        occ = {*occ, tile}
+        occ.discard(src)
+    dist = {start: 0}
+    queue = deque((start,))
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur] + 1
+        for nb in nbrs[cur]:
+            if nb not in dist and nb not in occ:
+                dist[nb] = d
+                queue.append(nb)
+    return dist
 
 
 @cache
@@ -301,8 +306,7 @@ class Board:
         moved = old is None or old.tile != tile
         if moved:
             self._check(tile, orient)
-        delta = self._acc is not None and not self._floods(
-            None if old is None else old.tile, tile) and self.delta(qid, tile)
+        delta = self._acc is not None and self.delta(qid, tile)
         if moved:
             if old is not None:
                 del self._at[old.tile]
@@ -373,17 +377,7 @@ class Board:
         tile it reaches; kept until a tile changes hands, never mutated."""
         dist = self._dist.get(tile)
         if dist is None:
-            nbrs, occ = self._nbrs, self._at
-            dist = {tile: 0}
-            queue = deque((tile,))
-            while queue:
-                cur = queue.popleft()
-                d = dist[cur] + 1
-                for nb in nbrs[cur]:
-                    if nb not in dist and nb not in occ:
-                        dist[nb] = d
-                        queue.append(nb)
-            self._dist[tile] = dist
+            dist = self._dist[tile] = _flood(tile, self._nbrs, self._at)
         return dist
 
     def a_component(self):
@@ -391,26 +385,13 @@ class Board:
 
         The component must touch the ancilla's X-edge and Z-edge and at
         least one exposed edge of every data patch.  Should two qualify,
-        the one holding the row-major-first tile wins.  A stale state is
-        flooded here, and its whole access() worked out in the same pass.
+        the one holding the row-major-first tile wins (`_choose`).  A
+        stale state is flooded here, and its whole access() worked out
+        in the same pass.
         """
         if self._acc is None:
-            # flood from the ancilla's X-edge tiles (at most two)
-            comps = []
-            for x in self.touch_tiles(-1, "X"):
-                if not any(x in comp for comp in comps):
-                    comps.append(frozenset(self.distances(x)))
-            # the first, in min order, that also faces the ancilla's Z
-            # edge and an edge of every patch; its counts are the access
-            nbrs, at = self._nbrs, self._at
-            for comp in [*sorted(comps, key=min), None]:
-                counts = {q: _count(p, comp or _NONE, nbrs, at)
-                          for q, p in self.patches.items()}
-                if comp is None or (
-                        _count(self.ancilla, comp, nbrs, at)[1]
-                        and all(c[0] + c[1] for c in counts.values())):
-                    break
-            self._acc = Access(comp, counts,
+            piece, counts = self._choose(self._x_pieces(), self.patches)
+            self._acc = Access(piece or None, counts,
                                sum(c[0] > 0 for c in counts.values()),
                                sum(c[1] > 0 for c in counts.values()),
                                sum(c[2] for c in counts.values()))
@@ -423,74 +404,28 @@ class Board:
             self.a_component()
         return self._acc
 
-    # --- one-tile changes -------------------------------------------------
+    def _x_pieces(self, tile=None, src=None) -> list:
+        """The routing components holding the ancilla's X-edge tiles
+        (at most two), flooded with tile taken and src freed; those of
+        the current state are its kept distance maps."""
+        nbrs, at = self._nbrs, self._at
+        pieces = []
+        for typ, x in _edges(self.ancilla):
+            free = x in nbrs and x != tile and (x not in at or x == src)
+            if typ == "X" and free and all(x not in p for p in pieces):
+                pieces.append(frozenset(self.distances(x) if tile is None
+                                        else _flood(x, nbrs, at, tile, src)))
+        return pieces
 
-    def _floods(self, src, tile) -> bool:
-        """Whether delta() floods a changed copy to free src (None for no
-        tile) and take tile: the freed tile touches routing space outside
-        the kept component, or the ancilla's X-edge tiles lie outside one
-        component.  A reorientation never floods."""
-        if src == tile:
-            return False
-        comp, nbrs = self._acc.comp, self._nbrs
-        if self._cut is None:
-            one = comp is not None and all(
-                x in comp for x in self.touch_tiles(-1, "X"))
-            self._cut = one and _cut_tiles(comp, nbrs)
-        return not self._cut or src is not None and any(
-            u != tile and u not in self._at and u not in comp
-            for u in nbrs[src])
-
-    def delta(self, qid: int, tile) -> Delta:
-        """What putting patch qid on tile does to the access, in either
-        orientation: a placement when qid is new, a reorientation when
-        tile is qid's own, and otherwise a move to tile, a free routing
-        tile other than the port.  The board is left unchanged.
-
-        Only the patches beside the taken and the freed tile are counted
-        again, against the kept component less tile.  A cut tile splits
-        that into the pieces its discovery ranges give (`_cut_tiles`),
-        the freed tile joins the pieces it borders, a_component's rule
-        picks one, and every patch is counted again.  Where that need
-        not hold (`_floods`), a changed copy floods afresh.
-        """
-        base = self.access()
-        comp, nbrs, at = base.comp, self._nbrs, self._at
-        old = self.patches.get(qid)
-        src = None if old is None else old.tile
-        known = base if src == tile else None   # comp as it will stand
-        if self._floods(src, tile):
-            trial = self.copy()
-            trial._new_state()
-            trial.place(qid, tile, ORIENT_H)
-            known = trial.access()
-        if known is not None:
-            x, z, touch = own = known.counts[qid]
-            # a reorientation changes no other patch's counts
-            counts = {} if known is base else {
-                q: c for q, c in known.counts.items() if q != qid}
-            if known is base and old.orient == ORIENT_V:
-                own = (z, x, touch)   # a reorientation swaps X and Z
-            comp = known.comp
-            return Delta(qid, base, None if comp is None else lambda: comp,
-                         comp is not None and self.port in comp, counts,
-                         known.nx - (x > 0), known.nz - (z > 0),
-                         known.density - touch, own)
-        order, cut = self._cut
-        joined = src is not None and any(
-            u != tile and u in comp for u in nbrs[src])
-        anc = self.ancilla
-        pieces = [comp]   # the candidates, least tile first
-        if tile in cut:
-            pieces = [frozenset(order[r.start:r.stop]) for r in cut[tile]]
-            pieces.append(comp.difference((tile,), *pieces))
-            if joined:   # the freed tile joins the pieces it borders
-                near = [p for p in pieces if not p.isdisjoint(nbrs[src])]
-                pieces = [p for p in pieces if p.isdisjoint(nbrs[src])]
-                pieces.append(frozenset((src,)).union(*near))
-                joined = False
-            pieces = sorted((p for p in pieces if any(
-                u in p for typ, u in _edges(anc) if typ == "X")), key=min)
+    def _choose(self, pieces, patches: dict, tile=None, src=None,
+                joined=False, anc=True) -> tuple:
+        """(piece, counts) for the strict component: the first of pieces,
+        least tile first, facing the ancilla's X and Z edges and an edge
+        of every patch in patches (id -> Patch), with tile taken and src
+        freed, src joining a piece if joined; else the empty _NONE.
+        counts maps each id in patches to its Access.counts entry against
+        that piece.  anc=False takes the ancilla's edges as faced."""
+        nbrs, at = self._nbrs, self._at
 
         def count(p):   # p's counts entry against piece
             x = z = touch = 0
@@ -504,21 +439,79 @@ class Board:
                     touch += 1
             return x, z, touch
 
-        changed = (self.patches.keys() if tile in cut else {
-            at[v] for u in (tile, src) if u is not None
-            for v in nbrs[u] if v in at}) - {qid, -1}
-        # the first piece holding an X-edge tile of the ancilla that faces
-        # its Z edge and an edge of every patch; the ancilla can lose an
-        # edge only through a cut or tile.  With none, only touch counts
+        if len(pieces) > 1:
+            pieces = sorted(pieces, key=min)
         for piece in [*pieces, _NONE]:
             joined = joined and piece is not _NONE
-            x, z, _ = count(anc) if tile in cut or tile in nbrs[anc.tile] \
-                else (1, 1, 0)
-            own = count(Patch(tile, ORIENT_H))
-            counts = {q: count(self.patches[q]) for q in changed}
-            if piece is _NONE or x and z and own[0] + own[1] and all(
-                    c[0] + c[1] for c in counts.values()):
-                break
+            x, z, _ = count(self.ancilla) if anc else (1, 1, 0)
+            if x and z or piece is _NONE:
+                counts = {q: count(p) for q, p in patches.items()}
+                if piece is _NONE or all(c[0] + c[1] for c in counts.values()):
+                    return piece, counts
+
+    # --- one-tile changes -------------------------------------------------
+
+    def delta(self, qid: int, tile) -> Delta:
+        """What putting patch qid on tile does to the access, in either
+        orientation: a placement when qid is new, a reorientation when
+        tile is qid's own, and otherwise a move to tile, a free routing
+        tile other than the port.  The board is left unchanged.
+
+        A reorientation swaps qid's X and Z counts and changes nothing
+        else.  Otherwise only the patches beside the taken and the freed
+        tile are counted again, against the kept component less tile.  A
+        cut tile splits that into the pieces its discovery ranges give
+        (`_cut_tiles`), and the freed tile joins the pieces it borders.
+        Where the freed tile borders routing space outside the component,
+        or no one component holds the ancilla's X-edge tiles, the pieces
+        are flooded from those tiles instead (`_x_pieces`).  In both of
+        these cases `_choose` picks one and every patch is counted again.
+        """
+        base = self.access()
+        comp, nbrs, at = base.comp, self._nbrs, self._at
+        old = self.patches.get(qid)
+        src = None if old is None else old.tile
+        if src == tile:
+            x, z, touch = own = base.counts[qid]
+            if old.orient == ORIENT_V:
+                own = (z, x, touch)
+            return Delta(qid, base, None if comp is None else lambda: comp,
+                         comp is not None and self.port in comp, {},
+                         base.nx - (x > 0), base.nz - (z > 0),
+                         base.density - touch, own)
+        if self._cut is None:   # False unless comp holds every X-edge tile
+            one = comp is not None and all(
+                x in comp for x in self.touch_tiles(-1, "X"))
+            self._cut = one and _cut_tiles(comp, nbrs)
+        joined = every = False
+        if not self._cut or src is not None and any(
+                u != tile and u not in at and u not in comp
+                for u in nbrs[src]):
+            pieces, every = self._x_pieces(tile, src), True
+        else:
+            order, cut = self._cut
+            joined = src is not None and any(
+                u != tile and u in comp for u in nbrs[src])
+            pieces = [comp]
+            if tile in cut:
+                pieces = [frozenset(order[r.start:r.stop]) for r in cut[tile]]
+                if rest := comp.difference((tile,), *pieces):
+                    pieces.append(rest)
+                if joined:   # the freed tile joins the pieces it borders
+                    near = [p for p in pieces if not p.isdisjoint(nbrs[src])]
+                    pieces = [p for p in pieces if p.isdisjoint(nbrs[src])]
+                    pieces.append(frozenset((src,)).union(*near))
+                    joined = False
+                every = True
+        patches = self.patches
+        if not every:   # those beside the taken and the freed tile
+            patches = {at[v]: patches[at[v]] for u in (tile, src)
+                       if u is not None for v in nbrs[u] if at.get(v, -1) >= 0}
+        # the ancilla can lose an edge only through a cut or tile
+        piece, counts = self._choose(
+            pieces, {**patches, qid: Patch(tile, ORIENT_H)}, tile, src,
+            joined, every or tile in nbrs[self.ancilla.tile])
+        own = counts.pop(qid)
         nx, nz, density = base.nx, base.nz, base.density
         # the totals less qid's own counts, with the changed ones
         for q, c in [*counts.items(), (qid, (0, 0, 0))]:

@@ -123,7 +123,9 @@ def design_layout(n: int, rows: int, cols: int, alpha_e: float = ALPHA_E) -> Boa
                 f"no legal position for patch {qid} on {cols}x{rows}")
         board.place(qid, best[1], best[2])
         score = _relocate(board, -best[0][0], alpha_e)
-    if score != layout_score(board, alpha_e):
+    # scored afresh: the board's own access was carried through the deltas
+    fresh = Board(rows, cols, board.ancilla, board.port, board.patches)
+    if score != layout_score(fresh, alpha_e):
         raise AssertionError("delta scores drifted from the full score")
     return board
 

@@ -1,6 +1,7 @@
 """Tile board model: patches, surgery moves, routing, layout text format."""
 
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -185,6 +186,11 @@ class TestRoutingComponents:
         acc = b.access()
         assert _reaches(acc, 0, "Z") and not _reaches(acc, 0, "X")
         assert _reaches(acc, 1, "X") and not _reaches(acc, 1, "Z")
+        # both qualify again, and the ancilla's first X-edge tile in edge
+        # order, (1, 0), lies in the one whose least tile comes later
+        b = parse_layout("Q0v . . .\n. Av . M\n. . Q1h .\n")
+        assert b.a_component() == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                   (2, 3)}
 
     def test_split_board_has_no_working_region(self):
         b = Board(3, 3, ((0, 1), "h"), (2, 0), {
@@ -257,18 +263,30 @@ class TestKeptComponent:
                 assert o.access() == _fresh_access(o)
 
     def test_rotation_carries_the_access_without_a_flood(self, monkeypatch):
+        """A rotation carries the access, and so do the named changes whose
+        delta floods the changed board: a_component floods nothing more."""
         board = builtin_layout("standard", 4)
         board.access()
+        flooded = [(parse_layout(DELTA_CASES[n][0]), *DELTA_CASES[n][1:4])
+                   for n in ("freed-tile-meets-second-component",
+                             "ancilla-x-tiles-split")]
+        for b, *_ in flooded:
+            b.access()
         floods = []
         real = Board.a_component
         monkeypatch.setattr(Board, "a_component",
                             lambda b: floods.append(b) or real(b))
         board.rotate_patch(0, board.rotation_helper(0))
         acc = board.access()
+        for b, qid, tile, orient in flooded:
+            b.place(qid, tile, orient)
+            b.access()
         assert floods == []
         # (1, 1) turns from two X edges and one Z edge on routing space
         # to one X edge and two Z edges
         assert acc.counts[0] == (1, 2, 3) and acc == _fresh_access(board)
+        for b, *_ in flooded:
+            assert b.access() == _fresh_access(b)
 
 
 def _check_delta(board, qid, tile, orient):
@@ -297,38 +315,36 @@ def _check_delta(board, qid, tile, orient):
     assert acc == fresh.access()
 
 
-# (layout, patch id, tile, orient, whether a flooded copy answers)
+# (layout, patch id, tile, orient, fresh floods delta makes)
 DELTA_CASES = {
     # (0, 1) is a cut tile: (0, 0) is cut off and the board splits; the
     # pieces are read off the cut tile's discovery ranges
     "cut-tile-disconnects": ("M . .\n. Q0h .\nAh . .\n", 1, (0, 1),
-                             "h", False),
+                             "h", 0),
     # (0, 1) is a cut tile, but only an unused corner falls away; that
     # corner stays an X-edge tile of the ancilla, so the ancilla's
     # X-edge tiles then lie in two pieces, and the rule picks one
     "cut-tile-keeps-port": (". . . M Q0h\nAh . . . .\n. . . . .\n", 1,
-                            (0, 1), "h", False),
+                            (0, 1), "h", 0),
     # (2, 2) is a cut tile splitting off {(1, 0), (2, 0), (2, 1)}; both
     # pieces hold an X- and a Z-edge tile of the ancilla and face both
     # patches, and the one holding the row-major-first tile wins
     "cut-tile-ties-two-pieces": ("Q0v . . .\n. Av . M\n. . . .\n", 1,
-                                 (2, 2), "h", False),
-    # freeing (0, 1) joins it to {(0, 0), (1, 0)}, a second component
+                                 (2, 2), "h", 0),
+    # freeing (0, 1) joins it to {(0, 0), (1, 0)}, a second component;
+    # both X-edge tiles of the ancilla are flooded, one component each
     "freed-tile-meets-second-component": (
-        ". Q1h . . .\n. Ah . . M\nQ0h . . . .\n", 1, (0, 2), "h", True),
+        ". Q1h . . .\n. Ah . . M\nQ0h . . . .\n", 1, (0, 2), "h", 2),
     # the ancilla's X-edge tiles lie in two strict components; the tie
     # goes to the one holding (0, 0) until the new patch faces only the
-    # other one
+    # other one; each is flooded with the new patch in place
     "ancilla-x-tiles-split": (". . Q0h .\nM Av . .\nQ1v . . .\n", 9,
-                              (0, 3), "h", True),
+                              (0, 3), "h", 2),
     # the ancilla's only X-edge tile is taken
-    "last-ancilla-x-tile": ("Ah . .\n. . .\n. . M\n", 0, (1, 0), "h",
-                            False),
-    "plain-placement": ("Ah . .\n. . .\n. . M\n", 0, (1, 1), "v", False),
-    "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h",
-                   False),
-    "reorientation": ("Ah . .\n. Q0h .\n. . M\n", 0, (1, 1), "v",
-                      False),
+    "last-ancilla-x-tile": ("Ah . .\n. . .\n. . M\n", 0, (1, 0), "h", 0),
+    "plain-placement": ("Ah . .\n. . .\n. . M\n", 0, (1, 1), "v", 0),
+    "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h", 0),
+    "reorientation": ("Ah . .\n. Q0h .\n. . M\n", 0, (1, 1), "v", 0),
 }
 
 
@@ -396,20 +412,27 @@ class TestAccessDelta:
             qid = data.draw(st.sampled_from(sorted(board.patches)))
             tile, orient = board.patches[qid].tile, flipped(
                 board.patches[qid].orient)
-        _check_delta(board, qid, tile, orient)
+        copies = []
+        real_copy = Board.copy
+        with mock.patch.object(Board, "copy",
+                               lambda b: copies.append(b) or real_copy(b)):
+            _check_delta(board, qid, tile, orient)
+        # delta copies no board, pockets and split X-edge tiles included:
+        # the one copy is the check's own
+        assert len(copies) == 1
 
     @pytest.mark.parametrize("name", sorted(DELTA_CASES))
     def test_named_change(self, name, monkeypatch):
         text, qid, tile, orient, floods = DELTA_CASES[name]
         board = parse_layout(text)
         board.access()
-        copies = []
-        real_copy = Board.copy
-        monkeypatch.setattr(Board, "copy",
-                            lambda b: copies.append(b) or real_copy(b))
+        calls = []
+        real_flood = board_module._flood
+        monkeypatch.setattr(board_module, "_flood",
+                            lambda *a: calls.append(a) or real_flood(*a))
+        board.delta(qid, tile)
+        assert len(calls) == floods
         _check_delta(board, qid, tile, orient)
-        # the check itself makes one copy
-        assert len(copies) == 1 + floods
 
 
 class TestCutTiles:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lscompile import layout_search
-from lscompile.board import Board, builtin_layout, format_layout
+from lscompile.board import Board, Delta, builtin_layout, format_layout
 from lscompile.layout_search import (
     ALPHA_E,
     LayoutDesignError,
@@ -207,6 +207,19 @@ class TestMatchesCopyAndFlood:
         # a delta that drifted from the full score is caught, not shipped
         monkeypatch.setattr(layout_search, "_access_score",
                             lambda nx, nz, density, alpha_e: nx + nz)
+        with pytest.raises(AssertionError, match="drifted"):
+            design_layout(3, 3, 3)
+
+    def test_a_drift_in_the_carried_access_is_caught(self, monkeypatch):
+        # the carried access takes its totals from the same delta, so the
+        # final score is read off a board built afresh
+        real = Delta.totals
+
+        def drifted(delta, orient):
+            nx, nz, density = real(delta, orient)
+            return nx + 1, nz, density
+
+        monkeypatch.setattr(Delta, "totals", drifted)
         with pytest.raises(AssertionError, match="drifted"):
             design_layout(3, 3, 3)
 
