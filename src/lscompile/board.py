@@ -31,10 +31,10 @@ the one rule, with the one edge count, that picks the strict component.
 `Board.delta` is the one statement of what a one-tile change (a
 placement, a move or a reorientation) does to the access, in both
 orientations, read off the kept access and cut tiles, or off a flood
-with the change in place; it copies no board.  `Board.place` makes
-such a change and carries the access through it.  Floods walk a
-neighbour table built once per board shape; patch edges come from a
-table keyed by the immutable patch.
+with the change in place; it copies no board, and is None if no strict
+component is left.  `Board.place` makes such a change and carries the
+access through it.  Floods walk a neighbour table built once per board
+shape; patch edges come from a table keyed by the immutable patch.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ ORIENT_V = "v"   # Z on N/S, X on E/W
 _DIRS = (("N", (-1, 0)), ("E", (0, 1)), ("S", (1, 0)), ("W", (0, -1)))
 
 OP_COSTS = {"move": 1, "rotate": 3, "measure": 1}
-
-_NONE = frozenset()
 
 
 class IllegalOpError(ValueError):
@@ -101,11 +99,11 @@ def flipped(orient: str) -> str:
 class Access(NamedTuple):
     """Routing access of one board state.
 
-    comp is the strict component, or None.  counts maps each patch id to
-    (X edges facing comp, Z edges facing comp, routing tiles touched);
-    nx and nz count the patches with an X, resp. Z, edge on comp, and
-    density sums the routing tiles touched.  A board's own access is
-    exact, and so is one a Delta gives.
+    comp is the strict component; a board without one has `_NO_ACCESS`.
+    counts maps each patch id to (X edges facing comp, Z edges facing
+    comp, routing tiles touched); nx and nz count the patches with an X,
+    resp. Z, edge on comp, and density sums the routing tiles touched.
+    A board's own access is exact, and so is one a Delta gives.
     """
     comp: frozenset | None
     counts: dict
@@ -114,17 +112,20 @@ class Access(NamedTuple):
     density: int
 
 
+_NO_ACCESS = Access(None, {}, 0, 0, 0)
+
+
 class Delta(NamedTuple):
     """What putting patch qid on one tile does to the access (Board.delta).
 
-    comp builds the new strict component when called, or is None; port
-    says whether that holds the port.  counts maps the other patches the
+    comp builds the new strict component when called, and port says
+    whether that holds the port.  counts maps the other patches the
     change reaches to their new counts, and nx, nz and density total all
     patches but qid, whose counts in "h" are own; "v" swaps X and Z.
     """
     qid: int
     base: Access
-    comp: Callable[[], frozenset] | None
+    comp: Callable[[], frozenset]
     port: bool
     counts: dict
     nx: int
@@ -146,11 +147,7 @@ class Delta(NamedTuple):
         """The changed board's exact access, with qid in orient."""
         counts = {**self.base.counts, **self.counts,
                   self.qid: self.count(orient)}
-        nx, nz, density = self.totals(orient)
-        if self.comp is None:
-            return Access(None, {q: (0, 0, c[2]) for q, c in counts.items()},
-                          0, 0, density)
-        return Access(self.comp(), counts, nx, nz, density)
+        return Access(self.comp(), counts, *self.totals(orient))
 
 
 def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
@@ -313,8 +310,8 @@ class Board:
             self._at[tile] = qid
             self._new_state()
         self.patches[qid] = Patch(tile, orient)
-        if delta:
-            self._acc = delta.access(orient)
+        if delta is not False:   # an access was kept: carry it through
+            self._acc = delta.access(orient) if delta else _NO_ACCESS
 
     def remove_patch(self, qid: int) -> None:
         del self._at[self.patches.pop(qid).tile]
@@ -358,13 +355,13 @@ class Board:
 
     # --- edges and exposure -----------------------------------------------
 
-    def touch_tiles(self, qid: int, typ: str | None = None) -> list:
-        """Routing tiles across the edges of type typ (any if None) of
-        patch qid, or of the ancilla for -1, in row-major order."""
+    def touch_tiles(self, qid: int, typ: str) -> list:
+        """Routing tiles across the typ edges of patch qid, or of the
+        ancilla for -1, in row-major order."""
         p = self.ancilla if qid == -1 else self.patches[qid]
         nbrs, at = self._nbrs, self._at
-        return [out for t, out in _edges(p) if (typ is None or t == typ)
-                and out in nbrs and out not in at]
+        return [out for t, out in _edges(p)
+                if t == typ and out in nbrs and out not in at]
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
@@ -390,11 +387,13 @@ class Board:
         in the same pass.
         """
         if self._acc is None:
-            piece, counts = self._choose(self._x_pieces(), self.patches)
-            self._acc = Access(piece or None, counts,
-                               sum(c[0] > 0 for c in counts.values()),
-                               sum(c[1] > 0 for c in counts.values()),
-                               sum(c[2] for c in counts.values()))
+            self._acc = _NO_ACCESS
+            if found := self._choose(self._x_pieces(), self.patches):
+                piece, counts = found
+                self._acc = Access(piece, counts,
+                                   sum(c[0] > 0 for c in counts.values()),
+                                   sum(c[1] > 0 for c in counts.values()),
+                                   sum(c[2] for c in counts.values()))
         return self._acc.comp
 
     def access(self) -> Access:
@@ -418,13 +417,13 @@ class Board:
         return pieces
 
     def _choose(self, pieces, patches: dict, tile=None, src=None,
-                joined=False, anc=True) -> tuple:
+                joined=False) -> tuple | None:
         """(piece, counts) for the strict component: the first of pieces,
         least tile first, facing the ancilla's X and Z edges and an edge
         of every patch in patches (id -> Patch), with tile taken and src
-        freed, src joining a piece if joined; else the empty _NONE.
-        counts maps each id in patches to its Access.counts entry against
-        that piece.  anc=False takes the ancilla's edges as faced."""
+        freed, src joining a piece if joined; None if none does, each
+        given up at the first patch facing none of it.  counts maps each
+        id in patches to its Access.counts entry against that piece."""
         nbrs, at = self._nbrs, self._at
 
         def count(p):   # p's counts entry against piece
@@ -441,21 +440,25 @@ class Board:
 
         if len(pieces) > 1:
             pieces = sorted(pieces, key=min)
-        for piece in [*pieces, _NONE]:
-            joined = joined and piece is not _NONE
-            x, z, _ = count(self.ancilla) if anc else (1, 1, 0)
-            if x and z or piece is _NONE:
-                counts = {q: count(p) for q, p in patches.items()}
-                if piece is _NONE or all(c[0] + c[1] for c in counts.values()):
+        for piece in pieces:
+            if all(count(self.ancilla)[:2]):
+                counts = {}
+                for q, p in patches.items():
+                    c = counts[q] = count(p)
+                    if not c[0] + c[1]:
+                        break
+                else:
                     return piece, counts
+        return None
 
     # --- one-tile changes -------------------------------------------------
 
-    def delta(self, qid: int, tile) -> Delta:
+    def delta(self, qid: int, tile) -> Delta | None:
         """What putting patch qid on tile does to the access, in either
         orientation: a placement when qid is new, a reorientation when
         tile is qid's own, and otherwise a move to tile, a free routing
-        tile other than the port.  The board is left unchanged.
+        tile other than the port.  None when the changed board has no
+        strict component.  The board is left unchanged.
 
         A reorientation swaps qid's X and Z counts and changes nothing
         else.  Otherwise only the patches beside the taken and the freed
@@ -472,11 +475,12 @@ class Board:
         old = self.patches.get(qid)
         src = None if old is None else old.tile
         if src == tile:
+            if comp is None:
+                return None
             x, z, touch = own = base.counts[qid]
             if old.orient == ORIENT_V:
                 own = (z, x, touch)
-            return Delta(qid, base, None if comp is None else lambda: comp,
-                         comp is not None and self.port in comp, {},
+            return Delta(qid, base, lambda: comp, self.port in comp, {},
                          base.nx - (x > 0), base.nz - (z > 0),
                          base.density - touch, own)
         if self._cut is None:   # False unless comp holds every X-edge tile
@@ -507,10 +511,11 @@ class Board:
         if not every:   # those beside the taken and the freed tile
             patches = {at[v]: patches[at[v]] for u in (tile, src)
                        if u is not None for v in nbrs[u] if at.get(v, -1) >= 0}
-        # the ancilla can lose an edge only through a cut or tile
-        piece, counts = self._choose(
-            pieces, {**patches, qid: Patch(tile, ORIENT_H)}, tile, src,
-            joined, every or tile in nbrs[self.ancilla.tile])
+        found = self._choose(
+            pieces, {**patches, qid: Patch(tile, ORIENT_H)}, tile, src, joined)
+        if found is None:
+            return None
+        piece, counts = found
         own = counts.pop(qid)
         nx, nz, density = base.nx, base.nz, base.density
         # the totals less qid's own counts, with the changed ones
@@ -519,9 +524,9 @@ class Board:
             nx += (c[0] > 0) - (b[0] > 0)
             nz += (c[1] > 0) - (b[1] > 0)
             density += c[2] - b[2]
-        return Delta(qid, base, None if piece is _NONE else (
-            lambda: piece.difference((tile,)).union((src,) if joined else ())),
-            self.port in piece, counts, nx, nz, density, own)
+        return Delta(qid, base, lambda: piece.difference((tile,)).union(
+            (src,) if joined else ()), self.port in piece, counts, nx, nz,
+            density, own)
 
 
 # --- bus routing ----------------------------------------------------------

@@ -36,12 +36,7 @@ def layout_score(board: Board, alpha_e: float = ALPHA_E) -> float:
     acc = board.access()
     if acc.comp is None:
         return 0.0
-    return acc.nx + acc.nz - alpha_e * _density(board)
-
-
-def _density(board: Board) -> int:
-    """Exposed boundary edges: every patch's routing touch tiles."""
-    return sum(len(board.touch_tiles(q)) for q in board.patches)
+    return acc.nx + acc.nz - alpha_e * acc.density
 
 
 def _best(board: Board, qid: int, options, floor: float | None,
@@ -55,7 +50,7 @@ def _best(board: Board, qid: int, options, floor: float | None,
     best = None
     for tile, orients in options:
         delta = board.delta(qid, tile)
-        if delta.comp is None or not delta.port:
+        if delta is None or not delta.port:
             continue
         for orient in orients:
             nx, nz, density = delta.totals(orient)

@@ -271,20 +271,19 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
 
     Ranking: more enabled qubits, then cheaper operation, then lower
     patch id, then generation order.  Actions breaking strict
-    connectivity are dropped, as are ones cutting off the magic port
-    while an eighth rotation waits.  Each action is scored from the
-    one-tile delta of the board's kept access: the enabled count moves
-    only with the operator's patches whose counts the delta changed.
+    connectivity (a delta of None) are dropped, as are ones cutting off
+    the magic port while an eighth rotation waits.  Each action is scored
+    from the one-tile delta of the board's kept access: the enabled count
+    moves only with the operator's patches whose counts the delta
+    changed.  The board has a strict component: schedule_loose refuses
+    one without and applies no action that loses it.
     """
     acc = board.access()
     # patch id -> the counts entries (X 0, Z 1) its letter needs; a qubit
-    # is enabled when each of them faces the component, and with no
-    # component the count is -1
+    # is enabled when each of them faces the component
     need = {qmap[q]: tuple(t == "Z" for t in LETTER_EDGES[op.word.letter(q)])
             for q in op.word.support()}
     have = {q: all(acc.counts[q][i] for i in ix) for q, ix in need.items()}
-    enabled = sum(have.values())
-    base = enabled if acc.comp is not None else -1
     best = None
     best_key = None
     for kind, pid, arg in _candidate_actions(board, qmap, op):
@@ -292,16 +291,15 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
         tile, orient = ((arg, p.orient) if kind == "move"
                         else (p.tile, flipped(p.orient)))
         delta = board.delta(pid, tile)
-        if delta.comp is None:
+        if delta is None or op.is_eighth() and not delta.port:
             continue
-        if op.is_eighth() and not delta.port:
-            continue
-        reward = enabled + sum(
+        # what the action adds to the enabled count
+        gain = sum(
             all(c[i] for i in need[q]) - have[q] for q, c in
             [*delta.counts.items(), (pid, delta.count(orient))] if q in need)
-        if reward <= base:
+        if gain <= 0:
             continue
-        key = (-reward, OP_COSTS[kind], pid)
+        key = (-gain, OP_COSTS[kind], pid)
         if best_key is None or key < best_key:
             best = (kind, pid, arg)
             best_key = key

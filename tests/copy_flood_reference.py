@@ -15,8 +15,14 @@ from lscompile.board import (
     ORIENT_H,
     ORIENT_V,
 )
-from lscompile.layout_search import LayoutDesignError, _density, layout_score
+from lscompile.layout_search import LayoutDesignError, layout_score
 from lscompile.scheduler import _candidate_actions
+
+
+def density(board):
+    """Exposed boundary edges: every patch's routing neighbour tiles."""
+    return sum(board.is_routing(t) for p in board.patches.values()
+               for t in board.neighbors(p.tile))
 
 
 def reaches(board, qid, typ):
@@ -61,7 +67,7 @@ def relocate_pass(board, alpha_e=0.2):
             score = layout_score(trial, alpha_e)
             if score <= current:
                 continue
-            key = (-score, _density(trial), tile,
+            key = (-score, density(trial), tile,
                    0 if orient == ORIENT_H else 1)
             if best_key is None or key < best_key:
                 best = (tile, orient)
@@ -95,7 +101,7 @@ def design_layout(n, rows, cols, alpha_e=0.2):
                 if comp is None or trial.port not in comp:
                     continue
                 score = layout_score(trial, alpha_e)
-                key = (-score, _density(trial), tile,
+                key = (-score, density(trial), tile,
                        0 if orient == ORIENT_H else 1)
                 if best_key is None or key < best_key:
                     best = (tile, orient)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lscompile.board import (
+    Access,
     Board,
     IllegalOpError,
     LayoutParseError,
@@ -22,7 +23,6 @@ from lscompile.board import (
 )
 from lscompile.layout_search import (
     LayoutDesignError,
-    _density,
     _access_score,
     design_layout,
     layout_score,
@@ -91,7 +91,6 @@ class TestBoardBasics:
         b = Board(3, 3, ((1, 1), "h"), (2, 2), {0: ((0, 1), "h")})
         assert b.touch_tiles(-1, "X") == [(2, 1)]
         assert b.touch_tiles(-1, "Z") == [(1, 0), (1, 2)]
-        assert b.touch_tiles(-1) == [(1, 0), (1, 2), (2, 1)]
 
     def test_bad_ancilla_orientation_is_refused(self):
         # an ancilla with no X edge would print as 'Ax', which
@@ -290,28 +289,31 @@ class TestKeptComponent:
 
 
 def _check_delta(board, qid, tile, orient):
-    """delta()'s access agrees with the slow path, a copy with patch qid
-    on tile in orient flooded afresh, and leaves the board alone."""
+    """delta() agrees with the slow path, the board with patch qid on
+    tile in orient flooded afresh, and leaves the board alone; it is
+    None exactly when that has no strict component.  A copy changed by
+    place carries the access through to the fresh board's."""
     layout, comp = format_layout(board), board.a_component()
-    acc = board.delta(qid, tile).access(orient)
+    delta = board.delta(qid, tile)
     assert (format_layout(board), board.a_component()) == (layout, comp)
     trial = board.copy()
-    if qid in trial.patches:
-        trial.remove_patch(qid)
-    trial.init_patch(qid, tile, orient)
+    trial.place(qid, tile, orient)
     fresh = parse_layout(format_layout(trial))
-    assert acc.comp == trial.a_component() == fresh.a_component()
-    assert (trial.port in (acc.comp or ())) == (
-        trial.port in (fresh.a_component() or ()))
-    assert acc.density == _density(trial) == _density(fresh)
-    score = 0.0 if acc.comp is None else _access_score(
-        acc.nx, acc.nz, acc.density, 0.2)
+    assert trial.access() == fresh.access()
+    assert fresh.a_component() == _ref_component(fresh)
+    assert (delta is None) == (fresh.a_component() is None)
+    if delta is None:
+        return
+    acc = delta.access(orient)
+    assert acc.comp == fresh.a_component()
+    assert delta.port == (fresh.port in acc.comp)
+    assert acc.density == ref.density(trial) == ref.density(fresh)
+    score = _access_score(acc.nx, acc.nz, acc.density, 0.2)
     assert score == layout_score(trial) == layout_score(fresh)
-    pids = sorted(trial.patches)
-    for q in pids:
+    for q in sorted(trial.patches):
         for typ in ("X", "Z"):
             assert _reaches(acc, q, typ) == ref.reaches(fresh, q, typ)
-    # exact, counts and totals too, with a component or without
+    # exact, counts and totals too
     assert acc == fresh.access()
 
 
@@ -346,6 +348,9 @@ DELTA_CASES = {
     "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h", 0),
     "reorientation": ("Ah . .\n. Q0h .\n. . M\n", 0, (1, 1), "v", 0),
 }
+
+# the named changes that leave no strict component: their delta is None
+NO_COMPONENT = {"cut-tile-disconnects", "last-ancilla-x-tile"}
 
 
 def _start_board(data, styles=("compact", "standard", "sparse", "irregular",
@@ -430,9 +435,28 @@ class TestAccessDelta:
         real_flood = board_module._flood
         monkeypatch.setattr(board_module, "_flood",
                             lambda *a: calls.append(a) or real_flood(*a))
-        board.delta(qid, tile)
+        delta = board.delta(qid, tile)
         assert len(calls) == floods
+        assert (delta is None) == (name in NO_COMPONENT)
         _check_delta(board, qid, tile, orient)
+
+    def test_no_component_no_delta(self, monkeypatch):
+        """A move taking the ancilla's only X-edge tile has no delta, nor
+        has a reorientation on the board it leaves; place carries the
+        one no-component access through both without a_component."""
+        board = parse_layout("Ah . .\n. Q0h .\n. . M\n")
+        assert board.a_component() is not None
+        floods = []
+        real = Board.a_component
+        monkeypatch.setattr(Board, "a_component",
+                            lambda b: floods.append(b) or real(b))
+        assert board.delta(0, (1, 0)) is None
+        board.move_patch(0, (1, 0))
+        assert board.delta(0, (1, 0)) is None
+        board.rotate_patch(0, board.rotation_helper(0))
+        acc = board.access()
+        assert floods == []
+        assert acc == Access(None, {}, 0, 0, 0) == _fresh_access(board)
 
 
 class TestCutTiles:
@@ -630,6 +654,25 @@ def _ref_bfs(board, sources):
             dist[nb], prev[nb] = dist[cur] + 1, cur
             queue.append(nb)
     return dist, prev
+
+
+def _ref_component(board):
+    """The strict component as defined: of the routing components facing
+    both typed edges of the ancilla and an edge of every patch, the one
+    holding the row-major-first tile, or None."""
+    seen = set()
+    for tile in [(r, c) for r in range(board.rows) for c in range(board.cols)]:
+        if tile in seen or not _ref_routing(board, tile):
+            continue
+        comp = set(_ref_bfs(board, [tile])[0])
+        seen |= comp
+        if all(comp.intersection(_ref_touch(board, board.ancilla, typ))
+               for typ in ("X", "Z")) and all(
+                comp.intersection(_ref_touch(board, p, "X")
+                                  + _ref_touch(board, p, "Z"))
+                for p in board.patches.values()):
+            return frozenset(comp)
+    return None
 
 
 def _ref_bus(board, required, include_port=False):

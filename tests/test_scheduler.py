@@ -1,6 +1,7 @@
 """Slice scheduling: angle normalization, timelines, golden examples."""
 
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -469,3 +470,26 @@ def test_loose_schedule_matches_copy_and_flood_reference(name, circuit, board,
     assert (ours, actions) == _schedule_json(circuit, board)
     if board == "compact" and actions is not None:
         assert actions > 0   # the case drives moves or rotations
+
+
+# sha256 of each schedule's sorted-key JSON, hashed as perfbench's job
+# fingerprint hashes it; no golden covers these two loose schedules, on
+# which one-tile deltas that leave no strict component dominate
+LADDERS = {
+    "adder_60": (
+        bench.adder_circuit(60), 1445,
+        "68bd5705caebb124c51014a71488b70d69c8760b17caf688e690ac6c5e120817"),
+    "random_120_1200_1": (
+        bench.random_program(120, 1200, 1), 3823,
+        "f6aa91190f998bc7df26be48584e08e6397e15445e6081ce9cb5c964be5dcb22"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_schedules_are_pinned(name):
+    source, clocks, digest = LADDERS[name]
+    sched = compile_program(source, CompileOptions(board="standard")).schedule
+    blob = json.dumps(sched.to_dict(), sort_keys=True).encode()
+    assert (sched.total_clocks, hashlib.sha256(blob).hexdigest()) == (
+        clocks, digest)
