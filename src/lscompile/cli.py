@@ -16,7 +16,7 @@ import sys
 
 from .board import format_layout, parse_layout
 from .layout_search import ALPHA_E, layout_score
-from .ler import Calibration, default_calibration, estimate_ler
+from .ler import Calibration, default_calibration, estimate_ler, slice_rates
 from .mapping import MAPPING_STRATEGIES
 from .oracle import (
     circuit_distribution,
@@ -160,8 +160,11 @@ def cmd_estimate(args) -> int:
     else:
         calib = default_calibration(args.distance)
     report = estimate_ler(result.schedule, calib)
-    if not args.per_slice:
-        report = {k: v for k, v in report.items() if k != "layers"}
+    if args.per_slice:
+        rates = slice_rates(result.schedule, calib)
+        report["layers"] = [
+            {"t": t, **dict(zip(rates, values))} for t, values in
+            enumerate(zip(*(a.tolist() for a in rates.values())), 1)]
     report["mean_bus_tiles"] = result.schedule.mean_bus_tiles()
     _write(args.output, json.dumps(report, indent=2) + "\n")
     return 0
@@ -187,17 +190,20 @@ def cmd_compare(args) -> int:
                                 opts.max_tiles)
         runs.append((name, sched, layout, opts))
     calib = default_calibration(args.distance)
+    sums = ("p_measure", "p_deform", "p_idle")   # each summed over slices
     header = (f"{'name':<16} {'sched':<6} {'layout':<10} "
-              f"{'clocks':>7} {'bus':>6} {'ops':>5} {'p_total':>12}")
+              f"{'clocks':>7} {'bus':>6} {'ops':>5} {'p_total':>12}"
+              + "".join(f" {k:>12}" for k in sums))
     print(header)
     print("-" * len(header))
     for name, sched, layout, opts in runs:
         result = compile_program(source, opts)
         schedule = result.schedule
-        p = estimate_ler(schedule, calib)["p_total"]
+        report = estimate_ler(schedule, calib)
         print(f"{name:<16} {sched:<6} {layout:<10} {schedule.total_clocks:>7} "
               f"{schedule.mean_bus_tiles():>6.2f} "
-              f"{len(result.scheduled.ops):>5} {p:>12.4e}")
+              f"{len(result.scheduled.ops):>5} {report['p_total']:>12.4e}"
+              + "".join(f" {report[k]:>12.4e}" for k in sums))
     return 0
 
 

@@ -36,7 +36,7 @@ def layout_score(board: Board, alpha_e: float = ALPHA_E) -> float:
     acc = board.access()
     if acc.comp is None:
         return 0.0
-    return acc.nx + acc.nz - alpha_e * acc.density
+    return _access_score(acc.nx, acc.nz, acc.density, alpha_e)
 
 
 def _best(board: Board, qid: int, options, floor: float | None,

@@ -5,6 +5,14 @@ multipatch measurements (per bus tile), patch deformation activity
 (rotation sub-steps and moves), and idling patches.  Slice failure
 probabilities add up to the reported total, a first-order union bound.
 
+`slice_rates` builds the per-slice table in one pass over the
+instructions.  It counts a slice's idle patches from the sum of its
+instructions' patch counts, not from their union.  That is exact
+because no two instructions of one slice share a patch: every
+instruction books the tiles of its patches (a measurement also the
+ancilla's tile), and `validate_schedule` refuses a tile booked twice in
+one slice.
+
 Default rates derive from a standard scaling proxy for the per-round
 logical error of a distance-d surface-code tile at physical rate p:
 0.1 * (p / 0.01) ** ((d + 1) / 2).  One clock slice spans d measurement
@@ -17,6 +25,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
+from .board import OP_COSTS
 from .scheduler import Schedule
 
 SUPPORTED_DISTANCES = (3, 5, 7, 9)
@@ -89,48 +100,68 @@ def default_calibration(distance: int = 9) -> Calibration:
     )
 
 
-def estimate_ler(schedule: Schedule, calib: Calibration) -> dict:
-    """Per-slice and total failure probabilities for a schedule."""
+def slice_rates(schedule: Schedule, calib: Calibration) -> dict:
+    """Per-slice failure probabilities of a schedule: arrays "p_measure",
+    "p_deform", "p_idle" and "p_layer", entry t - 1 for clock slice t.
+
+    Each instruction multiplies its survival factors into the slices it
+    spans, in instruction order, and adds its patch count there; numpy
+    then combines the slices elementwise.
+    """
+    clocks = schedule.total_clocks
     n_patches = len(schedule.final_board.patches) + 1   # and the ancilla
-    sub_rates = (calib.rotate_deform_rate, calib.rotate_corner_rate,
-                 calib.rotate_move_rate)
+    ppm = calib.ppm_per_bus_tile
+    rotate = tuple(1.0 - min(1.0, rate) for rate in (
+        calib.rotate_deform_rate, calib.rotate_corner_rate,
+        calib.rotate_move_rate))                       # one per sub-step
+    move = 1.0 - min(1.0, calib.move_rate)
 
-    by_slice: dict[int, list] = {}
+    # an instruction of a schedule cut short at total_clocks may run past
+    # it: those slices are filled like the others, then dropped
+    size = clocks + max(OP_COSTS.values())
+    ok_measure = [1.0] * size
+    ok_deform = [1.0] * size
+    involved = [0] * size
     for ins in schedule.instructions:
-        for t in range(ins.start, ins.end + 1):
-            by_slice.setdefault(t, []).append(ins)
+        first = ins.start - 1
+        n = len(ins.patches)
+        if ins.kind == "measure":
+            ok = 1.0 - min(1.0, len(ins.bus) * ppm)
+            for i in range(first, first + ins.duration):
+                ok_measure[i] *= ok
+                involved[i] += n
+        else:
+            factors = (rotate if ins.kind == "rotate"
+                       else (move,) * ins.duration)
+            for i, ok in enumerate(factors, first):
+                ok_deform[i] *= ok
+                involved[i] += n
 
-    layers = []
-    total = 0.0
-    for t in range(1, schedule.total_clocks + 1):
-        active = by_slice.get(t, ())
-        ok_ppm = 1.0
-        ok_pr = 1.0
-        involved = set()
-        for ins in active:
-            involved.update(ins.patches)
-            if ins.kind == "measure":
-                ok_ppm *= 1.0 - min(1.0, len(ins.bus) * calib.ppm_per_bus_tile)
-            elif ins.kind == "rotate":
-                ok_pr *= 1.0 - min(1.0, sub_rates[t - ins.start])
-            elif ins.kind == "move":
-                ok_pr *= 1.0 - min(1.0, calib.move_rate)
-        p_ppm = 1.0 - ok_ppm
-        p_pr = 1.0 - ok_pr
-        idle_n = max(0, n_patches - len(involved))
-        p_idle = min(1.0, idle_n * calib.idle_rate)
-        p_layer = 1.0 - (1.0 - p_ppm) * (1.0 - p_pr) * (1.0 - p_idle)
-        layers.append({
-            "t": t,
-            "p_measure": p_ppm,
-            "p_deform": p_pr,
-            "p_idle": p_idle,
-            "p_layer": p_layer,
-        })
-        total += p_layer
+    p_measure = 1.0 - np.array(ok_measure[:clocks])
+    p_deform = 1.0 - np.array(ok_deform[:clocks])
+    idle = np.maximum(0, n_patches - np.array(involved[:clocks]))
+    p_idle = np.minimum(1.0, idle * calib.idle_rate)
+    p_layer = 1.0 - (1.0 - p_measure) * (1.0 - p_deform) * (1.0 - p_idle)
+    return {"p_measure": p_measure, "p_deform": p_deform, "p_idle": p_idle,
+            "p_layer": p_layer}
+
+
+def _sum_in_order(values) -> float:
+    """The sum a `total += v` loop from 0.0 forms: numpy's accumulate
+    (its cumsum) adds left to right, where its sum adds pairwise."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def estimate_ler(schedule: Schedule, calib: Calibration) -> dict:
+    """Total failure probability of a schedule, with the summed
+    measurement, deformation and idle contributions (`slice_rates` has
+    the per-slice ones)."""
+    rates = slice_rates(schedule, calib)
     return {
         "distance": calib.distance,
         "total_clocks": schedule.total_clocks,
-        "p_total": total,
-        "layers": layers,
+        "p_total": _sum_in_order(rates["p_layer"]),
+        "p_measure": _sum_in_order(rates["p_measure"]),
+        "p_deform": _sum_in_order(rates["p_deform"]),
+        "p_idle": _sum_in_order(rates["p_idle"]),
     }

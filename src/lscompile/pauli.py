@@ -15,6 +15,7 @@ is unsigned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 _LETTER_BY_BITS = ("I", "X", "Z", "Y")  # index = x_bit + 2 * z_bit
 _BITS_BY_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -101,6 +102,12 @@ class PauliWord:
                         for q in range(0, n, 4)])[:n]
 
     def support(self) -> tuple:
+        """The qubits the word acts on, lowest first."""
+        return self._support
+
+    @cached_property
+    def _support(self) -> tuple:
+        # worked out once per word: words are frozen and tuples immutable
         return tuple(set_bits(self.x | self.z))
 
     def weight(self) -> int:

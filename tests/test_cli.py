@@ -17,8 +17,10 @@ from lscompile.board import (
 from lscompile.cli import main
 from lscompile.layout_search import MAX_DESIGN_TILES
 from lscompile.oracle import MAX_ORACLE_QUBITS
-from lscompile.pipeline import make_board
-from lscompile.transpiler import format_pbc, parse_pbc, transpile
+from lscompile.pipeline import CompileOptions, compile_program, make_board
+from lscompile.transpiler import format_pbc, parse_pbc, parse_qasm, transpile
+
+import ler_reference
 
 QASM = (
     'OPENQASM 2.0;\n'
@@ -195,7 +197,7 @@ def test_estimate_reports_p_total(qasm_file, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["distance"] == 9
     assert payload["p_total"] > 0.0
-    assert "mean_bus_tiles" in payload
+    assert {"p_measure", "p_deform", "p_idle", "mean_bus_tiles"} <= set(payload)
     assert "layers" not in payload
 
 
@@ -210,6 +212,11 @@ def test_estimate_per_slice_and_custom_calibration(qasm_file, tmp_path,
     payload = json.loads(out.read_text())
     assert payload["distance"] == 5
     assert payload["layers"]
+    # the layers of the per-slice dict estimate, key for key
+    schedule = compile_program(parse_qasm(QASM), CompileOptions()).schedule
+    old = ler_reference.estimate_ler(schedule, default_calibration(5))
+    assert payload["layers"] == old["layers"]
+    assert payload["p_total"] == old["p_total"]
 
 
 def test_compare_prints_table(qasm_file, capsys):
@@ -219,6 +226,11 @@ def test_compare_prints_table(qasm_file, capsys):
     text = capsys.readouterr().out
     assert "fast" in text and "base" in text
     assert "clocks" in text and "p_total" in text
+    header, _, *rows = text.splitlines()
+    assert header.split()[-4:] == ["p_total", "p_measure", "p_deform",
+                                   "p_idle"]
+    # each run's three sums, beside its total
+    assert [len(row.split()) for row in rows] == [10, 10]
 
 
 def test_op_counts_are_the_operators_the_schedule_measures(tmp_path, capsys):

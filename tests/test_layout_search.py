@@ -204,9 +204,15 @@ class TestMatchesCopyAndFlood:
         assert ours == [format_layout(auto_design(n)) for n in range(1, 25)]
 
     def test_designs_check_their_final_score(self, monkeypatch):
-        # a delta that drifted from the full score is caught, not shipped
-        monkeypatch.setattr(layout_search, "_access_score",
-                            lambda nx, nz, density, alpha_e: nx + nz)
+        # a delta whose density drifted from the full count is caught,
+        # not shipped
+        real = Delta.totals
+
+        def drifted(delta, orient):
+            nx, nz, density = real(delta, orient)
+            return nx, nz, density + 1
+
+        monkeypatch.setattr(Delta, "totals", drifted)
         with pytest.raises(AssertionError, match="drifted"):
             design_layout(3, 3, 3)
 

@@ -1,10 +1,15 @@
 """Logical error rate model: calibration tables and schedule scoring."""
 
+import dataclasses
+import functools
 import json
+import operator
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lscompile import CompileOptions, bench, compile_program
 from lscompile.board import Board, builtin_layout
 from lscompile.ler import (
     Calibration,
@@ -12,9 +17,17 @@ from lscompile.ler import (
     default_calibration,
     estimate_ler,
     proxy_tile_round_rate,
+    slice_rates,
 )
-from lscompile.scheduler import Instruction, Schedule, schedule_loose
+from lscompile.scheduler import (Instruction, Schedule, ScheduleError,
+                                 schedule_loose, validate_schedule)
 from lscompile.transpiler import parse_pbc
+
+import ler_reference
+
+RATES = ("ppm_per_bus_tile", "rotate_deform_rate", "rotate_corner_rate",
+         "rotate_move_rate", "move_rate", "idle_rate")
+SLICE_KEYS = ("p_measure", "p_deform", "p_idle", "p_layer")
 
 
 def small_schedule():
@@ -88,34 +101,40 @@ class TestEstimate:
                             rotate_deform_rate=2e-3, rotate_corner_rate=0.0,
                             rotate_move_rate=0.0, move_rate=0.0,
                             idle_rate=5e-4)
-        report = estimate_ler(single_slice_schedule(), calib)
+        sch = single_slice_schedule()
+        report = estimate_ler(sch, calib)
         target = 1 - 0.999 * 0.998 * 0.9995
         assert abs(report["p_total"] - target) <= 1e-12
-        layer = report["layers"][0]
-        assert layer["p_measure"] == pytest.approx(1e-3, rel=1e-12)
-        assert layer["p_deform"] == pytest.approx(2e-3, rel=1e-12)
-        assert layer["p_idle"] == pytest.approx(5e-4, rel=1e-12)
+        rates = slice_rates(sch, calib)
+        assert rates["p_measure"][0] == pytest.approx(1e-3, rel=1e-12)
+        assert rates["p_deform"][0] == pytest.approx(2e-3, rel=1e-12)
+        assert rates["p_idle"][0] == pytest.approx(5e-4, rel=1e-12)
+        # one slice: each sum is that slice's contribution
+        for key in ("p_measure", "p_deform", "p_idle"):
+            assert report[key] == rates[key][0]
 
     def test_report_shape(self):
-        report = estimate_ler(small_schedule(), default_calibration(9))
-        assert set(report) == {"distance", "total_clocks", "p_total", "layers"}
+        sch, calib = small_schedule(), default_calibration(9)
+        report = estimate_ler(sch, calib)
+        assert set(report) == {"distance", "total_clocks", "p_total",
+                               "p_measure", "p_deform", "p_idle"}
         assert report["distance"] == 9
-        assert len(report["layers"]) == report["total_clocks"]
-        assert report["p_total"] == pytest.approx(
-            sum(l["p_layer"] for l in report["layers"]))
+        rates = slice_rates(sch, calib)
+        assert list(rates) == list(SLICE_KEYS)
+        assert all(len(a) == report["total_clocks"] for a in rates.values())
+        assert report["p_total"] == pytest.approx(sum(rates["p_layer"]))
+        for key in ("p_measure", "p_deform", "p_idle"):
+            assert report[key] == pytest.approx(sum(rates[key]))
 
     def test_monotone_in_each_rate(self):
         """Doubling any single rate never lowers the estimate."""
         sch = small_schedule()
-        fields = ("ppm_per_bus_tile", "rotate_deform_rate",
-                  "rotate_corner_rate", "rotate_move_rate", "move_rate",
-                  "idle_rate")
         rng = random.Random(42)
         for _ in range(10):
             base = Calibration(9, *(rng.uniform(1e-6, 1e-3)
-                                    for _ in fields))
+                                    for _ in RATES))
             p0 = estimate_ler(sch, base)["p_total"]
-            for f in fields:
+            for f in RATES:
                 bumped = Calibration(**{**base.__dict__, f: getattr(base, f) * 2})
                 p1 = estimate_ler(sch, bumped)["p_total"]
                 assert p1 >= p0
@@ -127,3 +146,84 @@ class TestEstimate:
         for f in ("ppm_per_bus_tile", "idle_rate"):
             bumped = Calibration(**{**base.__dict__, f: getattr(base, f) * 2})
             assert estimate_ler(sch, bumped)["p_total"] > p0
+
+
+@functools.cache
+def reference_schedules() -> dict:
+    """The benchmark suite under both schedulers on three boards, a
+    hand-built single slice and a compiled empty program (zero clocks)."""
+    out = {f"{name}-{sched}-{board}": compile_program(
+               circ, CompileOptions(board=board, scheduler=sched)).schedule
+           for name, circ in bench.suite()
+           for sched in ("loose", "spc")
+           for board in ("compact", "standard", "auto")}
+    out["single-slice"] = single_slice_schedule()
+    out["zero-clock"] = compile_program(parse_pbc("", 2),
+                                        CompileOptions()).schedule
+    return out
+
+
+# each rate zero, small, or saturating (the slice factor clamps at 1)
+rate_values = st.one_of(st.just(0.0), st.floats(0.0, 1e-2),
+                        st.floats(1.0, 1e3))
+calibrations = st.builds(Calibration, st.sampled_from(SUPPORTED_DISTANCES),
+                         *(rate_values for _ in RATES))
+
+
+class TestMatchesReference:
+    """One pass over the instructions gives, value for value, the
+    per-slice table and the total of the per-slice dict estimate kept in
+    `ler_reference`."""
+
+    @pytest.mark.parametrize("name", sorted(reference_schedules()))
+    @example(calib=Calibration(9, *(0.0 for _ in RATES)))
+    @example(calib=Calibration(9, *(1.0 for _ in RATES)))
+    @example(calib=default_calibration(3))
+    @example(calib=default_calibration(5))
+    @example(calib=default_calibration(7))
+    @example(calib=default_calibration(9))
+    @given(calib=calibrations)
+    @settings(max_examples=15, deadline=None)
+    def test_same_slices_and_total(self, name, calib):
+        sch = reference_schedules()[name]
+        old = ler_reference.estimate_ler(sch, calib)
+        report = estimate_ler(sch, calib)
+        assert report["p_total"] == old["p_total"]
+        rates = slice_rates(sch, calib)
+        for key in SLICE_KEYS:
+            column = [layer[key] for layer in old["layers"]]
+            assert rates[key].tolist() == column
+            if key != "p_layer":   # summed left to right, as p_total is
+                assert report[key] == functools.reduce(operator.add, column,
+                                                       0.0)
+
+    def test_zero_clock_schedule_is_empty(self):
+        sch = reference_schedules()["zero-clock"]
+        assert sch.total_clocks == 0 and sch.instructions == []
+        report = estimate_ler(sch, default_calibration(9))
+        assert (report["p_total"], report["p_measure"], report["p_deform"],
+                report["p_idle"]) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("second", ["rotation-of-the-measured-patch",
+                                    "measure-through-the-ancilla"])
+def test_same_slice_instructions_share_no_patch(second):
+    """slice_rates counts a slice's involved patches as a sum over its
+    instructions, exact only if no two of them share a patch; every
+    instruction books its patches' tiles, so validate_schedule refuses a
+    schedule where two do."""
+    sch = single_slice_schedule()
+    measure, _ = sch.instructions
+    if second == "rotation-of-the-measured-patch":
+        other = Instruction(kind="rotate", start=1, duration=3,
+                            tiles=frozenset({(1, 0), (2, 1)}),
+                            patches=frozenset({0}), label="rot P0")
+    else:
+        other = Instruction(kind="measure", start=1, duration=1,
+                            tiles=frozenset({(3, 0), (2, 11), (1, 11)}),
+                            patches=frozenset({2, -1}), label="M P2",
+                            op_index=1, bus=frozenset({(2, 11)}))
+    bad = dataclasses.replace(sch, instructions=[measure, other],
+                              total_clocks=other.end)
+    with pytest.raises(ScheduleError, match="double-booked at slice 1"):
+        validate_schedule(bad)

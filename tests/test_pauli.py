@@ -20,6 +20,7 @@ from lscompile.pauli import (
     multiply,
     parse_op,
     rotation,
+    set_bits,
 )
 from dense_reference import word_matrix
 
@@ -32,6 +33,10 @@ def phased_matrix(p: PhasedPauli) -> np.ndarray:
 
 words_1q = st.sampled_from(["I", "X", "Y", "Z"])
 words_3q = st.tuples(words_1q, words_1q, words_1q).map("".join)
+# (n, x, z) of a word of 0 to 70 qubits: widths that end inside a
+# four-qubit chunk, and past 64 bits
+nxz_words = st.integers(0, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1)))
 
 
 class TestPauliWord:
@@ -46,18 +51,26 @@ class TestPauliWord:
         assert w.weight() == 3
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1))))
+    @given(nxz_words)
     def test_support_is_a_scan_of_the_qubits(self, nxz):
         n, x, z = nxz
         w = PauliWord(n, x, z)
         assert w.support() == tuple(q for q in range(n)
                                     if (x >> q) & 1 or (z >> q) & 1)
 
-    # widths that end inside a four-qubit chunk, and past 64 bits
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1))))
+    @given(nxz_words)
+    def test_support_is_worked_out_once(self, nxz):
+        w = PauliWord(*nxz)
+        support = w.support()
+        assert support == tuple(set_bits(w.x | w.z))
+        assert w.support() is support
+        # the kept support is no field: equality and hashing ignore it
+        fresh = PauliWord(*nxz)
+        assert w == fresh and hash(w) == hash(fresh)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nxz_words)
     def test_string_is_the_letters_in_qubit_order(self, nxz):
         w = PauliWord(*nxz)
         assert w.to_string() == "".join(w.letter(q) for q in range(w.n))
