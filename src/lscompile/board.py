@@ -32,9 +32,10 @@ the one rule, with the one edge count, that picks the strict component.
 placement, a move or a reorientation) does to the access, in both
 orientations, read off the kept access and cut tiles, or off a flood
 with the change in place; it copies no board, and is None if no strict
-component is left.  `Board.place` makes such a change and carries the
-access through it.  Floods walk a neighbour table built once per board
-shape; patch edges come from a table keyed by the immutable patch.
+component is left; `Board.bound` bounds it without a count.
+`Board.place` makes such a change and carries the access through it.
+Floods walk a neighbour table built once per board shape; patch edges
+come from a table keyed by the immutable patch.
 """
 
 from __future__ import annotations
@@ -148,6 +149,20 @@ class Delta(NamedTuple):
         counts = {**self.base.counts, **self.counts,
                   self.qid: self.count(orient)}
         return Access(self.comp(), counts, *self.totals(orient))
+
+
+def best_first(ranked: list, exact: Callable) -> tuple | None:
+    """(key, item) of the least exact(bound, item) key over the (bound,
+    item) pairs ranked, no bound above its key, or None: in bound order
+    until it beats the next bound (Land and Doig, Econometrica 1960)."""
+    best = None
+    for bound, item in sorted(ranked):
+        if best is not None and best[0] < bound:
+            break
+        key = exact(bound, item)
+        if key is not None and (best is None or key < best[0]):
+            best = key, item
+    return best
 
 
 def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
@@ -527,6 +542,27 @@ class Board:
         return Delta(qid, base, lambda: piece.difference((tile,)).union(
             (src,) if joined else ()), self.port in piece, counts, nx, nz,
             density, own)
+
+    def bound(self, qid: int, tile) -> tuple | None:
+        """(density, gainers) of the change delta(qid, tile) scores, with
+        no count: its exact density, and qid and the patches beside its
+        freed tile, the only ones whose X or Z count can rise (the new
+        component lies in the kept one plus that tile, less tile).  None
+        where delta floods, and on a board without a strict component."""
+        acc, at, nbrs = self.access(), self._at, self._nbrs
+        old = self.patches.get(qid)
+        src = old and old.tile
+        if acc.comp is None or src == tile:
+            return None if acc.comp is None else (acc.density, {qid})
+        beside = nbrs[src] if old else ()
+        if not all(x in acc.comp for x in self.touch_tiles(-1, "X")) or any(
+                u != tile and u not in at and u not in acc.comp for u in beside):
+            return None
+        density = acc.density - (old is not None and acc.counts[qid][2])
+        for u in nbrs[tile]:   # qid's touches, less its new neighbours'
+            density += 1 if u not in at or u == src else -(at[u] >= 0)
+        gainers = {qid, *(at[u] for u in beside if at.get(u, -1) >= 0)}
+        return density + len(gainers) - 1, gainers
 
 
 # --- bus routing ----------------------------------------------------------

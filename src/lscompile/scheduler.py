@@ -30,6 +30,7 @@ from .board import (
     Board,
     NoPathError,
     OP_COSTS,
+    best_first,
     bus_patches,
     flipped,
     format_layout,
@@ -218,10 +219,9 @@ def validate_schedule(schedule: Schedule) -> None:
 
 # --- shared helpers -------------------------------------------------------
 
-def _try_bus(board: Board, qmap: dict, op: PauliOp):
+def _try_bus(board: Board, required: list, op: PauliOp):
     try:
-        return bus_patches(board, required_edges(op, qmap),
-                           include_port=op.is_eighth())
+        return bus_patches(board, required, include_port=op.is_eighth())
     except NoPathError:
         return None
 
@@ -273,10 +273,10 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
     patch id, then generation order.  Actions breaking strict
     connectivity (a delta of None) are dropped, as are ones cutting off
     the magic port while an eighth rotation waits.  Each action is scored
-    from the one-tile delta of the board's kept access: the enabled count
-    moves only with the operator's patches whose counts the delta
-    changed.  The board has a strict component: schedule_loose refuses
-    one without and applies no action that loses it.
+    from the one-tile delta of the board's kept access while its bound
+    can win (`best_first`): its gainers (`Board.bound`; all without
+    one) not yet enabled.  The board has a strict component:
+    schedule_loose refuses one without and applies no action losing it.
     """
     acc = board.access()
     # patch id -> the counts entries (X 0, Z 1) its letter needs; a qubit
@@ -284,26 +284,30 @@ def _pick_action(board: Board, qmap: dict, op: PauliOp):
     need = {qmap[q]: tuple(t == "Z" for t in LETTER_EDGES[op.word.letter(q)])
             for q in op.word.support()}
     have = {q: all(acc.counts[q][i] for i in ix) for q, ix in need.items()}
-    best = None
-    best_key = None
-    for kind, pid, arg in _candidate_actions(board, qmap, op):
+    lacking = {q for q in need if not have[q]}
+    ranked = []
+    for n, (kind, pid, arg) in enumerate(_candidate_actions(board, qmap, op)):
         p = board.patches[pid]
         tile, orient = ((arg, p.orient) if kind == "move"
                         else (p.tile, flipped(p.orient)))
+        bound = board.bound(pid, tile)
+        if most := len(lacking if bound is None else lacking & bound[1]):
+            ranked.append(((-most, OP_COSTS[kind], pid, n),
+                           (kind, pid, arg, tile, orient)))
+
+    def exact(bound, action):
+        kind, pid, arg, tile, orient = action
         delta = board.delta(pid, tile)
         if delta is None or op.is_eighth() and not delta.port:
-            continue
+            return None
         # what the action adds to the enabled count
         gain = sum(
             all(c[i] for i in need[q]) - have[q] for q, c in
             [*delta.counts.items(), (pid, delta.count(orient))] if q in need)
-        if gain <= 0:
-            continue
-        key = (-gain, OP_COSTS[kind], pid)
-        if best_key is None or key < best_key:
-            best = (kind, pid, arg)
-            best_key = key
-    return best
+        return (-gain, *bound[1:]) if gain > 0 else None
+
+    best = best_first(ranked, exact)
+    return best and best[1][:3]
 
 
 def schedule_loose(program: PbcProgram, board: Board,
@@ -328,12 +332,13 @@ def schedule_loose(program: PbcProgram, board: Board,
     instrs: list[Instruction] = []
     actions = 0   # since the last measurement
     blocked = set()   # frontier ids that failed to route since the last action
+    required = {i: required_edges(n.op, qmap) for i, n in dag.nodes.items()}
     while dag:
         for nid in dag.frontier():
             if nid in blocked:
                 continue
             op = dag.nodes[nid].op
-            bus = _try_bus(board, qmap, op)
+            bus = _try_bus(board, required[nid], op)
             if bus is None:
                 blocked.add(nid)
                 continue

@@ -12,6 +12,7 @@ from lscompile.scheduler import (
     DeadlockError,
     ScheduleError,
     _try_bus,
+    required_edges,
     schedule_loose,
 )
 from lscompile.transpiler import PbcProgram
@@ -76,7 +77,7 @@ def brute_force_optimum(program: PbcProgram, board: Board,
             if any(p not in op_end or op_end[p] >= t for p in preds[i]):
                 continue
             op = program.ops[i]
-            bus = _try_bus(b, qmap, op)
+            bus = _try_bus(b, required_edges(op, qmap), op)
             if bus is None:
                 continue
             tiles = set(bus) | {b.ancilla.tile} | {

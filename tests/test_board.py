@@ -459,6 +459,65 @@ class TestAccessDelta:
         assert acc == Access(None, {}, 0, 0, 0) == _fresh_access(board)
 
 
+# the ancilla's X-edge tiles lie in two components, so every move and
+# placement delta floods; and a board without a strict component
+BOUND_LAYOUTS = {"split-x-edges": ". . Q0h .\nM Av . .\nQ1v . . .\n",
+                 "no-component": "Ah Q0h Q1h\n. . M\n"}
+
+
+class TestBound:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_bound_holds_for_every_change(self, data):
+        """For every legal placement, move and reorientation, bound()
+        gives delta()'s exact density; no patch outside its gainers gains
+        X or Z access, and no gainer but qid more than one edge; it is
+        None wherever delta floods and on a board without a component."""
+        style = data.draw(st.sampled_from(sorted(BOUND_LAYOUTS)) | st.just(
+            "other"))
+        if style in BOUND_LAYOUTS:
+            board = parse_layout(BOUND_LAYOUTS[style])
+        else:
+            board = _start_board(data, ("compact", "standard", "sparse",
+                                        "irregular", "designed"))
+            for _ in range(data.draw(st.integers(0, 3))):
+                try:
+                    _mutate(data, board)
+                except IllegalOpError:
+                    pass
+        acc = board.access()
+        if style == "no-component":
+            assert acc.comp is None
+        free = [t for t in sorted(board._nbrs)
+                if board.is_routing(t) and t != board.port]
+        changes = [(max(board.patches, default=-1) + 1, t) for t in free]
+        changes += [(q, t) for q in sorted(board.patches)
+                    for t in [board.patches[q].tile, *board.steps(q)]]
+        real_flood = board_module._flood
+        for qid, tile in changes:
+            floods = []
+            with mock.patch.object(board_module, "_flood", lambda *a: (
+                    floods.append(a) or real_flood(*a))):
+                delta = board.delta(qid, tile)
+            bound = board.bound(qid, tile)
+            if floods or acc.comp is None:
+                assert bound is None
+            if bound is None or delta is None:
+                continue
+            density, gainers = bound
+            assert qid in gainers
+            for orient in ("h", "v"):
+                new = delta.access(orient)
+                assert new.density == density
+                for q, (x, z, _) in new.counts.items():
+                    ox, oz, _ = acc.counts.get(q, (0, 0, 0))
+                    if q not in gainers:
+                        assert x <= ox and z <= oz
+                    elif q != qid:
+                        assert (x > 0) + (z > 0) <= min(
+                            2, (ox > 0) + (oz > 0) + 1)
+
+
 class TestCutTiles:
     @settings(max_examples=60, deadline=None)
     @given(st.data())

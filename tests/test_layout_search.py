@@ -244,6 +244,21 @@ class TestDesignCost:
         design_layout(4, 48, 48)
         assert copies == []
 
+    # Board.delta calls when every candidate was scored: a delta is now
+    # computed only while the candidate's bound (Board.bound) can win
+    @pytest.mark.parametrize("design,scored_all", [
+        (lambda: [auto_design(n) for n in range(2, 12)], 2365),
+        (lambda: design_layout(8, 64, 64), 32843),
+    ], ids=["auto_2_11", "grid_64"])
+    def test_designs_skip_deltas_that_cannot_win(self, design, scored_all,
+                                                  monkeypatch):
+        calls = []
+        real_delta = Board.delta
+        monkeypatch.setattr(Board, "delta",
+                            lambda b, *a: calls.append(a) or real_delta(b, *a))
+        design()
+        assert 0 < len(calls) <= scored_all // 2
+
     @pytest.mark.slow
     def test_design_scales_near_linearly(self):
         """design_layout(4, k, k) for k = 32, 48, 64 fits a log-log slope

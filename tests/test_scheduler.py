@@ -235,14 +235,14 @@ def test_a_blocked_operator_is_asked_once_per_board(circuit, board,
     build, try_bus, act = (scheduler.build_pdag, scheduler._try_bus,
                            scheduler._act)
 
-    def ask(board, qmap, op):
+    def ask(board, required, op):
         # by node, not by word: two frontier nodes may share a word
         nid = next(nid for nid, node in dags[-1].nodes.items()
                    if node.op is op)
         if nid in asked:
             repeats.append(nid)
         asked.add(nid)
-        return try_bus(board, qmap, op)
+        return try_bus(board, required, op)
 
     def acted(*args):
         asked.clear()
@@ -255,6 +255,29 @@ def test_a_blocked_operator_is_asked_once_per_board(circuit, board,
     sch = compile_program(circuit, CompileOptions(board=board)).schedule
     assert any(i.kind != "measure" for i in sch.instructions)
     assert repeats == []
+
+
+def test_required_edges_are_worked_out_once_per_operator(monkeypatch):
+    calls = []
+    real = scheduler.required_edges
+    monkeypatch.setattr(scheduler, "required_edges",
+                        lambda op, qmap: calls.append(op) or real(op, qmap))
+    sch = compile_program(bench.adder_circuit(12),
+                          CompileOptions(board="standard")).schedule
+    assert any(i.kind != "measure" for i in sch.instructions)
+    assert len(calls) == len(sch.measure_instructions())
+
+
+def test_loose_schedule_skips_deltas_that_cannot_win(monkeypatch):
+    """Scoring every candidate action of the adder_circuit(20) compile
+    on standard computed 1,539 deltas; only those whose bound can still
+    win are computed now."""
+    calls = []
+    real_delta = Board.delta
+    monkeypatch.setattr(Board, "delta",
+                        lambda b, *a: calls.append(a) or real_delta(b, *a))
+    compile_program(bench.adder_circuit(20), CompileOptions(board="standard"))
+    assert 0 < len(calls) <= 1539 // 2
 
 
 class TestSpcScheduler:
@@ -437,7 +460,7 @@ def test_deadlock_names_the_operator_patches_and_board():
     assert (stuck.rows, stuck.cols, stuck.port, stuck.ancilla) == (
         board.rows, board.cols, board.port, board.ancilla)
     assert set(stuck.patches) == set(board.patches)
-    assert _try_bus(stuck, qmap, op) is None
+    assert _try_bus(stuck, required_edges(op, qmap), op) is None
     assert _pick_action(stuck, qmap, op) is None
     msg = str(exc)
     assert "\n" not in msg and exc.op in msg
@@ -462,6 +485,10 @@ def _schedule_json(circuit, board):
     ("adder_20", bench.adder_circuit(20), "standard"),
     *((f"random_{n}_{s}", bench.random_circuit(n, 20 * n, 1000 * n + s),
        "compact") for n in range(8, 13) for s in (0, 2)),
+    # the default board, on which 10 of these widths deadlock: both
+    # sides must then raise the same DeadlockError (no action found)
+    *(pytest.param(f"adder_{w}", bench.adder_circuit(w), "compact",
+                   marks=pytest.mark.slow) for w in range(3, 25)),
 ])
 def test_loose_schedule_matches_copy_and_flood_reference(name, circuit, board,
                                                         monkeypatch):
