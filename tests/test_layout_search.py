@@ -244,8 +244,8 @@ class TestDesignCost:
         design_layout(4, 48, 48)
         assert copies == []
 
-    # Board.delta calls when every candidate was scored: a delta is now
-    # computed only while the candidate's bound (Board.bound) can win
+    # against the Board.delta calls of scoring every candidate: a delta
+    # is computed only while the candidate's bound (Board.bound) can win
     @pytest.mark.parametrize("design,scored_all", [
         (lambda: [auto_design(n) for n in range(2, 12)], 2365),
         (lambda: design_layout(8, 64, 64), 32843),

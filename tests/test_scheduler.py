@@ -270,8 +270,8 @@ def test_required_edges_are_worked_out_once_per_operator(monkeypatch):
 
 def test_loose_schedule_skips_deltas_that_cannot_win(monkeypatch):
     """Scoring every candidate action of the adder_circuit(20) compile
-    on standard computed 1,539 deltas; only those whose bound can still
-    win are computed now."""
+    on standard takes 1,539 deltas; only actions whose bound can still
+    win are scored."""
     calls = []
     real_delta = Board.delta
     monkeypatch.setattr(Board, "delta",
