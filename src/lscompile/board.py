@@ -18,15 +18,17 @@ that rule; a rotation swaps its boundary labels in place.
 scan that refuses a second ancilla or a repeated patch id at its token,
 and text without an ancilla or a port.
 
-Each board state keeps what it works out on first use: its routing
-access (the strict component and which patch edges face it), the
-component's cut tiles and the discovery ranges of the pieces each
-splits off (`_cut`), its distance maps (`distances`) and its buses
-(`bus_patches`, successes only); `_new_state` starts them afresh when
-a tile changes hands.  Under its key (source tile; terminal patches as
-they stand) a map or bus depends only on which tiles are occupied, so
-a copy shares its state's records until a tile change binds it fresh
-ones.  `_flood` is the one breadth-first search, and `Board._choose`
+Each board state keeps its occupancy (a bytearray by tile id) and what
+it works out on first use: its routing access (the strict component
+and which patch edges face it), whether that holds every X-edge tile
+of the ancilla (`_holds_x`), the component's cut tiles and the
+discovery ranges of the pieces each splits off (`_cut`), its distance
+maps (`distances`) and its buses (`bus_patches`, successes only);
+`_new_state` starts them afresh when a tile changes hands.  Under its
+key (source tile; terminal patches as they stand) a map or bus depends
+only on which tiles are occupied, so a copy shares its state's records
+and occupancy, never mutated, until a tile change binds it fresh ones.
+`_flood` is the one breadth-first search, and `Board._choose`
 the one rule, with the one edge count, that picks the strict component.
 `Board.delta` is the one statement of what a one-tile change (a
 placement, a move or a reorientation) does to the access, in both
@@ -34,17 +36,19 @@ orientations, read off the kept access and cut tiles, or off a flood
 with the change in place; it copies no board, and is None if no strict
 component is left; `Board.bound` bounds it without a count.
 `Board.place` makes such a change and carries the access through it.
-Floods walk a neighbour table built once per board shape; patch edges
-come from a table keyed by the immutable patch.
+Floods and bus routes run on row-major tile ids, ordered as the tiles
+are, through a table built once per board shape (`_id_table`); a kept
+distance map is a list by id.  Patch edges come from tables keyed by
+the immutable patch, by tile (`_edges`) and by id (`_edge_ids`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from collections.abc import Callable
 from functools import cache
+from itertools import compress
 from typing import NamedTuple
 
 ORIENT_H = "h"   # Z on E/W, X on N/S
@@ -204,22 +208,18 @@ def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
     return order, cut
 
 
-def _flood(start, nbrs: dict, occ, tile=None, src=None) -> dict:
-    """Breadth-first distance from the free tile start to each free tile
-    it reaches through the neighbour table nbrs, the occupied tiles being
-    occ with tile taken and src freed."""
-    if tile is not None:
-        occ = {*occ, tile}
-        occ.discard(src)
-    dist = {start: 0}
-    queue = deque((start,))
-    while queue:
-        cur = queue.popleft()
+def _flood(start: int, nb: list, occ) -> list:
+    """Breadth-first distance from the free tile id start to each tile id
+    through the id neighbour table nb; -1 where occupied (occ) or unreached."""
+    dist = [-1] * len(nb)
+    dist[start] = 0
+    queue = [start]
+    for cur in queue:   # grows as it is read: the BFS queue
         d = dist[cur] + 1
-        for nb in nbrs[cur]:
-            if nb not in dist and nb not in occ:
-                dist[nb] = d
-                queue.append(nb)
+        for n in nb[cur]:
+            if dist[n] < 0 and not occ[n]:
+                dist[n] = d
+                queue.append(n)
     return dist
 
 
@@ -234,6 +234,23 @@ def _neighbour_table(rows: int, cols: int) -> dict:
             for r in range(rows) for c in range(cols)}
 
 
+@cache
+def _id_table(rows: int, cols: int) -> tuple:
+    """(tile -> id, id -> tile, each id's neighbour ids in N, E, S, W
+    order) for the row-major ids r * cols + c; shared, never mutated."""
+    nbrs = _neighbour_table(rows, cols)
+    ids = {t: i for i, t in enumerate(nbrs)}
+    return ids, list(nbrs), [tuple(ids[u] for u in nbrs[t]) for t in nbrs]
+
+
+@cache
+def _edge_ids(patch: Patch, rows: int, cols: int) -> dict:
+    """Edge type -> the patch's in-bounds outside tile ids, row-major."""
+    return {typ: [r * cols + c for t, (r, c) in _edges(patch)
+                  if t == typ and 0 <= r < rows and 0 <= c < cols]
+            for typ in "XZ"}
+
+
 class Board:
     """ancilla is a Patch or (tile, orient) pair; patches maps ids to such."""
 
@@ -245,10 +262,12 @@ class Board:
         self.patches: dict[int, Patch] = {}
         self.port = None      # set last, once every tile is claimed
         self._nbrs = _neighbour_table(rows, cols)
+        self._ids, self._tiles, self._nb = _id_table(rows, cols)
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
-        self._new_state()
+        self._occ = bytearray(rows * cols)   # id -> 1 where occupied
         self._check(*ancilla)
         self._at[ancilla[0]] = -1
+        self._new_state(ancilla[0])
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):
             self.init_patch(q, *patches[q])
@@ -285,11 +304,22 @@ class Board:
 
     # --- placement --------------------------------------------------------
 
-    def _new_state(self) -> None:
-        """Bind fresh records for a new state; shared ones are never cleared."""
-        self._acc = self._cut = None   # access(); _cut_tiles(), or False
-        self._dist: dict = {}  # routing tile -> distances() of it
+    def _new_state(self, tile=None, src=None) -> None:
+        """Bind fresh records for a new state, and a new occupancy with
+        tile taken and src freed; shared ones are never mutated."""
+        self._occ = self._occupied(tile, src)
+        self._acc = self._cut = self._held = None  # access, delta, _holds_x
+        self._dist: dict = {}  # routing tile id -> its _flood
         self._bus: dict = {}   # bus_patches() key -> routed bus
+
+    def _occupied(self, tile=None, src=None) -> bytearray:
+        """A copy of the occupancy with tile taken and src freed."""
+        occ = bytearray(self._occ)
+        if tile is not None:
+            occ[self._ids[tile]] = 1
+        if src is not None:
+            occ[self._ids[src]] = 0
+        return occ
 
     def _check(self, tile, orient: str) -> None:
         """Refuse a bad orientation or a tile that cannot be claimed."""
@@ -323,14 +353,14 @@ class Board:
             if old is not None:
                 del self._at[old.tile]
             self._at[tile] = qid
-            self._new_state()
+            self._new_state(tile, old and old.tile)
         self.patches[qid] = Patch(tile, orient)
         if delta is not False:   # an access was kept: carry it through
             self._acc = delta.access(orient) if delta else _NO_ACCESS
 
     def remove_patch(self, qid: int) -> None:
+        self._new_state(None, self.patches[qid].tile)
         del self._at[self.patches.pop(qid).tile]
-        self._new_state()
 
     # --- patch operations -------------------------------------------------
 
@@ -373,10 +403,12 @@ class Board:
     def touch_tiles(self, qid: int, typ: str) -> list:
         """Routing tiles across the typ edges of patch qid, or of the
         ancilla for -1, in row-major order."""
+        return [self._tiles[i] for i in self._touch_ids(qid, typ)]
+
+    def _touch_ids(self, qid: int, typ: str) -> list:
         p = self.ancilla if qid == -1 else self.patches[qid]
-        nbrs, at = self._nbrs, self._at
-        return [out for t, out in _edges(p)
-                if t == typ and out in nbrs and out not in at]
+        return [i for i in _edge_ids(p, self.rows, self.cols)[typ]
+                if not self._occ[i]]
 
     def exposed_types(self, qid: int) -> set:
         p = self.patches[qid]
@@ -384,12 +416,14 @@ class Board:
 
     # --- connectivity -----------------------------------------------------
 
-    def distances(self, tile) -> dict:
-        """Breadth-first distance from the routing tile to each routing
-        tile it reaches; kept until a tile changes hands, never mutated."""
-        dist = self._dist.get(tile)
+    def distances(self, tile) -> list:
+        """The routing tile's `_flood`, kept per state, never mutated."""
+        return self._kept(self._ids[tile])
+
+    def _kept(self, i: int) -> list:
+        dist = self._dist.get(i)
         if dist is None:
-            dist = self._dist[tile] = _flood(tile, self._nbrs, self._at)
+            dist = self._dist[i] = _flood(i, self._nb, self._occ)
         return dist
 
     def a_component(self):
@@ -422,14 +456,14 @@ class Board:
         """The routing components holding the ancilla's X-edge tiles
         (at most two), flooded with tile taken and src freed; those of
         the current state are its kept distance maps."""
-        nbrs, at = self._nbrs, self._at
-        pieces = []
-        for typ, x in _edges(self.ancilla):
-            free = x in nbrs and x != tile and (x not in at or x == src)
-            if typ == "X" and free and all(x not in p for p in pieces):
-                pieces.append(frozenset(self.distances(x) if tile is None
-                                        else _flood(x, nbrs, at, tile, src)))
-        return pieces
+        occ = self._occ if tile is None else self._occupied(tile, src)
+        floods: list = []
+        for i in _edge_ids(self.ancilla, self.rows, self.cols)["X"]:
+            if not occ[i] and all(f[i] < 0 for f in floods):
+                floods.append(self._kept(i) if tile is None
+                              else _flood(i, self._nb, occ))
+        return [frozenset(compress(self._tiles, map((-1).__lt__, f)))
+                for f in floods]   # the tiles each reaches
 
     def _choose(self, pieces, patches: dict, tile=None, src=None,
                 joined=False) -> tuple | None:
@@ -468,6 +502,14 @@ class Board:
 
     # --- one-tile changes -------------------------------------------------
 
+    def _holds_x(self) -> bool:
+        """Whether the strict component holds the ancilla's X-edge tiles."""
+        if self._held is None:
+            comp = self.access().comp
+            self._held = comp is not None and comp.issuperset(
+                self.touch_tiles(-1, "X"))
+        return self._held
+
     def delta(self, qid: int, tile) -> Delta | None:
         """What putting patch qid on tile does to the access, in either
         orientation: a placement when qid is new, a reorientation when
@@ -499,9 +541,7 @@ class Board:
                          base.nx - (x > 0), base.nz - (z > 0),
                          base.density - touch, own)
         if self._cut is None:   # False unless comp holds every X-edge tile
-            one = comp is not None and all(
-                x in comp for x in self.touch_tiles(-1, "X"))
-            self._cut = one and _cut_tiles(comp, nbrs)
+            self._cut = self._holds_x() and _cut_tiles(comp, nbrs)
         joined = every = False
         if not self._cut or src is not None and any(
                 u != tile and u not in at and u not in comp
@@ -555,7 +595,7 @@ class Board:
         if acc.comp is None or src == tile:
             return None if acc.comp is None else (acc.density, {qid})
         beside = nbrs[src] if old else ()
-        if not all(x in acc.comp for x in self.touch_tiles(-1, "X")) or any(
+        if not self._holds_x() or any(
                 u != tile and u not in at and u not in acc.comp for u in beside):
             return None
         density = acc.density - (old is not None and acc.counts[qid][2])
@@ -587,50 +627,50 @@ def _route_bus(board: Board, required, include_port: bool) -> frozenset:
     Each terminal joins through its option nearest the tree (the first in
     sorted order on a tie), from the least tree tile at that distance,
     stepping each time to the first neighbour in N, E, S, W order one
-    tile nearer the option.
+    tile nearer the option; all on row-major tile ids, ordered as tiles.
     """
+    tiles = board._tiles
     terminals = []
     for qid, typ in [*required, (-1, "X"), (-1, "Z")]:
-        opts = board.touch_tiles(qid, typ)
+        opts = board._touch_ids(qid, typ)
         if not opts:
             name = "ancilla" if qid == -1 else f"patch {qid}"
             raise NoPathError(f"{name} has no exposed {typ}-edge")
         terminals.append(opts)
     if include_port:
-        terminals.append([board.port])
+        terminals.append([board._ids[board.port]])
 
     tree: set = set()
-    comp = board.a_component()
-    nbrs = board._nbrs
+    comp, nb = board.a_component(), board._nb
     for opts in terminals:
         if not tree.isdisjoint(opts):
             continue
         if not tree:
             # seed inside the main routing component, else any option
-            inside = [t for t in opts if comp is not None and t in comp]
+            inside = [t for t in opts if comp and tiles[t] in comp]
             tree.add(min(inside) if inside else min(opts))
             continue
         best = None
         for t in opts:
-            dist = board.distances(t)
+            dist = board._kept(t)
             near = None   # the least tree tile at the least distance d
             for s in tree:
-                ds = dist.get(s)
-                if ds is not None and (near is None or ds < d
-                                       or ds == d and s < near):
+                ds = dist[s]
+                if ds >= 0 and (near is None or ds < d or ds == d and s < near):
                     d, near = ds, s
             if near is not None and (best is None or d < best[0]):
                 best = d, near, dist
         if best is None:
-            raise NoPathError(f"no routing path to terminal options {opts}")
+            raise NoPathError("no routing path to terminal options "
+                              f"{[tiles[t] for t in opts]}")
         d, cur, dist = best
         while d:
             d -= 1
-            for cur in nbrs[cur]:
-                if dist.get(cur) == d:
+            for cur in nb[cur]:
+                if dist[cur] == d:
                     break
             tree.add(cur)
-    return frozenset(tree)
+    return frozenset([tiles[t] for t in tree])
 
 
 # --- fixed-shape boards ---------------------------------------------------

@@ -4,8 +4,12 @@ Every candidate is scored on a copy of the board, changed and flooded
 afresh, and a patch reaches the component when a tile across one of
 its edges lies in it: no kept access or count is read.  The tests hold
 `design_layout`, relocation sweeps included, and `scheduler._pick_action`
-equal to these.
+equal to these.  `_flood` is the board's breadth-first search as it was
+on (row, col) tile keys, before it ran on tile ids; the tests hold every
+kept map and changed-board flood equal to it.
 """
+
+from collections import deque
 
 from lscompile.board import (
     LETTER_EDGES,
@@ -17,6 +21,25 @@ from lscompile.board import (
 )
 from lscompile.layout_search import LayoutDesignError, layout_score
 from lscompile.scheduler import _candidate_actions
+
+
+def _flood(start, nbrs: dict, occ, tile=None, src=None) -> dict:
+    """Breadth-first distance from the free tile start to each free tile
+    it reaches through the neighbour table nbrs, the occupied tiles being
+    occ with tile taken and src freed."""
+    if tile is not None:
+        occ = {*occ, tile}
+        occ.discard(src)
+    dist = {start: 0}
+    queue = deque((start,))
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur] + 1
+        for nb in nbrs[cur]:
+            if nb not in dist and nb not in occ:
+                dist[nb] = d
+                queue.append(nb)
+    return dist
 
 
 def density(board):

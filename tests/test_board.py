@@ -857,8 +857,9 @@ class TestRoutingMatchesFullFlood:
         b.rotate_patch(0, b.rotation_helper(0))
         assert b.distances((1, 0)) is kept
         b.move_patch(2, (1, 3))
-        assert (1, 3) not in b.distances((1, 0))
-        assert kept[(1, 3)] == 3
+        i = b._ids[(1, 3)]   # a kept map is a list by tile id, -1 unreached
+        assert b.distances((1, 0))[i] == -1
+        assert kept[i] == 3
 
     @staticmethod
     def _repeat_routes(b, pool, gone=None):
@@ -1002,6 +1003,107 @@ class TestRoutingMatchesFullFlood:
             else:
                 b.rotate_patch(pid, ins.helper)
         assert b.key() == sched.final_board.key()
+
+
+def _tile_map(board, dist):
+    """A `_flood` list by tile id as the reference's map by tile."""
+    return {board._tiles[i]: d for i, d in enumerate(dist) if d >= 0}
+
+
+def _ref_x_pieces(board, tile=None, src=None):
+    """The ancilla's X-edge pieces, each flooded by the reference."""
+    occ = {*board._at, tile} - {src, None}
+    pieces = []
+    for typ, x in board_module._edges(board.ancilla):
+        if (typ == "X" and x in board._nbrs and x not in occ
+                and all(x not in p for p in pieces)):
+            pieces.append(frozenset(ref._flood(x, board._nbrs, board._at,
+                                               tile, src)))
+    return pieces
+
+
+class TestIdFlood:
+    """Floods on tile ids against the (row, col)-keyed reference."""
+
+    @staticmethod
+    def _non_square_board(data):
+        rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        assume(rows != cols and rows * cols >= 2)
+        tiles = data.draw(st.lists(st.sampled_from(
+            [(r, c) for r in range(rows) for c in range(cols)]),
+            min_size=2, unique=True))
+        return Board(rows, cols, (tiles[0], data.draw(st.sampled_from(
+            ["h", "v"]))), tiles[1], {q: (t, data.draw(st.sampled_from(
+                ["h", "v"]))) for q, t in enumerate(tiles[2:])})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_floods_match_the_tuple_reference(self, data):
+        """Every kept map, and every flood with a tile taken and a tile
+        freed, holds the reference's distances tile for tile; so do the
+        ancilla's X-edge pieces."""
+        if data.draw(st.booleans()):
+            b = _drawn_board(data)
+        else:
+            b = self._non_square_board(data)
+        routing = [t for t in sorted(b._nbrs) if b.is_routing(t)]
+        for t in routing:
+            assert _tile_map(b, b.distances(t)) == ref._flood(
+                t, b._nbrs, b._at)
+        assert b._x_pieces() == _ref_x_pieces(b)
+        # the reference frees a tile only while it takes one
+        taken = data.draw(st.sampled_from([None, *routing]))
+        freed = taken and data.draw(st.sampled_from([None, *sorted(b._at)]))
+        occ = b._occupied(taken, freed)
+        for t in sorted(b._nbrs):
+            if not occ[b._ids[t]]:
+                assert _tile_map(b, board_module._flood(
+                    b._ids[t], b._nb, occ)) == ref._flood(
+                        t, b._nbrs, b._at, taken, freed)
+        if taken is not None:
+            assert b._x_pieces(taken, freed) == _ref_x_pieces(b, taken, freed)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (2, 7), (7, 2)])
+    def test_id_table_is_the_neighbour_table(self, rows, cols):
+        """Ids are row-major, each id's neighbours are the tile's own in
+        N, E, S, W order, and a patch's edge ids are its in-bounds
+        outside tiles in row-major order."""
+        nbrs = board_module._neighbour_table(rows, cols)
+        ids, tiles, nb = board_module._id_table(rows, cols)
+        assert tiles == [(r, c) for r in range(rows) for c in range(cols)]
+        assert all(ids[t] == t[0] * cols + t[1] for t in tiles)
+        for i, (r, c) in enumerate(tiles):
+            nesw = [(r - 1, c), (r, c + 1), (r + 1, c), (r, c - 1)]
+            assert list(nbrs[r, c]) == [
+                u for u in nesw if 0 <= u[0] < rows and 0 <= u[1] < cols]
+            assert [tiles[j] for j in nb[i]] == list(nbrs[r, c])
+            for orient in ("h", "v"):
+                patch = board_module.Patch((r, c), orient)
+                for typ in ("X", "Z"):
+                    assert [tiles[j] for j in board_module._edge_ids(
+                        patch, rows, cols)[typ]] == sorted(
+                        u for t, u in board_module._edges(patch)
+                        if t == typ and u in nbrs)
+
+    def test_x_edge_tiles_are_read_once_per_state(self, monkeypatch):
+        """design_layout(8, 64, 64) reads the ancilla's X-edge tiles at
+        most once per board state, for delta and bound alike."""
+        states, reads = [], []
+        real_new, real_touch = Board._new_state, Board.touch_tiles
+
+        def new_state(b, *args):
+            real_new(b, *args)
+            states.append(b._dist)   # fresh per state; kept, so ids differ
+
+        def touch(b, qid, typ):
+            if (qid, typ) == (-1, "X"):
+                reads.append(id(b._dist))
+            return real_touch(b, qid, typ)
+
+        monkeypatch.setattr(Board, "_new_state", new_state)
+        monkeypatch.setattr(Board, "touch_tiles", touch)
+        design_layout(8, 64, 64)
+        assert reads and len(reads) == len(set(reads))
 
 
 class TestLayoutText:
