@@ -21,20 +21,22 @@ and text without an ancilla or a port.
 Each board state keeps its occupancy (a bytearray by tile id) and what
 it works out on first use: its routing access (the strict component
 and which patch edges face it), whether that holds every X-edge tile
-of the ancilla (`_holds_x`), the component's cut tiles and the
-discovery ranges of the pieces each splits off (`_cut`), its distance
-maps (`distances`) and its buses (`bus_patches`, successes only);
-`_new_state` starts them afresh when a tile changes hands.  Under its
-key (source tile; terminal patches as they stand) a map or bus depends
-only on which tiles are occupied, so a copy shares its state's records
-and occupancy, never mutated, until a tile change binds it fresh ones.
+of the ancilla (`_holds_x`), its distance maps (`distances`) and its
+buses (`bus_patches`, successes only); `_new_state` starts them afresh
+when a tile changes hands.  Under its key (source tile; terminal
+patches as they stand) a map or bus depends only on which tiles are
+occupied, so a copy shares its state's records and occupancy, never
+mutated, until a tile change binds it fresh ones.
 `_flood` is the one breadth-first search, and `Board._choose`
 the one rule, with the one edge count, that picks the strict component.
 `Board.delta` is the one statement of what a one-tile change (a
 placement, a move or a reorientation) does to the access, in both
-orientations, read off the kept access and cut tiles, or off a flood
-with the change in place; it copies no board, and is None if no strict
-component is left; `Board.bound` bounds it without a count.
+orientations.  A reorientation is read off the kept access.  Any other
+change floods with the change in place and counts again the patches
+beside the taken and the freed tile, and every patch only when the
+component picked differs from the kept one beyond those two tiles.
+It copies no board, and is None if no strict component is left;
+`Board.bound` bounds it without a count.
 `Board.place` makes such a change and carries the access through it.
 Floods and bus routes run on row-major tile ids, ordered as the tiles
 are, through a table built once per board shape (`_id_table`); a kept
@@ -123,14 +125,14 @@ _NO_ACCESS = Access(None, {}, 0, 0, 0)
 class Delta(NamedTuple):
     """What putting patch qid on one tile does to the access (Board.delta).
 
-    comp builds the new strict component when called, and port says
-    whether that holds the port.  counts maps the other patches the
-    change reaches to their new counts, and nx, nz and density total all
-    patches but qid, whose counts in "h" are own; "v" swaps X and Z.
+    comp is the new strict component, and port says whether that holds
+    the port.  counts maps the other patches the change reaches to their
+    new counts, and nx, nz and density total all patches but qid, whose
+    counts in "h" are own; "v" swaps X and Z.
     """
     qid: int
     base: Access
-    comp: Callable[[], frozenset]
+    comp: frozenset
     port: bool
     counts: dict
     nx: int
@@ -152,7 +154,7 @@ class Delta(NamedTuple):
         """The changed board's exact access, with qid in orient."""
         counts = {**self.base.counts, **self.counts,
                   self.qid: self.count(orient)}
-        return Access(self.comp(), counts, *self.totals(orient))
+        return Access(self.comp, counts, *self.totals(orient))
 
 
 def best_first(ranked: list, exact: Callable) -> tuple | None:
@@ -167,45 +169,6 @@ def best_first(ranked: list, exact: Callable) -> tuple | None:
         if key is not None and (best is None or key < best[0]):
             best = key, item
     return best
-
-
-def _cut_tiles(comp: frozenset, nbrs: dict) -> tuple:
-    """(order, cut) of one iterative depth-first search of comp: its
-    tiles in discovery order, and for each tile whose removal splits
-    comp (its articulation points; Hopcroft and Tarjan, CACM 1973) the
-    discovery ranges of the subtrees that removal splits off.  Each
-    range is one piece of comp less that tile, and the rest, if any, is
-    one more."""
-    root = min(comp)
-    disc = {root: 0}
-    low = {root: 0}
-    order = [root]
-    cut: dict = {}
-    stack = [(root, None, iter(nbrs[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        for w in it:
-            if w not in comp:
-                continue
-            if w not in disc:
-                disc[w] = low[w] = len(order)
-                order.append(w)
-                stack.append((w, v, iter(nbrs[w])))
-                break
-            if w != parent and disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if parent is not None:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] >= disc[parent]:
-                    cut.setdefault(parent, []).append(
-                        range(disc[v], len(order)))
-    # the root splits comp only when it has two subtrees or more
-    if len(cut.get(root, ())) < 2:
-        cut.pop(root, None)
-    return order, cut
 
 
 def _flood(start: int, nb: list, occ) -> list:
@@ -259,18 +222,23 @@ class Board:
             raise ValueError("board dimensions must be positive")
         self.rows = rows
         self.cols = cols
-        self.patches: dict[int, Patch] = {}
         self.port = None      # set last, once every tile is claimed
         self._nbrs = _neighbour_table(rows, cols)
         self._ids, self._tiles, self._nb = _id_table(rows, cols)
         self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
-        self._occ = bytearray(rows * cols)   # id -> 1 where occupied
         self._check(*ancilla)
         self._at[ancilla[0]] = -1
-        self._new_state(ancilla[0])
         self.ancilla = Patch(*ancilla)
-        for q in sorted(patches):
-            self.init_patch(q, *patches[q])
+        for q in sorted(patches):   # claim every tile, then start one state
+            if q < 0:
+                raise IllegalOpError(f"patch id must be non-negative, got {q}")
+            self._check(*patches[q])
+            self._at[patches[q][0]] = q
+        self.patches = {q: Patch(*patches[q]) for q in sorted(patches)}
+        self._occ = bytearray(rows * cols)   # id -> 1 where occupied
+        for t in self._at:
+            self._occ[self._ids[t]] = 1
+        self._new_state()
         if not self.is_routing(port):
             raise IllegalOpError(f"port tile {port} must be routing")
         self.port = port
@@ -308,7 +276,7 @@ class Board:
         """Bind fresh records for a new state, and a new occupancy with
         tile taken and src freed; shared ones are never mutated."""
         self._occ = self._occupied(tile, src)
-        self._acc = self._cut = self._held = None  # access, delta, _holds_x
+        self._acc = self._held = None  # access, _holds_x
         self._dist: dict = {}  # routing tile id -> its _flood
         self._bus: dict = {}   # bus_patches() key -> routed bus
 
@@ -465,20 +433,19 @@ class Board:
         return [frozenset(compress(self._tiles, map((-1).__lt__, f)))
                 for f in floods]   # the tiles each reaches
 
-    def _choose(self, pieces, patches: dict, tile=None, src=None,
-                joined=False) -> tuple | None:
+    def _choose(self, pieces, patches, tile=None, src=None) -> tuple | None:
         """(piece, counts) for the strict component: the first of pieces,
         least tile first, facing the ancilla's X and Z edges and an edge
         of every patch in patches (id -> Patch), with tile taken and src
-        freed, src joining a piece if joined; None if none does, each
-        given up at the first patch facing none of it.  counts maps each
-        id in patches to its Access.counts entry against that piece."""
+        freed; None if none does, each given up at the first patch facing
+        none of it.  counts maps each id in patches to its Access.counts
+        entry against that piece."""
         nbrs, at = self._nbrs, self._at
 
         def count(p):   # p's counts entry against piece
             x = z = touch = 0
             for typ, u in _edges(p):
-                if u in piece and u != tile or u == src and joined:
+                if u in piece:
                     if typ == "X":
                         x += 1
                     else:
@@ -518,14 +485,10 @@ class Board:
         strict component.  The board is left unchanged.
 
         A reorientation swaps qid's X and Z counts and changes nothing
-        else.  Otherwise only the patches beside the taken and the freed
-        tile are counted again, against the kept component less tile.  A
-        cut tile splits that into the pieces its discovery ranges give
-        (`_cut_tiles`), and the freed tile joins the pieces it borders.
-        Where the freed tile borders routing space outside the component,
-        or no one component holds the ancilla's X-edge tiles, the pieces
-        are flooded from those tiles instead (`_x_pieces`).  In both of
-        these cases `_choose` picks one and every patch is counted again.
+        else.  Any other change floods the pieces holding the ancilla's
+        X-edge tiles with the change in place (`_x_pieces`); `_choose`
+        counts again the patches beside the taken and the freed tile, or
+        every patch if the piece differs from the kept one beyond those.
         """
         base = self.access()
         comp, nbrs, at = base.comp, self._nbrs, self._at
@@ -537,37 +500,15 @@ class Board:
             x, z, touch = own = base.counts[qid]
             if old.orient == ORIENT_V:
                 own = (z, x, touch)
-            return Delta(qid, base, lambda: comp, self.port in comp, {},
+            return Delta(qid, base, comp, self.port in comp, {},
                          base.nx - (x > 0), base.nz - (z > 0),
                          base.density - touch, own)
-        if self._cut is None:   # False unless comp holds every X-edge tile
-            self._cut = self._holds_x() and _cut_tiles(comp, nbrs)
-        joined = every = False
-        if not self._cut or src is not None and any(
-                u != tile and u not in at and u not in comp
-                for u in nbrs[src]):
-            pieces, every = self._x_pieces(tile, src), True
-        else:
-            order, cut = self._cut
-            joined = src is not None and any(
-                u != tile and u in comp for u in nbrs[src])
-            pieces = [comp]
-            if tile in cut:
-                pieces = [frozenset(order[r.start:r.stop]) for r in cut[tile]]
-                if rest := comp.difference((tile,), *pieces):
-                    pieces.append(rest)
-                if joined:   # the freed tile joins the pieces it borders
-                    near = [p for p in pieces if not p.isdisjoint(nbrs[src])]
-                    pieces = [p for p in pieces if p.isdisjoint(nbrs[src])]
-                    pieces.append(frozenset((src,)).union(*near))
-                    joined = False
-                every = True
-        patches = self.patches
-        if not every:   # those beside the taken and the freed tile
-            patches = {at[v]: patches[at[v]] for u in (tile, src)
-                       if u is not None for v in nbrs[u] if at.get(v, -1) >= 0}
-        found = self._choose(
-            pieces, {**patches, qid: Patch(tile, ORIENT_H)}, tile, src, joined)
+        pieces, new = self._x_pieces(tile, src), Patch(tile, ORIENT_H)
+        near = {at[v]: self.patches[at[v]] for u in (tile, src)
+                if u is not None for v in nbrs[u] if at.get(v, -1) >= 0}
+        found = self._choose(pieces, {**near, qid: new}, tile, src)
+        if found and (comp is None or not (found[0] ^ comp) <= {tile, src}):
+            found = self._choose(pieces, {**self.patches, qid: new}, tile, src)
         if found is None:
             return None
         piece, counts = found
@@ -579,16 +520,15 @@ class Board:
             nx += (c[0] > 0) - (b[0] > 0)
             nz += (c[1] > 0) - (b[1] > 0)
             density += c[2] - b[2]
-        return Delta(qid, base, lambda: piece.difference((tile,)).union(
-            (src,) if joined else ()), self.port in piece, counts, nx, nz,
-            density, own)
+        return Delta(qid, base, piece, self.port in piece, counts, nx, nz,
+                     density, own)
 
     def bound(self, qid: int, tile) -> tuple | None:
         """(density, gainers) of the change delta(qid, tile) scores, with
         no count: its exact density, and qid and the patches beside its
-        freed tile, the only ones whose X or Z count can rise (the new
-        component lies in the kept one plus that tile, less tile).  None
-        where delta floods, and on a board without a strict component."""
+        freed tile, the only ones whose X or Z count can rise: the new
+        component lies in the kept one plus that tile, less tile.  None
+        where that need not hold, and on a board without a component."""
         acc, at, nbrs = self.access(), self._at, self._nbrs
         old = self.patches.get(qid)
         src = old and old.tile

@@ -14,7 +14,6 @@ from lscompile.board import (
     NoPathError,
     builtin_layout,
     bus_patches,
-    _cut_tiles,
     edge_type,
     flipped,
     format_layout,
@@ -319,20 +318,20 @@ def _check_delta(board, qid, tile, orient):
 
 # (layout, patch id, tile, orient, fresh floods delta makes)
 DELTA_CASES = {
-    # (0, 1) is a cut tile: (0, 0) is cut off and the board splits; the
-    # pieces are read off the cut tile's discovery ranges
+    # taking (0, 1) cuts (0, 0) off and splits the board: no strict
+    # component is left
     "cut-tile-disconnects": ("M . .\n. Q0h .\nAh . .\n", 1, (0, 1),
-                             "h", 0),
-    # (0, 1) is a cut tile, but only an unused corner falls away; that
-    # corner stays an X-edge tile of the ancilla, so the ancilla's
-    # X-edge tiles then lie in two pieces, and the rule picks one
+                             "h", 1),
+    # taking (0, 1) cuts off only an unused corner; that corner stays an
+    # X-edge tile of the ancilla, so the ancilla's X-edge tiles then lie
+    # in two pieces, and the rule picks one
     "cut-tile-keeps-port": (". . . M Q0h\nAh . . . .\n. . . . .\n", 1,
-                            (0, 1), "h", 0),
-    # (2, 2) is a cut tile splitting off {(1, 0), (2, 0), (2, 1)}; both
-    # pieces hold an X- and a Z-edge tile of the ancilla and face both
-    # patches, and the one holding the row-major-first tile wins
+                            (0, 1), "h", 2),
+    # taking (2, 2) cuts off {(1, 0), (2, 0), (2, 1)}; both pieces hold
+    # an X- and a Z-edge tile of the ancilla and face both patches, and
+    # the one holding the row-major-first tile wins
     "cut-tile-ties-two-pieces": ("Q0v . . .\n. Av . M\n. . . .\n", 1,
-                                 (2, 2), "h", 0),
+                                 (2, 2), "h", 2),
     # freeing (0, 1) joins it to {(0, 0), (1, 0)}, a second component;
     # both X-edge tiles of the ancilla are flooded, one component each
     "freed-tile-meets-second-component": (
@@ -342,10 +341,15 @@ DELTA_CASES = {
     # other one; each is flooded with the new patch in place
     "ancilla-x-tiles-split": (". . Q0h .\nM Av . .\nQ1v . . .\n", 9,
                               (0, 3), "h", 2),
+    # freeing (1, 0) opens a second piece, {(0, 0), (0, 1), (1, 0)}, that
+    # the patches beside the change all face; Q2 faces only the other
+    # piece, so counting every patch again picks that one
+    "far-patch-takes-the-second-piece": (
+        ". . Q1h\nQ0h Av .\n. . .\nM . Q2h\n", 0, (2, 0), "h", 2),
     # the ancilla's only X-edge tile is taken
     "last-ancilla-x-tile": ("Ah . .\n. . .\n. . M\n", 0, (1, 0), "h", 0),
-    "plain-placement": ("Ah . .\n. . .\n. . M\n", 0, (1, 1), "v", 0),
-    "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h", 0),
+    "plain-placement": ("Ah . .\n. . .\n. . M\n", 0, (1, 1), "v", 1),
+    "plain-move": ("Ah . . .\n. Q0h . .\n. . . M\n", 0, (1, 2), "h", 1),
     "reorientation": ("Ah . .\n. Q0h .\n. . M\n", 0, (1, 1), "v", 0),
 }
 
@@ -459,8 +463,8 @@ class TestAccessDelta:
         assert acc == Access(None, {}, 0, 0, 0) == _fresh_access(board)
 
 
-# the ancilla's X-edge tiles lie in two components, so every move and
-# placement delta floods; and a board without a strict component
+# the ancilla's X-edge tiles lie in two components, so bound answers no
+# move or placement; and a board without a strict component
 BOUND_LAYOUTS = {"split-x-edges": ". . Q0h .\nM Av . .\nQ1v . . .\n",
                  "no-component": "Ah Q0h Q1h\n. . M\n"}
 
@@ -471,8 +475,11 @@ class TestBound:
     def test_bound_holds_for_every_change(self, data):
         """For every legal placement, move and reorientation, bound()
         gives delta()'s exact density; no patch outside its gainers gains
-        X or Z access, and no gainer but qid more than one edge; it is
-        None wherever delta floods and on a board without a component."""
+        X or Z access, and no gainer but qid more than one edge.  Where it
+        answers, delta's component lies within the kept one plus the
+        freed tile, less the taken one; it is None on the split-x-edges
+        board but for a reorientation, and on a board without a
+        component."""
         style = data.draw(st.sampled_from(sorted(BOUND_LAYOUTS)) | st.just(
             "other"))
         if style in BOUND_LAYOUTS:
@@ -493,17 +500,17 @@ class TestBound:
         changes = [(max(board.patches, default=-1) + 1, t) for t in free]
         changes += [(q, t) for q in sorted(board.patches)
                     for t in [board.patches[q].tile, *board.steps(q)]]
-        real_flood = board_module._flood
         for qid, tile in changes:
-            floods = []
-            with mock.patch.object(board_module, "_flood", lambda *a: (
-                    floods.append(a) or real_flood(*a))):
-                delta = board.delta(qid, tile)
+            delta = board.delta(qid, tile)
             bound = board.bound(qid, tile)
-            if floods or acc.comp is None:
+            old = board.patches.get(qid)
+            if acc.comp is None or style == "split-x-edges" and (
+                    old is None or old.tile != tile):
                 assert bound is None
             if bound is None or delta is None:
                 continue
+            src = {old.tile} if old else set()
+            assert delta.comp <= acc.comp - {tile} | src
             density, gainers = bound
             assert qid in gainers
             for orient in ("h", "v"):
@@ -516,55 +523,6 @@ class TestBound:
                     elif q != qid:
                         assert (x > 0) + (z > 0) <= min(
                             2, (ox > 0) + (oz > 0) + 1)
-
-
-class TestCutTiles:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_cut_tiles_split_the_component(self, data):
-        board = _start_board(data)
-        comp = board.a_component()
-        if comp is None:
-            return
-        _, cut = _cut_tiles(comp, board._nbrs)
-        for t in sorted(comp):
-            rest = comp - {t}
-            seen = _ref_bfs_within(rest, min(rest)) if rest else set()
-            assert (t in cut) == (seen != rest)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_discovery_ranges_are_the_pieces(self, data):
-        """Each discovery range kept for a cut tile is exactly one
-        component of the component less that tile, and the ranges plus
-        the rest of it partition it."""
-        board = _start_board(data)
-        comp = board.a_component()
-        if comp is None:
-            return
-        order, cut = _cut_tiles(comp, board._nbrs)
-        assert sorted(order) == sorted(comp)
-        for t, ranges in cut.items():
-            left = comp - {t}
-            pieces = [set(order[r.start:r.stop]) for r in ranges]
-            for piece in pieces:
-                assert _ref_bfs_within(left, min(piece)) == piece
-            rest = left.difference(*pieces)
-            assert sum(map(len, pieces)) + len(rest) == len(left)
-            if rest:
-                assert _ref_bfs_within(left, min(rest)) == rest
-
-
-def _ref_bfs_within(tiles, start):
-    seen, queue = {start}, deque([start])
-    while queue:
-        r, c = queue.popleft()
-        for _, (dr, dc) in _STEPS:
-            nb = (r + dr, c + dc)
-            if nb in tiles and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen
 
 
 class TestMoveAndRotate:
