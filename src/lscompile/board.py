@@ -38,10 +38,10 @@ component picked differs from the kept one beyond those two tiles.
 It copies no board, and is None if no strict component is left;
 `Board.bound` bounds it without a count.
 `Board.place` makes such a change and carries the access through it.
-Floods and bus routes run on row-major tile ids, ordered as the tiles
-are, through a table built once per board shape (`_id_table`); a kept
-distance map is a list by id.  Patch edges come from tables keyed by
-the immutable patch, by tile (`_edges`) and by id (`_edge_ids`).
+A board state lives on row-major tile ids, ordered as the tiles are:
+its occupancy, component, distance maps (lists by id) and bus routes,
+through tables of neighbour ids per board shape (`_id_table`) and of
+patch edge ids (`_edge_ids`); tuples appear only at public methods.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ class Patch(NamedTuple):
     orient: str
 
 
-@cache
-def _edges(patch: Patch) -> tuple:
-    """(edge type, outside tile) for the patch's four edges, N, W, E, S:
-    by offset, so the outside tiles are in row-major order for touch_tiles."""
-    r, c = patch.tile
-    return tuple((edge_type(patch.orient, d), (r + dr, c + dc))
-                 for d, (dr, dc) in sorted(_DIRS, key=lambda d: d[1]))
-
-
 def flipped(orient: str) -> str:
     return ORIENT_V if orient == ORIENT_H else ORIENT_H
 
@@ -106,7 +97,7 @@ def flipped(orient: str) -> str:
 class Access(NamedTuple):
     """Routing access of one board state.
 
-    comp is the strict component; a board without one has `_NO_ACCESS`.
+    comp holds the strict component's tile ids; without one: `_NO_ACCESS`.
     counts maps each patch id to (X edges facing comp, Z edges facing
     comp, routing tiles touched); nx and nz count the patches with an X,
     resp. Z, edge on comp, and density sums the routing tiles touched.
@@ -125,8 +116,8 @@ _NO_ACCESS = Access(None, {}, 0, 0, 0)
 class Delta(NamedTuple):
     """What putting patch qid on one tile does to the access (Board.delta).
 
-    comp is the new strict component, and port says whether that holds
-    the port.  counts maps the other patches the change reaches to their
+    comp holds the new strict component's tile ids, and port says whether
+    it holds the port.  counts maps the other patches the change reaches to their
     new counts, and nx, nz and density total all patches but qid, whose
     counts in "h" are own; "v" swaps X and Z.
     """
@@ -187,31 +178,24 @@ def _flood(start: int, nb: list, occ) -> list:
 
 
 @cache
-def _neighbour_table(rows: int, cols: int) -> dict:
-    """Every tile's in-bounds neighbours in N, E, S, W order.
-
-    Boards of one shape share the table, so it is never mutated.
-    """
-    return {(r, c): tuple((r + dr, c + dc) for _, (dr, dc) in _DIRS
-                          if 0 <= r + dr < rows and 0 <= c + dc < cols)
-            for r in range(rows) for c in range(cols)}
-
-
-@cache
 def _id_table(rows: int, cols: int) -> tuple:
-    """(tile -> id, id -> tile, each id's neighbour ids in N, E, S, W
-    order) for the row-major ids r * cols + c; shared, never mutated."""
-    nbrs = _neighbour_table(rows, cols)
-    ids = {t: i for i, t in enumerate(nbrs)}
-    return ids, list(nbrs), [tuple(ids[u] for u in nbrs[t]) for t in nbrs]
+    """(tile -> id, id -> tile, each id's in-bounds neighbour ids, N, E,
+    S, W) for row-major ids r * cols + c; shared by a shape, never mutated."""
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    return {t: i for i, t in enumerate(tiles)}, tiles, [
+        tuple((r + dr) * cols + c + dc for _, (dr, dc) in _DIRS
+              if 0 <= r + dr < rows and 0 <= c + dc < cols)
+        for r, c in tiles]
 
 
 @cache
-def _edge_ids(patch: Patch, rows: int, cols: int) -> dict:
-    """Edge type -> the patch's in-bounds outside tile ids, row-major."""
-    return {typ: [r * cols + c for t, (r, c) in _edges(patch)
-                  if t == typ and 0 <= r < rows and 0 <= c < cols]
-            for typ in "XZ"}
+def _edge_ids(patch: Patch, rows: int, cols: int) -> tuple:
+    """(edge type, outside tile id) for the patch's in-bounds edges, N,
+    W, E, S: by offset, so the ids are in row-major order."""
+    r, c = patch.tile
+    return tuple((edge_type(patch.orient, d), (r + dr) * cols + c + dc)
+                 for d, (dr, dc) in sorted(_DIRS, key=lambda d: d[1])
+                 if 0 <= r + dr < rows and 0 <= c + dc < cols)
 
 
 class Board:
@@ -223,22 +207,16 @@ class Board:
         self.rows = rows
         self.cols = cols
         self.port = None      # set last, once every tile is claimed
-        self._nbrs = _neighbour_table(rows, cols)
         self._ids, self._tiles, self._nb = _id_table(rows, cols)
-        self._at: dict = {}   # occupied tile -> patch id, -1 for the ancilla
-        self._check(*ancilla)
-        self._at[ancilla[0]] = -1
+        self._at: dict = {}   # occupied tile id -> patch id, -1 for the ancilla
+        self._at[self._check(*ancilla)] = -1
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):   # claim every tile, then start one state
             if q < 0:
                 raise IllegalOpError(f"patch id must be non-negative, got {q}")
-            self._check(*patches[q])
-            self._at[patches[q][0]] = q
+            self._at[self._check(*patches[q])] = q
         self.patches = {q: Patch(*patches[q]) for q in sorted(patches)}
-        self._occ = bytearray(rows * cols)   # id -> 1 where occupied
-        for t in self._at:
-            self._occ[self._ids[t]] = 1
-        self._new_state()
+        self._new_state(bytearray(i in self._at for i in range(rows * cols)))
         if not self.is_routing(port):
             raise IllegalOpError(f"port tile {port} must be routing")
         self.port = port
@@ -246,15 +224,15 @@ class Board:
     # --- basic geometry ---------------------------------------------------
 
     def in_bounds(self, tile) -> bool:
-        return tile in self._nbrs
+        return tile in self._ids
 
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
-        return tile in self._nbrs and tile not in self._at
+        return tile in self._ids and self._ids[tile] not in self._at
 
     def neighbors(self, tile) -> tuple:
         """In-bounds neighbours of an in-bounds tile, N, E, S, W."""
-        return self._nbrs[tile]
+        return tuple(self._tiles[i] for i in self._nb[self._ids[tile]])
 
     def tile_count(self) -> int:
         return self.rows * self.cols
@@ -272,33 +250,35 @@ class Board:
 
     # --- placement --------------------------------------------------------
 
-    def _new_state(self, tile=None, src=None) -> None:
-        """Bind fresh records for a new state, and a new occupancy with
-        tile taken and src freed; shared ones are never mutated."""
-        self._occ = self._occupied(tile, src)
+    def _new_state(self, occ: bytearray) -> None:
+        """Bind fresh records for a new state with the occupancy occ;
+        shared ones are never mutated."""
+        self._occ = occ
         self._acc = self._held = None  # access, _holds_x
         self._dist: dict = {}  # routing tile id -> its _flood
         self._bus: dict = {}   # bus_patches() key -> routed bus
 
-    def _occupied(self, tile=None, src=None) -> bytearray:
-        """A copy of the occupancy with tile taken and src freed."""
+    def _occupied(self, take=None, free=None) -> bytearray:
+        """A copy of the occupancy with tile id take taken and free freed."""
         occ = bytearray(self._occ)
-        if tile is not None:
-            occ[self._ids[tile]] = 1
-        if src is not None:
-            occ[self._ids[src]] = 0
+        if take is not None:
+            occ[take] = 1
+        if free is not None:
+            occ[free] = 0
         return occ
 
-    def _check(self, tile, orient: str) -> None:
-        """Refuse a bad orientation or a tile that cannot be claimed."""
+    def _check(self, tile, orient: str) -> int:
+        """tile's id; refuse a bad orientation or a tile none may claim."""
         if orient not in (ORIENT_H, ORIENT_V):
             raise IllegalOpError(f"bad orientation {orient!r}")
-        if not self.in_bounds(tile):
+        i = self._ids.get(tile)
+        if i is None:
             raise IllegalOpError(f"tile {tile} out of bounds")
-        if tile in self._at:
+        if i in self._at:
             raise IllegalOpError(f"tile {tile} already occupied")
         if tile == self.port:
             raise IllegalOpError("magic port tile must stay routing")
+        return i
 
     def init_patch(self, qid: int, tile, orient: str) -> None:
         """Create a fresh patch; zero clock cost."""
@@ -315,27 +295,29 @@ class Board:
         old = self.patches.get(qid)
         moved = old is None or old.tile != tile
         if moved:
-            self._check(tile, orient)
+            i = self._check(tile, orient)
         delta = self._acc is not None and self.delta(qid, tile)
         if moved:
+            src = old and self._ids[old.tile]
             if old is not None:
-                del self._at[old.tile]
-            self._at[tile] = qid
-            self._new_state(tile, old and old.tile)
+                del self._at[src]
+            self._at[i] = qid
+            self._new_state(self._occupied(i, src))
         self.patches[qid] = Patch(tile, orient)
         if delta is not False:   # an access was kept: carry it through
             self._acc = delta.access(orient) if delta else _NO_ACCESS
 
     def remove_patch(self, qid: int) -> None:
-        self._new_state(None, self.patches[qid].tile)
-        del self._at[self.patches.pop(qid).tile]
+        i = self._ids[self.patches.pop(qid).tile]
+        del self._at[i]
+        self._new_state(self._occupied(None, i))
 
     # --- patch operations -------------------------------------------------
 
     def steps(self, qid: int) -> list:
         """Tiles patch qid may step onto: free neighbours but the port."""
-        return [t for t in self._nbrs[self.patches[qid].tile]
-                if t not in self._at and t != self.port]
+        return [t for t in self.neighbors(self.patches[qid].tile)
+                if self.is_routing(t) and t != self.port]
 
     def move_patch(self, qid: int, dest) -> frozenset:
         """Step patch qid onto dest, one of steps(qid); cost 1.
@@ -350,8 +332,8 @@ class Board:
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
-        return next((t for t in self._nbrs[self.patches[qid].tile]
-                     if t not in self._at), None)
+        return next((t for t in self.neighbors(self.patches[qid].tile)
+                     if self.is_routing(t)), None)
 
     def rotate_patch(self, qid: int, helper) -> frozenset:
         """Swap the patch's X/Z boundary labels; cost 3 (three sub-slices).
@@ -374,13 +356,12 @@ class Board:
         return [self._tiles[i] for i in self._touch_ids(qid, typ)]
 
     def _touch_ids(self, qid: int, typ: str) -> list:
-        p = self.ancilla if qid == -1 else self.patches[qid]
-        return [i for i in _edge_ids(p, self.rows, self.cols)[typ]
-                if not self._occ[i]]
+        p, occ = self.ancilla if qid == -1 else self.patches[qid], self._occ
+        return [i for t, i in _edge_ids(p, self.rows, self.cols)
+                if t == typ and not occ[i]]
 
     def exposed_types(self, qid: int) -> set:
-        p = self.patches[qid]
-        return {t for t, out in _edges(p) if self.is_routing(out)}
+        return {t for t in "XZ" if self._touch_ids(qid, t)}
 
     # --- connectivity -----------------------------------------------------
 
@@ -395,7 +376,8 @@ class Board:
         return dist
 
     def a_component(self):
-        """The single routing component realizing strict connectivity, or None.
+        """The single routing component realizing strict connectivity, as
+        (row, col) tiles, or None.
 
         The component must touch the ancilla's X-edge and Z-edge and at
         least one exposed edge of every data patch.  Should two qualify,
@@ -405,13 +387,15 @@ class Board:
         """
         if self._acc is None:
             self._acc = _NO_ACCESS
-            if found := self._choose(self._x_pieces(), self.patches):
+            occ = self._occ
+            if found := self._choose(self._x_pieces(occ), self.patches, occ):
                 piece, counts = found
                 self._acc = Access(piece, counts,
                                    sum(c[0] > 0 for c in counts.values()),
                                    sum(c[1] > 0 for c in counts.values()),
                                    sum(c[2] for c in counts.values()))
-        return self._acc.comp
+        comp = self._acc.comp   # never empty: it holds an X-edge tile
+        return comp and frozenset(map(self._tiles.__getitem__, comp))
 
     def access(self) -> Access:
         """Routing access of the current state, kept until a tile changes
@@ -420,37 +404,36 @@ class Board:
             self.a_component()
         return self._acc
 
-    def _x_pieces(self, tile=None, src=None) -> list:
-        """The routing components holding the ancilla's X-edge tiles
-        (at most two), flooded with tile taken and src freed; those of
-        the current state are its kept distance maps."""
-        occ = self._occ if tile is None else self._occupied(tile, src)
+    def _x_pieces(self, occ) -> list:
+        """The tile ids of each routing component holding an X-edge tile
+        of the ancilla (at most two) under the occupancy occ; the board's
+        own occupancy reads its kept distance maps."""
         floods: list = []
-        for i in _edge_ids(self.ancilla, self.rows, self.cols)["X"]:
-            if not occ[i] and all(f[i] < 0 for f in floods):
-                floods.append(self._kept(i) if tile is None
+        for typ, i in _edge_ids(self.ancilla, self.rows, self.cols):
+            if typ == "X" and not occ[i] and all(f[i] < 0 for f in floods):
+                floods.append(self._kept(i) if occ is self._occ
                               else _flood(i, self._nb, occ))
-        return [frozenset(compress(self._tiles, map((-1).__lt__, f)))
-                for f in floods]   # the tiles each reaches
+        return [frozenset(compress(range(len(f)), map((-1).__lt__, f)))
+                for f in floods]
 
-    def _choose(self, pieces, patches, tile=None, src=None) -> tuple | None:
+    def _choose(self, pieces, patches, occ) -> tuple | None:
         """(piece, counts) for the strict component: the first of pieces,
-        least tile first, facing the ancilla's X and Z edges and an edge
-        of every patch in patches (id -> Patch), with tile taken and src
-        freed; None if none does, each given up at the first patch facing
-        none of it.  counts maps each id in patches to its Access.counts
-        entry against that piece."""
-        nbrs, at = self._nbrs, self._at
+        least id first, facing the ancilla's X and Z edges and an edge of
+        every patch in patches (id -> Patch), under the occupancy occ;
+        None if none does, each given up at the first patch facing none
+        of it.  counts maps each id in patches to its Access.counts entry
+        against that piece."""
+        rows, cols = self.rows, self.cols
 
         def count(p):   # p's counts entry against piece
             x = z = touch = 0
-            for typ, u in _edges(p):
-                if u in piece:
+            for typ, i in _edge_ids(p, rows, cols):
+                if i in piece:
                     if typ == "X":
                         x += 1
                     else:
                         z += 1
-                if u in nbrs and u != tile and (u not in at or u == src):
+                if not occ[i]:
                     touch += 1
             return x, z, touch
 
@@ -474,7 +457,7 @@ class Board:
         if self._held is None:
             comp = self.access().comp
             self._held = comp is not None and comp.issuperset(
-                self.touch_tiles(-1, "X"))
+                self._touch_ids(-1, "X"))
         return self._held
 
     def delta(self, qid: int, tile) -> Delta | None:
@@ -491,24 +474,25 @@ class Board:
         every patch if the piece differs from the kept one beyond those.
         """
         base = self.access()
-        comp, nbrs, at = base.comp, self._nbrs, self._at
+        comp, ids, at = base.comp, self._ids, self._at
         old = self.patches.get(qid)
-        src = None if old is None else old.tile
-        if src == tile:
+        if old is not None and old.tile == tile:
             if comp is None:
                 return None
             x, z, touch = own = base.counts[qid]
             if old.orient == ORIENT_V:
                 own = (z, x, touch)
-            return Delta(qid, base, comp, self.port in comp, {},
+            return Delta(qid, base, comp, ids[self.port] in comp, {},
                          base.nx - (x > 0), base.nz - (z > 0),
                          base.density - touch, own)
-        pieces, new = self._x_pieces(tile, src), Patch(tile, ORIENT_H)
-        near = {at[v]: self.patches[at[v]] for u in (tile, src)
-                if u is not None for v in nbrs[u] if at.get(v, -1) >= 0}
-        found = self._choose(pieces, {**near, qid: new}, tile, src)
-        if found and (comp is None or not (found[0] ^ comp) <= {tile, src}):
-            found = self._choose(pieces, {**self.patches, qid: new}, tile, src)
+        i, src = ids[tile], old and ids[old.tile]
+        occ = self._occupied(i, src)
+        pieces, new = self._x_pieces(occ), Patch(tile, ORIENT_H)
+        near = {at[v]: self.patches[at[v]] for u in (i, src)
+                if u is not None for v in self._nb[u] if at.get(v, -1) >= 0}
+        found = self._choose(pieces, {**near, qid: new}, occ)
+        if found and (comp is None or not (found[0] ^ comp) <= {i, src}):
+            found = self._choose(pieces, {**self.patches, qid: new}, occ)
         if found is None:
             return None
         piece, counts = found
@@ -520,8 +504,8 @@ class Board:
             nx += (c[0] > 0) - (b[0] > 0)
             nz += (c[1] > 0) - (b[1] > 0)
             density += c[2] - b[2]
-        return Delta(qid, base, piece, self.port in piece, counts, nx, nz,
-                     density, own)
+        return Delta(qid, base, piece, ids[self.port] in piece, counts, nx,
+                     nz, density, own)
 
     def bound(self, qid: int, tile) -> tuple | None:
         """(density, gainers) of the change delta(qid, tile) scores, with
@@ -529,17 +513,17 @@ class Board:
         freed tile, the only ones whose X or Z count can rise: the new
         component lies in the kept one plus that tile, less tile.  None
         where that need not hold, and on a board without a component."""
-        acc, at, nbrs = self.access(), self._at, self._nbrs
+        acc, at, nb = self.access(), self._at, self._nb
         old = self.patches.get(qid)
-        src = old and old.tile
-        if acc.comp is None or src == tile:
+        if acc.comp is None or old is not None and old.tile == tile:
             return None if acc.comp is None else (acc.density, {qid})
-        beside = nbrs[src] if old else ()
+        i, src = self._ids[tile], old and self._ids[old.tile]
+        beside = nb[src] if old else ()
         if not self._holds_x() or any(
-                u != tile and u not in at and u not in acc.comp for u in beside):
+                u != i and u not in at and u not in acc.comp for u in beside):
             return None
         density = acc.density - (old is not None and acc.counts[qid][2])
-        for u in nbrs[tile]:   # qid's touches, less its new neighbours'
+        for u in nb[i]:   # qid's touches, less its new neighbours'
             density += 1 if u not in at or u == src else -(at[u] >= 0)
         gainers = {qid, *(at[u] for u in beside if at.get(u, -1) >= 0)}
         return density + len(gainers) - 1, gainers
@@ -581,13 +565,13 @@ def _route_bus(board: Board, required, include_port: bool) -> frozenset:
         terminals.append([board._ids[board.port]])
 
     tree: set = set()
-    comp, nb = board.a_component(), board._nb
+    comp, nb = board.access().comp, board._nb
     for opts in terminals:
         if not tree.isdisjoint(opts):
             continue
         if not tree:
             # seed inside the main routing component, else any option
-            inside = [t for t in opts if comp and tiles[t] in comp]
+            inside = [t for t in opts if comp and t in comp]
             tree.add(min(inside) if inside else min(opts))
             continue
         best = None

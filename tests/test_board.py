@@ -79,10 +79,11 @@ class TestBoardBasics:
             b.init_patch(1, (2, 2), "h")
 
     def test_negative_patch_id_is_refused(self):
-        with pytest.raises(IllegalOpError):
+        message = "^patch id must be non-negative, got -1$"
+        with pytest.raises(IllegalOpError, match=message):
             Board(2, 2, ((1, 1), "h"), (1, 0), {-1: ((0, 0), "h")})
         b = Board(2, 2, ((1, 1), "h"), (1, 0), {})
-        with pytest.raises(IllegalOpError):
+        with pytest.raises(IllegalOpError, match=message):
             b.init_patch(-1, (0, 0), "h")
         assert not b.patches and b.is_routing((0, 0))
 
@@ -96,6 +97,10 @@ class TestBoardBasics:
         # parse_layout refuses
         with pytest.raises(IllegalOpError, match=r"^bad orientation 'x'$"):
             Board(2, 2, ((0, 0), "x"), (1, 1), {0: ((0, 1), "h")})
+
+    def test_bad_patch_orientation_is_refused(self):
+        with pytest.raises(IllegalOpError, match=r"^bad orientation 'x'$"):
+            Board(2, 2, ((0, 0), "h"), (1, 1), {0: ((0, 1), "x")})
 
     def test_copy_is_independent(self):
         b = Board(3, 3, ((2, 0), "h"), (2, 2), {0: ((0, 0), "h")})
@@ -304,8 +309,9 @@ def _check_delta(board, qid, tile, orient):
     if delta is None:
         return
     acc = delta.access(orient)
-    assert acc.comp == fresh.a_component()
-    assert delta.port == (fresh.port in acc.comp)
+    comp = {board._tiles[i] for i in acc.comp}   # tile ids as tiles
+    assert comp == fresh.a_component()
+    assert delta.port == (fresh.port in comp)
     assert acc.density == ref.density(trial) == ref.density(fresh)
     score = _access_score(acc.nx, acc.nz, acc.density, 0.2)
     assert score == layout_score(trial) == layout_score(fresh)
@@ -402,7 +408,7 @@ class TestAccessDelta:
                 _mutate(data, board)
             except IllegalOpError:
                 pass
-        free = [t for t in sorted(board._nbrs)
+        free = [t for t in board._tiles
                 if board.is_routing(t) and t != board.port]
         moves = [(q, t) for q, p in sorted(board.patches.items())
                  for t in board.neighbors(p.tile) if t in free]
@@ -495,7 +501,7 @@ class TestBound:
         acc = board.access()
         if style == "no-component":
             assert acc.comp is None
-        free = [t for t in sorted(board._nbrs)
+        free = [t for t in board._tiles
                 if board.is_routing(t) and t != board.port]
         changes = [(max(board.patches, default=-1) + 1, t) for t in free]
         changes += [(q, t) for q in sorted(board.patches)
@@ -509,8 +515,8 @@ class TestBound:
                 assert bound is None
             if bound is None or delta is None:
                 continue
-            src = {old.tile} if old else set()
-            assert delta.comp <= acc.comp - {tile} | src
+            src = {board._ids[old.tile]} if old else set()
+            assert delta.comp <= acc.comp - {board._ids[tile]} | src
             density, gainers = bound
             assert qid in gainers
             for orient in ("h", "v"):
@@ -565,7 +571,7 @@ class TestMoveAndRotate:
                     and (r + dr, c + dc) != b.port]
             assert b.steps(q) == want
         qid = data.draw(st.sampled_from(sorted(b.patches)))
-        dest = data.draw(st.sampled_from(sorted(b._nbrs)))
+        dest = data.draw(st.sampled_from(b._tiles))
         legal = dest in b.steps(qid)
         try:
             b.move_patch(qid, dest)
@@ -789,7 +795,7 @@ class TestRoutingMatchesFullFlood:
             qid = data.draw(st.sampled_from(sorted(b.patches)))
             if kind == "reinit":
                 b.remove_patch(qid)
-                free = [t for t in b._nbrs if b.is_routing(t) and t != b.port]
+                free = [t for t in b._tiles if b.is_routing(t) and t != b.port]
                 b.init_patch(qid, data.draw(st.sampled_from(free)),
                              data.draw(st.sampled_from(["h", "v"])))
             else:
@@ -847,7 +853,7 @@ class TestRoutingMatchesFullFlood:
         elif kind == "reinit":
             b.remove_patch(qid)
             self._repeat_routes(b, pool, gone=qid)
-            free = [t for t in b._nbrs if b.is_routing(t) and t != b.port]
+            free = [t for t in b._tiles if b.is_routing(t) and t != b.port]
             b.init_patch(qid, data.draw(st.sampled_from(free)),
                          data.draw(st.sampled_from(["h", "v"])))
 
@@ -908,7 +914,7 @@ class TestRoutingMatchesFullFlood:
         for board in (b, c):
             fresh = parse_layout(format_layout(board))
             assert board.access() == fresh.access()
-            for tile in fresh._nbrs:
+            for tile in fresh._tiles:
                 if fresh.is_routing(tile):
                     assert board.distances(tile) == fresh.distances(tile)
             for req in pool:
@@ -968,16 +974,24 @@ def _tile_map(board, dist):
     return {board._tiles[i]: d for i, d in enumerate(dist) if d >= 0}
 
 
-def _ref_x_pieces(board, tile=None, src=None):
-    """The ancilla's X-edge pieces, each flooded by the reference."""
-    occ = {*board._at, tile} - {src, None}
+def _ref_x_pieces(board, nbrs, held, tile=None, src=None):
+    """The ancilla's X-edge pieces, each flooded by the reference through
+    the neighbour table nbrs, the occupied tiles being held."""
+    occ = {*held, tile} - {src, None}
+    (r, c), orient = board.ancilla
     pieces = []
-    for typ, x in board_module._edges(board.ancilla):
-        if (typ == "X" and x in board._nbrs and x not in occ
+    for x in sorted((r + dr, c + dc) for d, (dr, dc) in _STEPS
+                    if edge_type(orient, d) == "X"):
+        if (x in nbrs and x not in occ
                 and all(x not in p for p in pieces)):
-            pieces.append(frozenset(ref._flood(x, board._nbrs, board._at,
-                                               tile, src)))
+            pieces.append(frozenset(ref._flood(x, nbrs, held, tile, src)))
     return pieces
+
+
+def _id_pieces(board, occ):
+    """The board's `_x_pieces` under occ, as tile sets."""
+    return [frozenset(board._tiles[i] for i in p)
+            for p in board._x_pieces(occ)]
 
 
 class TestIdFlood:
@@ -1004,50 +1018,49 @@ class TestIdFlood:
             b = _drawn_board(data)
         else:
             b = self._non_square_board(data)
-        routing = [t for t in sorted(b._nbrs) if b.is_routing(t)]
+        nbrs = {t: b.neighbors(t) for t in b._tiles}
+        held = {b.ancilla.tile, *(p.tile for p in b.patches.values())}
+        routing = [t for t in b._tiles if b.is_routing(t)]
         for t in routing:
-            assert _tile_map(b, b.distances(t)) == ref._flood(
-                t, b._nbrs, b._at)
-        assert b._x_pieces() == _ref_x_pieces(b)
+            assert _tile_map(b, b.distances(t)) == ref._flood(t, nbrs, held)
+        assert _id_pieces(b, b._occ) == _ref_x_pieces(b, nbrs, held)
         # the reference frees a tile only while it takes one
         taken = data.draw(st.sampled_from([None, *routing]))
-        freed = taken and data.draw(st.sampled_from([None, *sorted(b._at)]))
-        occ = b._occupied(taken, freed)
-        for t in sorted(b._nbrs):
+        freed = taken and data.draw(st.sampled_from([None, *sorted(held)]))
+        occ = b._occupied(taken and b._ids[taken], freed and b._ids[freed])
+        for t in b._tiles:
             if not occ[b._ids[t]]:
                 assert _tile_map(b, board_module._flood(
                     b._ids[t], b._nb, occ)) == ref._flood(
-                        t, b._nbrs, b._at, taken, freed)
+                        t, nbrs, held, taken, freed)
         if taken is not None:
-            assert b._x_pieces(taken, freed) == _ref_x_pieces(b, taken, freed)
+            assert _id_pieces(b, occ) == _ref_x_pieces(b, nbrs, held, taken,
+                                                       freed)
 
     @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (2, 7), (7, 2)])
     def test_id_table_is_the_neighbour_table(self, rows, cols):
         """Ids are row-major, each id's neighbours are the tile's own in
         N, E, S, W order, and a patch's edge ids are its in-bounds
-        outside tiles in row-major order."""
-        nbrs = board_module._neighbour_table(rows, cols)
+        outside tiles, each with its edge type, in row-major order."""
         ids, tiles, nb = board_module._id_table(rows, cols)
         assert tiles == [(r, c) for r in range(rows) for c in range(cols)]
         assert all(ids[t] == t[0] * cols + t[1] for t in tiles)
         for i, (r, c) in enumerate(tiles):
             nesw = [(r - 1, c), (r, c + 1), (r + 1, c), (r, c - 1)]
-            assert list(nbrs[r, c]) == [
-                u for u in nesw if 0 <= u[0] < rows and 0 <= u[1] < cols]
-            assert [tiles[j] for j in nb[i]] == list(nbrs[r, c])
+            inside = [u for u in nesw if 0 <= u[0] < rows and 0 <= u[1] < cols]
+            assert [tiles[j] for j in nb[i]] == inside
             for orient in ("h", "v"):
                 patch = board_module.Patch((r, c), orient)
-                for typ in ("X", "Z"):
-                    assert [tiles[j] for j in board_module._edge_ids(
-                        patch, rows, cols)[typ]] == sorted(
-                        u for t, u in board_module._edges(patch)
-                        if t == typ and u in nbrs)
+                assert [(typ, tiles[j]) for typ, j in board_module._edge_ids(
+                    patch, rows, cols)] == sorted(
+                    ((edge_type(orient, d), u) for d, u in zip("NESW", nesw)
+                     if u in inside), key=lambda e: e[1])
 
     def test_x_edge_tiles_are_read_once_per_state(self, monkeypatch):
         """design_layout(8, 64, 64) reads the ancilla's X-edge tiles at
         most once per board state, for delta and bound alike."""
         states, reads = [], []
-        real_new, real_touch = Board._new_state, Board.touch_tiles
+        real_new, real_touch = Board._new_state, Board._touch_ids
 
         def new_state(b, *args):
             real_new(b, *args)
@@ -1059,7 +1072,7 @@ class TestIdFlood:
             return real_touch(b, qid, typ)
 
         monkeypatch.setattr(Board, "_new_state", new_state)
-        monkeypatch.setattr(Board, "touch_tiles", touch)
+        monkeypatch.setattr(Board, "_touch_ids", touch)
         design_layout(8, 64, 64)
         assert reads and len(reads) == len(set(reads))
 
