@@ -117,9 +117,9 @@ class Delta(NamedTuple):
     """What putting patch qid on one tile does to the access (Board.delta).
 
     comp holds the new strict component's tile ids, and port says whether
-    it holds the port.  counts maps the other patches the change reaches to their
-    new counts, and nx, nz and density total all patches but qid, whose
-    counts in "h" are own; "v" swaps X and Z.
+    it holds the port.  counts maps the other patches the change reaches
+    to their new counts, and nx, nz and density total all patches but
+    qid, whose counts in "h" are own; "v" swaps X and Z.
     """
     qid: int
     base: Access
@@ -189,13 +189,13 @@ def _id_table(rows: int, cols: int) -> tuple:
 
 
 @cache
-def _edge_ids(patch: Patch, rows: int, cols: int) -> tuple:
-    """(edge type, outside tile id) for the patch's in-bounds edges, N,
-    W, E, S: by offset, so the ids are in row-major order."""
+def _edge_ids(patch: Patch, rows: int, cols: int) -> dict:
+    """Edge type -> the patch's in-bounds outside tile ids, row-major."""
     r, c = patch.tile
-    return tuple((edge_type(patch.orient, d), (r + dr) * cols + c + dc)
-                 for d, (dr, dc) in sorted(_DIRS, key=lambda d: d[1])
-                 if 0 <= r + dr < rows and 0 <= c + dc < cols)
+    out = [(edge_type(patch.orient, d), (r + dr) * cols + c + dc)
+           for d, (dr, dc) in sorted(_DIRS, key=lambda d: d[1])
+           if 0 <= r + dr < rows and 0 <= c + dc < cols]
+    return {typ: tuple(i for t, i in out if t == typ) for typ in "XZ"}
 
 
 class Board:
@@ -208,7 +208,7 @@ class Board:
         self.cols = cols
         self.port = None      # set last, once every tile is claimed
         self._ids, self._tiles, self._nb = _id_table(rows, cols)
-        self._at: dict = {}   # occupied tile id -> patch id, -1 for the ancilla
+        self._at: dict = {}   # occupied tile id -> patch id, ancilla -1
         self._at[self._check(*ancilla)] = -1
         self.ancilla = Patch(*ancilla)
         for q in sorted(patches):   # claim every tile, then start one state
@@ -316,8 +316,9 @@ class Board:
 
     def steps(self, qid: int) -> list:
         """Tiles patch qid may step onto: free neighbours but the port."""
-        return [t for t in self.neighbors(self.patches[qid].tile)
-                if self.is_routing(t) and t != self.port]
+        port, occ = self._ids[self.port], self._occ
+        return [self._tiles[u] for u in self._nb[self._ids[
+            self.patches[qid].tile]] if not occ[u] and u != port]
 
     def move_patch(self, qid: int, dest) -> frozenset:
         """Step patch qid onto dest, one of steps(qid); cost 1.
@@ -332,8 +333,8 @@ class Board:
 
     def rotation_helper(self, qid: int):
         """First free routing neighbor in N,E,S,W order, or None."""
-        return next((t for t in self.neighbors(self.patches[qid].tile)
-                     if self.is_routing(t)), None)
+        return next((self._tiles[u] for u in self._nb[self._ids[
+            self.patches[qid].tile]] if not self._occ[u]), None)
 
     def rotate_patch(self, qid: int, helper) -> frozenset:
         """Swap the patch's X/Z boundary labels; cost 3 (three sub-slices).
@@ -343,7 +344,8 @@ class Board:
         Returns the footprint {patch tile, helper tile}.
         """
         p = self.patches[qid]
-        if helper not in self.neighbors(p.tile) or not self.is_routing(helper):
+        h = self._ids.get(helper)
+        if h not in self._nb[self._ids[p.tile]] or self._occ[h]:
             raise IllegalOpError(f"helper tile {helper} not free routing neighbor")
         self.place(qid, p.tile, flipped(p.orient))
         return frozenset([p.tile, helper])
@@ -356,9 +358,9 @@ class Board:
         return [self._tiles[i] for i in self._touch_ids(qid, typ)]
 
     def _touch_ids(self, qid: int, typ: str) -> list:
-        p, occ = self.ancilla if qid == -1 else self.patches[qid], self._occ
-        return [i for t, i in _edge_ids(p, self.rows, self.cols)
-                if t == typ and not occ[i]]
+        p = self.ancilla if qid == -1 else self.patches[qid]
+        return [i for i in _edge_ids(p, self.rows, self.cols)[typ]
+                if not self._occ[i]]
 
     def exposed_types(self, qid: int) -> set:
         return {t for t in "XZ" if self._touch_ids(qid, t)}
@@ -409,8 +411,8 @@ class Board:
         of the ancilla (at most two) under the occupancy occ; the board's
         own occupancy reads its kept distance maps."""
         floods: list = []
-        for typ, i in _edge_ids(self.ancilla, self.rows, self.cols):
-            if typ == "X" and not occ[i] and all(f[i] < 0 for f in floods):
+        for i in _edge_ids(self.ancilla, self.rows, self.cols)["X"]:
+            if not occ[i] and all(f[i] < 0 for f in floods):
                 floods.append(self._kept(i) if occ is self._occ
                               else _flood(i, self._nb, occ))
         return [frozenset(compress(range(len(f)), map((-1).__lt__, f)))
@@ -427,14 +429,13 @@ class Board:
 
         def count(p):   # p's counts entry against piece
             x = z = touch = 0
-            for typ, i in _edge_ids(p, rows, cols):
-                if i in piece:
-                    if typ == "X":
-                        x += 1
-                    else:
-                        z += 1
-                if not occ[i]:
-                    touch += 1
+            ids = _edge_ids(p, rows, cols)
+            for i in ids["X"]:
+                x += i in piece
+                touch += not occ[i]
+            for i in ids["Z"]:
+                z += i in piece
+                touch += not occ[i]
             return x, z, touch
 
         if len(pieces) > 1:

@@ -1040,8 +1040,8 @@ class TestIdFlood:
     @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (2, 7), (7, 2)])
     def test_id_table_is_the_neighbour_table(self, rows, cols):
         """Ids are row-major, each id's neighbours are the tile's own in
-        N, E, S, W order, and a patch's edge ids are its in-bounds
-        outside tiles, each with its edge type, in row-major order."""
+        N, E, S, W order, and a patch's edge ids of each type are its
+        in-bounds outside tiles across edges of that type, row-major."""
         ids, tiles, nb = board_module._id_table(rows, cols)
         assert tiles == [(r, c) for r in range(rows) for c in range(cols)]
         assert all(ids[t] == t[0] * cols + t[1] for t in tiles)
@@ -1050,11 +1050,12 @@ class TestIdFlood:
             inside = [u for u in nesw if 0 <= u[0] < rows and 0 <= u[1] < cols]
             assert [tiles[j] for j in nb[i]] == inside
             for orient in ("h", "v"):
-                patch = board_module.Patch((r, c), orient)
-                assert [(typ, tiles[j]) for typ, j in board_module._edge_ids(
-                    patch, rows, cols)] == sorted(
-                    ((edge_type(orient, d), u) for d, u in zip("NESW", nesw)
-                     if u in inside), key=lambda e: e[1])
+                edge_ids = board_module._edge_ids(
+                    board_module.Patch((r, c), orient), rows, cols)
+                for typ in "XZ":
+                    assert [tiles[j] for j in edge_ids[typ]] == sorted(
+                        u for d, u in zip("NESW", nesw)
+                        if u in inside and edge_type(orient, d) == typ)
 
     def test_x_edge_tiles_are_read_once_per_state(self, monkeypatch):
         """design_layout(8, 64, 64) reads the ancilla's X-edge tiles at
