@@ -9,13 +9,14 @@ products are tracked mod 4 as powers of i.
 Program-level operators (PauliOp) are either rotations exp(-i W k pi/8)
 with k stored mod 16, or measurements of +/-W.  Word signs are always
 folded into the angle or the measurement sign, so the stored word itself
-is unsigned.
+is unsigned and a rotation's sign is always +1: -W at k is W at -k.
+Words and operators are immutable values, each written once by its
+constructor; a word's support is worked out once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 _LETTER_BY_BITS = ("I", "X", "Z", "Y")  # index = x_bit + 2 * z_bit
 _BITS_BY_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -51,20 +52,21 @@ def set_bits(mask: int):
         mask &= mask - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliWord:
     """Signless n-qubit Pauli word as (x, z) bit masks; bit q = qubit q."""
 
     n: int
     x: int
     z: int
+    _support = None    # no field: support() keeps its tuple per instance
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, x: int, z: int):
+        if n < 0:
             raise ValueError("negative qubit count")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        if (x | z) >> n:    # a bit at n or above, or a negative mask
             raise ValueError("mask bits outside qubit range")
+        self.__dict__.update(n=n, x=x, z=z)
 
     @staticmethod
     def from_string(s: str) -> "PauliWord":
@@ -103,12 +105,10 @@ class PauliWord:
 
     def support(self) -> tuple:
         """The qubits the word acts on, lowest first."""
-        return self._support
-
-    @cached_property
-    def _support(self) -> tuple:
-        # worked out once per word: words are frozen and tuples immutable
-        return tuple(set_bits(self.x | self.z))
+        s = self._support
+        if s is None:   # worked out once: words are frozen, tuples immutable
+            s = self.__dict__["_support"] = tuple(set_bits(self.x | self.z))
+        return s
 
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
@@ -130,15 +130,15 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PhasedPauli:
     """A Pauli word together with a global phase i^phase_exp."""
 
     word: PauliWord
     phase_exp: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+    def __init__(self, word: PauliWord, phase_exp: int = 0):
+        self.__dict__.update(word=word, phase_exp=phase_exp % 4)
 
     def is_hermitian(self) -> bool:
         return self.phase_exp in (0, 2)
@@ -167,21 +167,26 @@ def multiply(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:
     return PhasedPauli(PauliWord(aw.n, x3, z3), ph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliOp:
     """One program operator: a rotation exp(-i W k pi/8) or a +/-W measurement."""
 
     word: PauliWord
     kind: str
     angle_num: int = 0    # rotations: k mod 16
-    sign: int = 1         # measurements: +1 or -1
+    sign: int = 1         # measurements: +1 or -1; rotations: +1
 
-    def __post_init__(self):
-        if self.kind not in (ROTATION, MEASUREMENT):
-            raise ValueError(f"bad kind {self.kind!r}")
-        object.__setattr__(self, "angle_num", self.angle_num % 16)
-        if self.sign not in (1, -1):
+    def __init__(self, word: PauliWord, kind: str, angle_num: int = 0,
+                 sign: int = 1):
+        if kind not in (ROTATION, MEASUREMENT):
+            raise ValueError(f"bad kind {kind!r}")
+        angle_num %= 16
+        if sign not in (1, -1):
             raise ValueError("measurement sign must be +1 or -1")
+        if sign != 1 and kind == ROTATION:
+            raise ValueError("rotation sign must be +1")
+        self.__dict__.update(word=word, kind=kind, angle_num=angle_num,
+                             sign=sign)
 
     @property
     def n(self) -> int:
@@ -211,16 +216,16 @@ class PauliOp:
     def negated(self) -> "PauliOp":
         """Same operation with the word sign flipped into angle/sign."""
         if self.kind == ROTATION:
-            return PauliOp(self.word, ROTATION, (-self.angle_num) % 16)
-        return PauliOp(self.word, MEASUREMENT, sign=-self.sign)
+            return PauliOp(self.word, ROTATION, -self.angle_num)
+        return PauliOp(self.word, MEASUREMENT, 0, -self.sign)
 
 
 def rotation(word: PauliWord, k: int) -> PauliOp:
-    return PauliOp(word, ROTATION, angle_num=k % 16)
+    return PauliOp(word, ROTATION, k)
 
 
 def measurement(word: PauliWord, sign: int = 1) -> PauliOp:
-    return PauliOp(word, MEASUREMENT, sign=sign)
+    return PauliOp(word, MEASUREMENT, 0, sign)
 
 
 def conjugate_past(clifford: PauliOp, target: PauliOp) -> PauliOp:

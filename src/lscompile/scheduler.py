@@ -93,7 +93,9 @@ def normalize_angles(program: PbcProgram) -> PbcProgram:
         if r == 4:
             frame = PauliWord(program.n, frame.x ^ w.x, frame.z ^ w.z)
             continue
-        out.extend(rotation(w, k) for k in _EMIT[r])
+        # a rotation already at an emitted angle is kept as it is
+        out.extend(op if k == op.angle_num else rotation(w, k)
+                   for k in _EMIT[r])
     return PbcProgram(program.n, tuple(out))
 
 

@@ -149,10 +149,12 @@ def _update(frame: tuple, move: list) -> None:
 
 def _kept(n: int, image: tuple, kind: str, k: int = 0,
           sign: int = 1) -> PauliOp:
-    """The operator (kind, k pi/8 or sign) on the signed word image."""
+    """The operator (kind, k pi/8 or sign) on the signed word image, with
+    a negated image's sign folded in as PauliOp.negated does."""
     x, z, neg = image
-    op = PauliOp(PauliWord(n, x, z), kind, k, sign)
-    return op.negated() if neg else op
+    if neg:
+        k, sign = (-k, sign) if kind == ROTATION else (0, -sign)
+    return PauliOp(PauliWord(n, x, z), kind, k, sign)
 
 
 def absorb_cliffords(program: PbcProgram) -> PbcProgram:

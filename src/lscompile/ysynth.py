@@ -64,12 +64,12 @@ def decompose_op(op: PauliOp, b1, b2=()) -> list:
                 raise ValueError(f"qubit {q} carries no Y letter")
             ymask |= 1 << q
     core_word = PauliWord(n, op.word.x, op.word.z & ~ymask)
+    gws = [_z_group_word(n, g) for g in groups]
 
     # conjugate the core by the rotation pairs, innermost group first;
     # each anticommuting quarter turn maps V to -i * Z^g * V
     img = PhasedPauli(core_word, 0)
-    for g in reversed(groups):
-        gw = _z_group_word(n, g)
+    for g, gw in zip(reversed(groups), reversed(gws)):
         if commutes(gw, img.word):
             raise ValueError(f"group {g} must anticommute at its turn")
         img = multiply(PhasedPauli(gw, 3), img)
@@ -81,9 +81,8 @@ def decompose_op(op: PauliOp, b1, b2=()) -> list:
         core = rotation(core_word, (s * op.angle_num) % 16)
     else:
         core = measurement(core_word, s * op.sign)
-    left = [rotation(_z_group_word(n, g), 14) for g in groups]
-    right = [rotation(_z_group_word(n, g), 2) for g in groups]
-    return left + [core] + right
+    return ([rotation(gw, 14) for gw in gws] + [core]
+            + [rotation(gw, 2) for gw in gws])
 
 
 def choose_bipartition(y_indices, node_id: int, program: PbcProgram,

@@ -1,5 +1,10 @@
 """Symplectic Pauli algebra: words, phased products, conjugation rules."""
 
+import copy
+import dataclasses
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,9 +38,9 @@ def phased_matrix(p: PhasedPauli) -> np.ndarray:
 
 words_1q = st.sampled_from(["I", "X", "Y", "Z"])
 words_3q = st.tuples(words_1q, words_1q, words_1q).map("".join)
-# (n, x, z) of a word of 0 to 70 qubits: widths that end inside a
+# (n, x, z) of a word of 0 to 80 qubits: widths that end inside a
 # four-qubit chunk, and past 64 bits
-nxz_words = st.integers(0, 70).flatmap(lambda n: st.tuples(
+nxz_words = st.integers(0, 80).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1)))
 
 
@@ -92,6 +97,67 @@ class TestPauliWord:
     def test_overlaps(self):
         assert W("XI").overlaps(W("XZ"))
         assert not W("XI").overlaps(W("IZ"))
+
+
+def refuses(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+class TestValueContract:
+    """Words, phased words and operators are frozen values: each checks
+    its fields once, compares, hashes, prints and pickles by them alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nxz_words, st.integers(-40, 40), st.sampled_from([1, -1]),
+           st.integers(-9, 9))
+    def test_values(self, nxz, k, sign, phase):
+        n, x, z = nxz
+        w = PauliWord(n, x, z)
+        w.support()   # the kept support neither prints nor compares
+        cases = [
+            (w, (n, x, z), f"PauliWord(n={n}, x={x}, z={z})"),
+            (PhasedPauli(w, phase), (w, phase % 4),
+             f"PhasedPauli(word={w!r}, phase_exp={phase % 4})"),
+            (PauliOp(w, ROTATION, k), (w, ROTATION, k % 16, 1),
+             f"PauliOp(word={w!r}, kind='rotation', angle_num={k % 16}, "
+             "sign=1)"),
+            (PauliOp(w, MEASUREMENT, 0, sign), (w, MEASUREMENT, 0, sign),
+             f"PauliOp(word={w!r}, kind='measurement', angle_num=0, "
+             f"sign={sign})")]
+        for v, fields, text in cases:
+            assert repr(v) == text
+            twin = type(v)(*fields)
+            assert twin is not v and twin == v and hash(twin) == hash(v)
+            for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+                assert back == v and hash(back) == hash(v)
+                assert repr(back) == text
+            for f in dataclasses.fields(v):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(v, f.name, 1)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(v, f.name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nxz_words, st.integers(1, 200),
+           st.integers(-5, 5).filter(lambda s: s not in (1, -1)))
+    def test_bad_inputs_are_refused(self, nxz, shift, sign):
+        n, x, z = nxz
+        with refuses("negative qubit count"):
+            PauliWord(-shift, 0, 0)
+        for bad in (x | 1 << (n + shift - 1), -shift):
+            with refuses("mask bits outside qubit range"):
+                PauliWord(n, bad, z)
+            with refuses("mask bits outside qubit range"):
+                PauliWord(n, x, bad)
+        w = PauliWord(n, x, z)
+        with refuses("bad kind 'Rotation'"):
+            PauliOp(w, "Rotation")
+        for kind in (ROTATION, MEASUREMENT):
+            with refuses("measurement sign must be +1 or -1"):
+                PauliOp(w, kind, 0, sign)
+        # -W at angle k is W at -k: the sign of a rotation is always +1
+        with refuses("rotation sign must be +1"):
+            PauliOp(w, ROTATION, shift, -1)
 
 
 class TestCommutation:

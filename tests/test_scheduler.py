@@ -126,7 +126,21 @@ def normalize_rewriting_tail(program):
 @given(pbc_programs(max_qubits=8))
 @settings(max_examples=80, deadline=None)
 def test_normalize_matches_tail_rewriting_reference(prog):
-    assert normalize_angles(prog) == normalize_rewriting_tail(prog)
+    """Equal to the reference, and each operator that comes out as it
+    went in is the input object itself, not a rebuilt copy."""
+    out = normalize_angles(prog)
+    assert out == normalize_rewriting_tail(prog)
+    # a half-pi flip negates the angle and keeps how many operators an
+    # input becomes, so the output splits into one run per input
+    rest = iter(out.ops)
+    for op in prog.ops:
+        r = op.angle_num % 8
+        count = (1 if op.kind == MEASUREMENT else
+                 0 if op.is_trivial() or r == 4 else len(_EMIT[r]))
+        emitted = [next(rest) for _ in range(count)]
+        if emitted == [op]:
+            assert emitted[0] is op
+    assert next(rest, None) is None
 
 
 class TestGoldenCompact:

@@ -14,6 +14,7 @@ from lscompile.oracle import (
 )
 from lscompile.pauli import (
     ROTATION,
+    PauliOp,
     PauliWord,
     commutes,
     conjugate_past,
@@ -303,6 +304,34 @@ class TestTranspile:
             prog = transpile(circ)
             assert distributions_match(outcome_distribution(prog),
                                        circuit_distribution(circ), tol=1e-9)
+
+    def test_one_pauli_op_per_kept_operator(self, monkeypatch):
+        """A negated image is built with its sign folded in, not built and
+        then negated: x and y turn Z_q into -Z_q, under t and measure."""
+        built, kept = [], []
+
+        def counting_op(*args):
+            built.append(PauliOp(*args))
+            return built[-1]
+
+        def counting_kept(*args):
+            kept.append(args)
+            return keep(*args)
+
+        keep = transpiler._kept
+        monkeypatch.setattr(transpiler, "PauliOp", counting_op)
+        monkeypatch.setattr(transpiler, "_kept", counting_kept)
+        small = GateCircuit(2).add("x", 0).add("t", 0).add("y", 1)
+        small.add("measure", 0).add("measure", 1)
+        assert format_pbc(transpile(small)).splitlines()[1:] == [
+            "-pi/8 ZI", "-M ZI", "-M IZ"]
+        for circ in (small, bench.random_circuit(6, 60, seed=3)):
+            built.clear()
+            kept.clear()
+            prog = transpile(circ)
+            assert len(built) == len(kept)
+            # each output operator is the one object built for it
+            assert {id(op) for op in prog.ops} <= {id(op) for op in built}
 
     def test_unsupported_gate_rejected(self):
         circ = GateCircuit(3)

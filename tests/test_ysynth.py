@@ -90,6 +90,24 @@ class TestDecomposeOp:
         u2 = program_unitary(PbcProgram(3, tuple(ops)))
         assert np.allclose(u1, u2)
 
+    @pytest.mark.parametrize("word, groups", [
+        ("Y", [(0,)]), ("YY", [(0,), (1,)]), ("YXYY", [(0, 2, 3)]),
+        ("YYYY", [(3,), (2, 0, 1)])])
+    def test_each_group_word_is_built_once(self, word, groups, monkeypatch):
+        """The sign check and both shells of a group share one Z word."""
+        built = []
+
+        def counting(n, group):
+            built.append(group)
+            return z_group_word(n, group)
+
+        z_group_word = ysynth._z_group_word
+        monkeypatch.setattr(ysynth, "_z_group_word", counting)
+        ops = decompose_op(measurement(W(word), -1), *groups)
+        assert sorted(built) == sorted(tuple(sorted(g)) for g in groups)
+        k = len(groups)
+        assert all(ops[i].word is ops[k + 1 + i].word for i in range(k))
+
 
 class TestYSynthesize:
     def test_full_access_leaves_y_alone(self):
