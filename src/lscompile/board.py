@@ -21,7 +21,7 @@ and text without an ancilla or a port.
 Each board state keeps its occupancy (a bytearray by tile id) and what
 it works out on first use: its routing access (the strict component
 and which patch edges face it), whether that holds every X-edge tile
-of the ancilla (`_holds_x`), its distance maps (`distances`) and its
+of the ancilla (`_holds_x`), its distance maps (`_kept`) and its
 buses (`bus_patches`, successes only); `_new_state` starts them afresh
 when a tile changes hands.  Under its key (source tile; terminal
 patches as they stand) a map or bus depends only on which tiles are
@@ -223,9 +223,6 @@ class Board:
 
     # --- basic geometry ---------------------------------------------------
 
-    def in_bounds(self, tile) -> bool:
-        return tile in self._ids
-
     def is_routing(self, tile) -> bool:
         """Empty in-bounds tile; the magic port stays routing."""
         return tile in self._ids and self._ids[tile] not in self._at
@@ -367,11 +364,8 @@ class Board:
 
     # --- connectivity -----------------------------------------------------
 
-    def distances(self, tile) -> list:
-        """The routing tile's `_flood`, kept per state, never mutated."""
-        return self._kept(self._ids[tile])
-
     def _kept(self, i: int) -> list:
+        """The routing tile id's `_flood`, kept per state, never mutated."""
         dist = self._dist.get(i)
         if dist is None:
             dist = self._dist[i] = _flood(i, self._nb, self._occ)

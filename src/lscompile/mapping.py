@@ -3,9 +3,12 @@
 Three strategies: "identity" (program qubit i on patch i), "ea"
 (exposure-aware: qubits needing frequent edge-type switches go to patches
 exposing both boundary types), and "greedy" (interaction-frequency
-placement near partners).  A mapping is a dict program qubit -> patch id;
-the derived access map records which Pauli letters each program qubit can
-reach without a patch rotation.
+placement near partners).  `_rank` is the one patch order: more exposed
+edge types first, then nearer the ancilla, then lower id; "ea" hands
+patches out in that order and "greedy" breaks cost ties with it.  A
+mapping is a dict program qubit -> patch id; the derived access map
+records which Pauli letters each program qubit can reach without a patch
+rotation.
 """
 
 from __future__ import annotations
@@ -20,19 +23,11 @@ class MappingError(ValueError):
     pass
 
 
-def _exposure_class(board: Board, pid: int) -> int:
-    types = board.exposed_types(pid)
-    if types == {"X", "Z"}:
-        return 0
-    if types:
-        return 1
-    return 2
-
-
-def _anchor_distance(board: Board, pid: int) -> int:
-    (ar, ac) = board.ancilla.tile
-    (r, c) = board.patches[pid].tile
-    return abs(r - ar) + abs(c - ac)
+def _rank(board: Board, pid: int) -> tuple:
+    """The one patch order: exposed edge types, most first, then
+    Manhattan distance to the ancilla, then id."""
+    (ar, ac), (r, c) = board.ancilla.tile, board.patches[pid].tile
+    return (2 - len(board.exposed_types(pid)), abs(r - ar) + abs(c - ac), pid)
 
 
 def identity_mapping(board: Board, n: int) -> dict:
@@ -46,9 +41,7 @@ def ea_mapping(board: Board, dag: PDag) -> dict:
     n = dag.n
     demand = rotation_demand(dag)
     qubits = sorted(range(n), key=lambda q: (-demand[q], q))
-    patches = sorted(board.patches,
-                     key=lambda p: (_exposure_class(board, p),
-                                    _anchor_distance(board, p), p))
+    patches = sorted(board.patches, key=lambda p: _rank(board, p))
     return {q: patches[i] for i, q in enumerate(qubits)}
 
 
@@ -82,7 +75,7 @@ def greedy_mapping(board: Board, dag: PDag) -> dict:
                 if w:
                     (orr, occ) = tile(pid)
                     cost += w * (abs(r - orr) + abs(c - occ))
-            key = (cost, _exposure_class(board, p), _anchor_distance(board, p), p)
+            key = (cost, *_rank(board, p))
             if best_key is None or key < best_key:
                 best, best_key = p, key
         placed[q] = best

@@ -91,10 +91,6 @@ class PauliWord:
             z |= zb << q
         return PauliWord(n, x, z)
 
-    @staticmethod
-    def identity(n: int) -> "PauliWord":
-        return PauliWord(n, 0, 0)
-
     def letter(self, q: int) -> str:
         return _LETTER_BY_BITS[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)]
 
@@ -191,9 +187,6 @@ class PauliOp:
     @property
     def n(self) -> int:
         return self.word.n
-
-    def is_measurement(self) -> bool:
-        return self.kind == MEASUREMENT
 
     def is_clifford_quarter(self) -> bool:
         """A +/- pi/4 rotation (the conjugation Cliffords)."""

@@ -28,9 +28,6 @@ class PDag:
         self._indeg: dict[int, int] = {}
         self._ready: set = set()         # ids with no remaining predecessor
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __bool__(self) -> bool:
         return bool(self.nodes)
 

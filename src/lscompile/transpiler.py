@@ -264,7 +264,9 @@ def transpile(circuit: GateCircuit) -> PbcProgram:
 
 def parse_pbc(text: str, n: int | None = None) -> PbcProgram:
     """One operator per line, `#` comments and blank lines ignored;
-    malformed text raises PauliParseError."""
+    malformed text or a negative n raises PauliParseError."""
+    if n is not None and n < 0:
+        raise PauliParseError(f"qubit count must be non-negative, got {n}")
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -16,12 +16,9 @@ from .pauli import (
     MEASUREMENT,
     PauliOp,
     PauliWord,
-    PhasedPauli,
     ROTATION,
-    commutes,
     flip_past_pauli,
     measurement,
-    multiply,
     rotation,
     set_bits,
 )
@@ -33,13 +30,6 @@ Y_STRATEGIES = ("o3ls", "naive", "off")
 _FULL_ACCESS = frozenset({"X", "Y", "Z"})
 
 
-def _z_group_word(n: int, group) -> PauliWord:
-    z = 0
-    for q in group:
-        z |= 1 << q
-    return PauliWord(n, 0, z)
-
-
 def _y_indices(op: PauliOp) -> tuple:
     return tuple(set_bits(op.word.x & op.word.z))
 
@@ -49,36 +39,32 @@ def decompose_op(op: PauliOp, b1, b2=()) -> list:
 
     Emitted order: Z^{b1} at -pi/4, Z^{b2} at -pi/4, core, Z^{b1} at
     +pi/4, Z^{b2} at +pi/4.  The core keeps the original word with Y
-    turned into X on b1 and b2; its sign is fixed by conjugating the core
-    word through the quarter rotations and checking it lands back on the
-    original word.
+    turned into X on b1 and b2, so it has X on every qubit of each group
+    g: Z^g anticommutes with it iff popcount(g) is odd, and each turn
+    -i Z^g puts Y back on g at phase i^(popcount(g) + 3).  The core's
+    sign is therefore -1 iff those exponents sum to 2 mod 4.  Groups
+    that share a qubit do not give the word back.
     """
-    n = op.word.n
-    groups = [tuple(sorted(b1))]
-    if b2:
-        groups.append(tuple(sorted(b2)))
-    ymask = 0
+    w = op.word
+    groups = [tuple(sorted(b1))] + ([tuple(sorted(b2))] if b2 else [])
+    masks = []
     for g in groups:
+        m = 0
         for q in g:
-            if op.word.letter(q) != "Y":
+            if w.letter(q) != "Y":
                 raise ValueError(f"qubit {q} carries no Y letter")
-            ymask |= 1 << q
-    core_word = PauliWord(n, op.word.x, op.word.z & ~ymask)
-    gws = [_z_group_word(n, g) for g in groups]
-
-    # conjugate the core by the rotation pairs, innermost group first;
-    # each anticommuting quarter turn maps V to -i * Z^g * V
-    img = PhasedPauli(core_word, 0)
-    for g, gw in zip(reversed(groups), reversed(gws)):
-        if commutes(gw, img.word):
+            m |= 1 << q
+        masks.append(m)
+    for g, m in zip(reversed(groups), reversed(masks)):   # innermost first
+        if m.bit_count() % 2 == 0:
             raise ValueError(f"group {g} must anticommute at its turn")
-        img = multiply(PhasedPauli(gw, 3), img)
-    if img.word != op.word or not img.is_hermitian():
+    if len(masks) == 2 and masks[0] & masks[1]:
         raise AssertionError("Y decomposition failed to reproduce the word")
-    s = img.sign()
-
+    s = -1 if sum(m.bit_count() + 3 for m in masks) % 4 == 2 else 1
+    core_word = PauliWord(w.n, w.x, w.z & ~(masks[0] | masks[-1]))
+    gws = [PauliWord(w.n, 0, m) for m in masks]
     if op.kind == ROTATION:
-        core = rotation(core_word, (s * op.angle_num) % 16)
+        core = rotation(core_word, s * op.angle_num)
     else:
         core = measurement(core_word, s * op.sign)
     return ([rotation(gw, 14) for gw in gws] + [core]

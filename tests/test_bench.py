@@ -3,7 +3,7 @@
 import pytest
 
 from lscompile.board import format_layout
-from lscompile.pauli import ROTATION
+from lscompile.pauli import MEASUREMENT, ROTATION
 from lscompile.transpiler import SUPPORTED_GATES, GateCircuit, transpile
 from lscompile import bench
 
@@ -81,7 +81,7 @@ class TestRandomSources:
     def test_random_program_shape(self):
         prog = bench.random_program(3, 5, seed=1)
         rotations = [op for op in prog.ops if op.kind == ROTATION]
-        measures = [op for op in prog.ops if op.is_measurement()]
+        measures = [op for op in prog.ops if op.kind == MEASUREMENT]
         assert len(rotations) == 5
         assert len(measures) == 3
         for op in rotations:

@@ -629,7 +629,7 @@ class TestBus:
         assert bus
         assert not (bus & occupied)
         for tile in bus:
-            assert b.in_bounds(tile)
+            assert tile in b._ids
 
     def test_bus_deterministic(self):
         b = irregular_demo()
@@ -817,12 +817,13 @@ class TestRoutingMatchesFullFlood:
 
     def test_rotation_keeps_the_maps_and_a_move_drops_them(self):
         b = builtin_layout("compact", 4)
-        kept = b.distances((1, 0))
+        src = b._ids[(1, 0)]
+        kept = b._kept(src)
         b.rotate_patch(0, b.rotation_helper(0))
-        assert b.distances((1, 0)) is kept
+        assert b._kept(src) is kept
         b.move_patch(2, (1, 3))
         i = b._ids[(1, 3)]   # a kept map is a list by tile id, -1 unreached
-        assert b.distances((1, 0))[i] == -1
+        assert b._kept(src)[i] == -1
         assert kept[i] == 3
 
     @staticmethod
@@ -916,7 +917,8 @@ class TestRoutingMatchesFullFlood:
             assert board.access() == fresh.access()
             for tile in fresh._tiles:
                 if fresh.is_routing(tile):
-                    assert board.distances(tile) == fresh.distances(tile)
+                    assert (board._kept(board._ids[tile])
+                            == fresh._kept(fresh._ids[tile]))
             for req in pool:
                 for include_port in (False, True):
                     assert (_outcome(bus_patches, board, req, include_port)
@@ -1022,7 +1024,7 @@ class TestIdFlood:
         held = {b.ancilla.tile, *(p.tile for p in b.patches.values())}
         routing = [t for t in b._tiles if b.is_routing(t)]
         for t in routing:
-            assert _tile_map(b, b.distances(t)) == ref._flood(t, nbrs, held)
+            assert _tile_map(b, b._kept(b._ids[t])) == ref._flood(t, nbrs, held)
         assert _id_pieces(b, b._occ) == _ref_x_pieces(b, nbrs, held)
         # the reference frees a tile only while it takes one
         taken = data.draw(st.sampled_from([None, *routing]))

@@ -17,6 +17,7 @@ from lscompile.board import (
 from lscompile.cli import main
 from lscompile.layout_search import MAX_DESIGN_TILES
 from lscompile.oracle import MAX_ORACLE_QUBITS
+from lscompile.pauli import MEASUREMENT
 from lscompile.pipeline import CompileOptions, compile_program, make_board
 from lscompile.transpiler import format_pbc, parse_pbc, parse_qasm, transpile
 
@@ -45,7 +46,7 @@ def test_transpile_writes_parseable_program(qasm_file, tmp_path):
     assert main(["transpile", qasm_file, "-o", str(out)]) == 0
     prog = parse_pbc(out.read_text())
     assert prog.n == 2
-    assert any(op.is_measurement() for op in prog.ops)
+    assert any(op.kind == MEASUREMENT for op in prog.ops)
 
 
 def test_transpile_reads_pbc_too(tmp_path):
@@ -359,6 +360,19 @@ def test_library_errors_are_one_line_and_exit_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("lscompile: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["transpile", "compile", "verify"])
+def test_a_negative_qubit_count_is_one_line_and_exit_2(monkeypatch, capsys,
+                                                       command):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "-", "--qubits", "-1"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lscompile: error: qubit count must be non-negative, got -1\n")
 
 
 def _calibration_rates(**changes):

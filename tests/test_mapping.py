@@ -2,6 +2,7 @@
 
 import pytest
 
+from lscompile import bench
 from lscompile.board import Board, builtin_layout, irregular_demo
 from lscompile.layout_search import auto_design
 from lscompile.mapping import (
@@ -74,6 +75,23 @@ def test_greedy_mapping_is_permutation():
     qmap = greedy_mapping(b, build_pdag(demand_program()))
     assert is_permutation(qmap, b, 6)
     assert qmap == {0: 3, 1: 4, 2: 2, 3: 1, 4: 5, 5: 0}
+
+
+@pytest.mark.parametrize("make, n, ea, greedy", [
+    # mixed exposure: both-type patches 3 and 5 lead the order
+    (irregular_demo, 6,
+     {4: 3, 0: 5, 2: 4, 3: 2, 1: 1, 5: 0},
+     {0: 3, 2: 4, 4: 2, 3: 1, 5: 0, 1: 5}),
+    # every patch exposes both types: the ancilla distance, then the id
+    (lambda: bench.spread_layout(6), 8,
+     {4: 1, 1: 2, 6: 3, 0: 4, 2: 5, 3: 6, 7: 7, 5: 0},
+     {4: 1, 6: 2, 5: 0, 1: 3, 7: 7, 3: 4, 0: 5, 2: 6}),
+])
+def test_frozen_maps_of_a_random_program(make, n, ea, greedy):
+    """Regression pin: both mappings rank patches by the one order."""
+    dag = build_pdag(bench.random_program(n, 40, 0))
+    assert ea_mapping(make(), dag) == ea
+    assert greedy_mapping(make(), dag) == greedy
 
 
 def test_mappings_deterministic():

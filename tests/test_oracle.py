@@ -120,7 +120,7 @@ def test_distributions_match_tolerance():
 
 def test_qubit_cap_enforced():
     big = PbcProgram(MAX_ORACLE_QUBITS + 1,
-                     (measurement(PauliWord.identity(MAX_ORACLE_QUBITS + 1)),))
+                     (measurement(PauliWord(MAX_ORACLE_QUBITS + 1, 0, 0)),))
     with pytest.raises(Exception):
         program_unitary(big)
 

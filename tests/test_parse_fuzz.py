@@ -6,6 +6,7 @@ either returns or raises one of its documented ValueError subclasses,
 which the CLI turns into a one-line error.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lscompile import bench
@@ -91,6 +92,13 @@ def test_parse_pbc_raises_only_pauli_parse_errors(text):
         parse_pbc(text)
     except PauliParseError:
         pass
+
+
+@pytest.mark.parametrize("text", ["", "pi/8 Z\n"])
+def test_parse_pbc_refuses_a_negative_qubit_count(text):
+    with pytest.raises(PauliParseError,
+                       match=r"^qubit count must be non-negative, got -1$"):
+        parse_pbc(text, -1)
 
 
 @given(mutated(LAYOUT_TEXTS))

@@ -82,7 +82,7 @@ class TestPauliWord:
         assert W(w.to_string()) == w
 
     def test_identity(self):
-        w = PauliWord.identity(3)
+        w = PauliWord(3, 0, 0)
         assert w.is_identity()
         assert w.to_string() == "III"
         assert not W("IXI").is_identity()
@@ -200,7 +200,7 @@ class TestPhasedProduct:
 
     def test_identity_neutral(self):
         p = PhasedPauli(W("XZY"), 2)
-        one = PhasedPauli(PauliWord.identity(3), 0)
+        one = PhasedPauli(PauliWord(3, 0, 0), 0)
         assert multiply(p, one) == p
         assert multiply(one, p) == p
 
@@ -235,7 +235,7 @@ class TestOps:
         assert rotation(W("Z"), 4).is_pauli_half()
         assert rotation(W("Z"), 12).is_pauli_half()
         assert rotation(W("Z"), 0).is_trivial()
-        assert measurement(W("ZZ")).is_measurement()
+        assert measurement(W("ZZ")).kind == MEASUREMENT
         assert measurement(W("ZZ")).kind != ROTATION
 
     def test_negated(self):

@@ -15,7 +15,7 @@ def edges(dag):
 
 def test_shared_qubit_creates_edge():
     dag = build_pdag(parse_pbc("pi/8 ZI\npi/8 IZ\nM ZZ"))
-    assert len(dag) == 3
+    assert len(dag.nodes) == 3
     assert dag.frontier() == [0, 1]
     assert edges(dag) == [(0, 2), (1, 2)]
 
@@ -39,7 +39,7 @@ def test_pop_node_unblocks_successors():
     dag.pop_node(1)
     assert dag.frontier() == [2]
     dag.pop_node(2)
-    assert len(dag) == 0
+    assert len(dag.nodes) == 0
     assert not dag
 
 

@@ -233,7 +233,7 @@ class TestLooseScheduler:
         sch = schedule_loose(prog, builtin_layout("compact", 3))
         validate_schedule(sch)
         assert sch.total_clocks >= len(
-            [op for op in prog.ops if op.is_measurement()])
+            [op for op in prog.ops if op.kind == MEASUREMENT])
 
 
 @pytest.mark.parametrize("circuit,board", [

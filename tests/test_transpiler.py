@@ -13,6 +13,7 @@ from lscompile.oracle import (
     program_unitary,
 )
 from lscompile.pauli import (
+    MEASUREMENT,
     ROTATION,
     PauliOp,
     PauliWord,
@@ -84,7 +85,7 @@ class TestDecomposeGate:
     def test_measure(self):
         ops = decompose_gate(Gate("measure", (1,)), 2)
         assert len(ops) == 1
-        assert ops[0].is_measurement()
+        assert ops[0].kind == MEASUREMENT
         assert ops[0].word.to_string() == "IZ"
 
     @pytest.mark.parametrize("name", ONE_QUBIT_GATES)
@@ -113,7 +114,7 @@ class TestAbsorbCliffords:
         for seed in range(8):
             circ = bench.random_circuit(3, 15, seed=seed)
             prog = transpile(circ)
-            assert all(op.is_eighth() or op.is_measurement()
+            assert all(op.is_eighth() or op.kind == MEASUREMENT
                        for op in prog.ops)
 
     def test_quarter_before_commuting_measurement_disappears(self):
@@ -296,7 +297,7 @@ class TestTranspile:
         circ.add("h", 0)
         circ.add("measure", 0)
         prog = transpile(circ)
-        assert sum(1 for op in prog.ops if op.is_measurement()) == 1
+        assert sum(1 for op in prog.ops if op.kind == MEASUREMENT) == 1
 
     def test_distribution_preserved(self):
         for seed in (11, 23, 37):

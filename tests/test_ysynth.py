@@ -14,10 +14,11 @@ from lscompile.board import builtin_layout
 from lscompile.mapping import access_map, build_mapping
 from lscompile.oracle import (
     distributions_match,
+    equivalent_up_to_phase,
     outcome_distribution,
     program_unitary,
 )
-from lscompile.pauli import PauliWord, measurement, rotation
+from lscompile.pauli import ROTATION, PauliWord, measurement, rotation
 from lscompile.pdag import build_pdag
 from lscompile.transpiler import PbcProgram, parse_pbc
 from lscompile.ysynth import (
@@ -94,19 +95,58 @@ class TestDecomposeOp:
         ("Y", [(0,)]), ("YY", [(0,), (1,)]), ("YXYY", [(0, 2, 3)]),
         ("YYYY", [(3,), (2, 0, 1)])])
     def test_each_group_word_is_built_once(self, word, groups, monkeypatch):
-        """The sign check and both shells of a group share one Z word."""
+        """One word per group, shared by both of its shells, plus the
+        core, and no other anywhere: the sign is read off the group
+        masks, not multiplied out."""
         built = []
 
-        def counting(n, group):
-            built.append(group)
-            return z_group_word(n, group)
+        def counting(self, n, x, z):
+            built.append((x, z))
+            init(self, n, x, z)
 
-        z_group_word = ysynth._z_group_word
-        monkeypatch.setattr(ysynth, "_z_group_word", counting)
-        ops = decompose_op(measurement(W(word), -1), *groups)
-        assert sorted(built) == sorted(tuple(sorted(g)) for g in groups)
+        op = measurement(W(word), -1)
+        init = PauliWord.__init__
+        monkeypatch.setattr(PauliWord, "__init__", counting)
+        ops = decompose_op(op, *groups)
         k = len(groups)
+        core = ops[k].word
+        assert sorted(built) == sorted(
+            [(core.x, core.z)] + [(0, sum(1 << q for q in g)) for g in groups])
         assert all(ops[i].word is ops[k + 1 + i].word for i in range(k))
+
+    @pytest.mark.parametrize("word, groups, error, message", [
+        # a non-Y qubit: groups in order, then qubits in order, before
+        # any group's parity
+        ("XYZ", [(2, 0), (1,)], ValueError, "qubit 0 carries no Y letter"),
+        ("YYX", [(0, 1), (2,)], ValueError, "qubit 2 carries no Y letter"),
+        ("YI", [(0, 1)], ValueError, "qubit 1 carries no Y letter"),
+        # an even group, innermost (b2) first, named sorted
+        ("YYYY", [(1, 0), (3, 2)], ValueError,
+         "group (2, 3) must anticommute at its turn"),
+        ("YYY", [(1, 0), (2,)], ValueError,
+         "group (0, 1) must anticommute at its turn"),
+        ("Y", [()], ValueError, "group () must anticommute at its turn"),
+        ("YXY", [(0, 2, 0)], ValueError,
+         "group (0, 0, 2) must anticommute at its turn"),
+        # parity before overlap
+        ("YY", [(0,), (0, 1)], ValueError,
+         "group (0, 1) must anticommute at its turn"),
+        ("YYY", [(0,), (0, 1, 2)], AssertionError,
+         "Y decomposition failed to reproduce the word"),
+        ("YY", [(1,), (1,)], AssertionError,
+         "Y decomposition failed to reproduce the word"),
+    ])
+    def test_refusals(self, word, groups, error, message):
+        with pytest.raises(error) as info:
+            decompose_op(rotation(W(word), 1), *groups)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_a_repeated_qubit_counts_once(self):
+        """A group's parity is its mask's popcount, not its length (see
+        the (0, 2, 0) refusal above)."""
+        op = measurement(W("YXY"), -1)
+        assert decompose_op(op, (0, 0)) == decompose_op(op, (0,))
 
 
 class TestYSynthesize:
@@ -280,7 +320,7 @@ def merge_programs(draw):
     k = draw(st.integers(min_value=1, max_value=4))
     pool = draw(st.lists(word, min_size=k, max_size=k))
     if draw(st.booleans()):
-        pool.append(PauliWord.identity(n))
+        pool.append(PauliWord(n, 0, 0))
     words = st.sampled_from(pool)
     signs = st.sampled_from([1, -1])
     # numerators -2 and -1 stand for a measurement in mid-program
@@ -333,6 +373,46 @@ def test_bipartition_matches_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ysynth, "choose_bipartition", both)
         y_synthesize(prog, access)
+
+
+@st.composite
+def y_splits(draw):
+    """A Y-bearing operator on 1-6 qubits, its Y qubits as one group when
+    odd in number, else as an odd/odd split, and a rotation prefix."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+    letters[draw(st.integers(0, n - 1))] = "Y"
+    ys = draw(st.permutations([q for q, c in enumerate(letters) if c == "Y"]))
+    k = len(ys)
+    if k % 2 == 0:
+        k = draw(st.sampled_from(range(1, k, 2)))
+    word = W("".join(letters))
+    op = draw(st.one_of(st.builds(rotation, st.just(word), st.integers(0, 15)),
+                        st.builds(measurement, st.just(word),
+                                  st.sampled_from([1, -1]))))
+    any_word = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(
+        lambda ls: W("".join(ls)))
+    prefix = draw(st.lists(st.builds(rotation, any_word, st.integers(0, 15)),
+                           max_size=4))
+    return op, ys[:k], ys[k:], tuple(prefix)
+
+
+@given(y_splits())
+@settings(max_examples=200, deadline=None)
+def test_decomposition_matches_the_state_vector_oracle(case):
+    """The dense oracle, not the Pauli algebra, checks the core's sign: a
+    rotation's unitary matches up to phase, a measurement's outcome
+    distribution after a random rotation prefix."""
+    op, b1, b2, prefix = case
+    n = op.word.n
+    ops = tuple(decompose_op(op, b1, b2))
+    if op.kind == ROTATION:
+        assert equivalent_up_to_phase(program_unitary(PbcProgram(n, ops)),
+                                      program_unitary(PbcProgram(n, (op,))))
+    else:
+        assert distributions_match(
+            outcome_distribution(PbcProgram(n, prefix + ops)),
+            outcome_distribution(PbcProgram(n, prefix + (op,))))
 
 
 @given(st.text("IXYZ", min_size=1, max_size=70))
